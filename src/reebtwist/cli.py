@@ -14,13 +14,13 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .complexes import ComplexValidationError, homology, quotient_by_action
 from .czindex import cz_index_unitary
 from .geometry import (
+    IntegrationDriftError,
     OffSurfaceError,
     RotationTwist,
     RoundSphere,
@@ -67,6 +67,14 @@ def _round_floats(obj):
 
 # -- argument handling ----------------------------------------------------------
 
+def _sample_count(text: str) -> int:
+    # one sample step is a single chord, too coarse to integrate over or lift
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reebtwist",
@@ -104,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--z", type=str, default=None)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_sample_count, default=1000)
 
     p = sub.add_parser("cz-index", help="index of orbit linearization paths")
     common(p, window=True)
@@ -127,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="orbit + noncontractibility certificate")
     common(p)
     p.add_argument("--pearl", type=int, default=1, help="spectrum branch")
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_sample_count, default=256)
 
     p = sub.add_parser("sweep", help="homology comparison over a parameter grid")
     common(p, window=True)
@@ -383,8 +391,7 @@ def cmd_sweep(args, tols):
         data["all_match"] = report.all_match
         return data
 
-    with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-        results = list(pool.map(run, grid))
+    results = [run(point) for point in grid]
     ok = all(r["all_match"] for r in results)
     return {"sweep": results, "all_match": ok}, None, (
         EXIT_OK if ok else EXIT_MISMATCH)
@@ -469,7 +476,7 @@ def main(argv=None) -> int:
     except (AmbiguousLiftError,) as exc:
         print(f"lifting error: {exc}", file=sys.stderr)
         return EXIT_LIFT
-    except (OffSurfaceError,) as exc:
+    except (OffSurfaceError, IntegrationDriftError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -2,11 +2,16 @@
 Geometry of complex n-space with its standard Liouville form.
 
 Complex coordinates z^j = x^j + i y^j carry the primitive
-lambda = (1/2) sum_j (y^j dx^j - x^j dy^j), the round sphere |z| = 1 has
-Reeb vector field R(z) = -2i z with flow e^{-2it} z, and a rotation twist
-acts coordinatewise by roots of unity.  Radial-profile star-shaped
-hypersurfaces get their Reeb field from the symplectic dual of a defining
-function and their flows from an adaptive Runge-Kutta integrator.
+lambda = (1/2) sum_j (y^j dx^j - x^j dy^j), and a rotation twist acts
+coordinatewise by roots of unity.  Every star-shaped model is the level set
+G = 1 of a function G homogeneous of degree two, given in closed form with
+its real gradient and Hessian: |z|^2 for the round sphere,
+sum_j a_j |z^j|^2 for the constant and ellipsoid profiles.  Everything else
+is derived from G once: the surface row G - 1, the Reeb field X_G (the
+symplectic dual of dG, with lambda(X_G) = G by Euler's identity), its
+Jacobian, and the collar coordinate log G of the default defining
+Hamiltonian.  The round sphere flows in closed form, e^{-2it} z; every other
+flow goes through the one adaptive Runge-Kutta entry point ``integrate``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ DEFAULT_SURFACE_TOL = 1e-9
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_DRIFT_TOL = 1e-8
-_FD_STEP = 1e-3
 
 
 class OffSurfaceError(Exception):
@@ -143,108 +147,20 @@ class RotationTwist:
         return {r: tuple(v) for r, v in sorted(classes.items())}
 
 
-# -- star-shaped models ---------------------------------------------------------
+# -- the integrator ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantProfile:
-    value: float = 1.0
+def integrate(rhs, t_end: float, y0: np.ndarray, rtol: float, atol: float,
+              dense: bool = False):
+    """RK45 solution of y' = rhs(t, y) over [0, t_end]: every numeric flow's entry point.
 
-    def __call__(self, u: np.ndarray):
-        u = np.asarray(u, dtype=complex)
-        return np.full(u.shape[:-1], self.value) if u.ndim > 1 else self.value
-
-
-@dataclass(frozen=True)
-class EllipsoidProfile:
-    """Radius profile of the ellipsoid sum_j a_j |z^j|^2 = 1."""
-
-    coefficients: tuple[float, ...]
-
-    def __call__(self, u: np.ndarray):
-        a = np.asarray(self.coefficients)
-        quad = np.sum(a * np.abs(np.asarray(u, dtype=complex)) ** 2, axis=-1)
-        return quad ** -0.5
-
-
-@dataclass(frozen=True)
-class RoundSphere:
-    n: int
-    kind: str = "round_sphere"
-
-    def surface_error(self, z) -> float:
-        return abs(float(np.linalg.norm(as_complex_vector(z))) - 1.0)
-
-    def point_on_surface(self, direction) -> np.ndarray:
-        u, _ = normalize_to_sphere(direction)
-        return u
-
-    def reeb_field(self, z) -> np.ndarray:
-        return -2j * as_complex_vector(z)
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Star-shaped hypersurface |z| = rho(z/|z|) for a positive profile rho."""
-
-    n: int
-    profile: Callable[[np.ndarray], float]
-    invariant: bool = True
-    kind: str = "radial_profile"
-
-    def radius(self, direction) -> float:
-        u, _ = normalize_to_sphere(direction)
-        r = float(self.profile(u))
-        if not (r > 0.0 and np.isfinite(r)):
-            raise ValueError("profile must be positive and finite")
-        return r
-
-    def defining_value(self, z) -> float:
-        """F(z) = |z|^2 - rho(z/|z|)^2, cutting out the hypersurface at 0."""
-        z = as_complex_vector(z)
-        return float(np.sum(np.abs(z) ** 2)) - self.radius(z) ** 2
-
-    def defining_value_batch(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=complex)
-        norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-        rho = np.asarray(self.profile(pts / norms))
-        return np.sum(np.abs(pts) ** 2, axis=-1) - rho ** 2
-
-    def surface_error(self, z) -> float:
-        z = as_complex_vector(z)
-        return abs(float(np.linalg.norm(z)) - self.radius(z))
-
-    def point_on_surface(self, direction) -> np.ndarray:
-        u, _ = normalize_to_sphere(direction)
-        return self.radius(u) * u
-
-    def reeb_field(self, z) -> np.ndarray:
-        """Reeb field of the induced contact form, from the defining function.
-
-        The symplectic dual X of -dF spans the characteristic line field of
-        the hypersurface; scaling it so the Liouville form evaluates to one
-        gives the Reeb field.  The gradient of F comes from fourth-order
-        central differences on the real coordinates.
-        """
-        z = as_complex_vector(z)
-        grad = _fd_gradient_batch(self.defining_value_batch, to_real(z))
-        x_f = hamiltonian_dual(grad)
-        pairing = liouville_form_eval(z, x_f)
-        if abs(pairing) < 1e-12:
-            raise ValueError("defining function degenerate at this point")
-        return x_f / pairing
-
-    def check_invariance(self, twist: RotationTwist, samples: int = 64,
-                         tol: float = 1e-9, seed: int = 0) -> None:
-        """Sample-test rho(phi(u)) = rho(u); raises ValueError on failure."""
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            u = rng.normal(size=self.n) + 1j * rng.normal(size=self.n)
-            u /= np.linalg.norm(u)
-            if abs(self.profile(twist.apply(u)) - self.profile(u)) > tol:
-                raise ValueError("profile is not invariant under the twist")
-
-
-StarShapedModel = RoundSphere | RadialProfile
+    Returns scipy's solution object (dense interpolant ``sol.sol`` if asked);
+    raises IntegrationDriftError when the step-size control fails.
+    """
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=rtol, atol=atol,
+                    dense_output=dense)
+    if not sol.success:
+        raise IntegrationDriftError(f"integration failed: {sol.message}")
+    return sol
 
 
 def hamiltonian_dual(grad_real: np.ndarray) -> np.ndarray:
@@ -258,43 +174,178 @@ def hamiltonian_dual(grad_real: np.ndarray) -> np.ndarray:
     return gy - 1j * gx
 
 
-def _fd_gradient_batch(f_batch: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-                       h: float = _FD_STEP) -> np.ndarray:
-    """Fourth-order central gradient using one batched complex evaluation.
+def _dual_rows(hess: np.ndarray) -> np.ndarray:
+    """Real Jacobian of the dual field of dF, given the Hessian of F."""
+    jac = np.empty_like(hess)
+    jac[0::2] = hess[1::2]
+    jac[1::2] = -hess[0::2]
+    return jac
 
-    ``f_batch`` maps an array of complex points of shape (m, n) to m values;
-    ``y`` is one point in interleaved real coordinates.
+
+# -- star-shaped models ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConstantProfile:
+    value: float = 1.0
+
+    def __call__(self, u: np.ndarray):
+        u = np.asarray(u, dtype=complex)
+        return np.full(u.shape[:-1], self.value) if u.ndim > 1 else self.value
+
+    def quadric(self, n: int) -> np.ndarray:
+        """Coefficients a_j of G = sum_j a_j |z^j|^2 cutting out this sphere."""
+        return np.full(n, self.value ** -2.0)
+
+
+@dataclass(frozen=True)
+class EllipsoidProfile:
+    """Radius profile of the ellipsoid sum_j a_j |z^j|^2 = 1."""
+
+    coefficients: tuple[float, ...]
+
+    def __call__(self, u: np.ndarray):
+        a = np.asarray(self.coefficients)
+        quad = np.sum(a * np.abs(np.asarray(u, dtype=complex)) ** 2, axis=-1)
+        return quad ** -0.5
+
+    def quadric(self, n: int) -> np.ndarray:
+        return np.asarray(self.coefficients, dtype=float)
+
+
+class StarShapedModel:
+    """The hypersurface G = 1 of a function G homogeneous of degree two.
+
+    A model supplies G (``defining_function``) with its real gradient and
+    Hessian; the defaults are the diagonal quadric sum_j a_j |z^j|^2 with
+    a = ``coefficients()``.  Everything else is derived from these three.
     """
-    d = y.size
-    offsets = np.concatenate([2 * h * np.eye(d), h * np.eye(d),
-                              -h * np.eye(d), -2 * h * np.eye(d)])
-    pts = to_complex(y)[None, :] + offsets.view(np.complex128).reshape(4 * d, -1)
-    vals = np.asarray(f_batch(pts), dtype=float)
-    f2p, f1p, f1m, f2m = vals[:d], vals[d:2 * d], vals[2 * d:3 * d], vals[3 * d:]
-    return (-f2p + 8 * f1p - 8 * f1m + f2m) / (12 * h)
+
+    def defining_function(self, z) -> float:
+        return float(np.sum(self.coefficients() * np.abs(z) ** 2))
+
+    def gradient(self, z) -> np.ndarray:
+        return 2.0 * np.repeat(self.coefficients(), 2) * to_real(z)
+
+    def hessian(self, z) -> np.ndarray:
+        return np.diag(2.0 * np.repeat(self.coefficients(), 2))
+
+    def surface_row(self, z) -> float:
+        """G - 1, vanishing exactly on the hypersurface."""
+        return self.defining_function(z) - 1.0
+
+    def reeb_field(self, z) -> np.ndarray:
+        """X_G; Euler's identity gives lambda(X_G) = G = 1 on the hypersurface."""
+        return hamiltonian_dual(self.gradient(z))
+
+    def field_jacobian(self, z) -> np.ndarray:
+        """Real Jacobian of ``reeb_field``: the dual map applied to the Hessian."""
+        return _dual_rows(self.hessian(z))
+
+    def flow_samples(self, z: np.ndarray, times: np.ndarray, rtol: float,
+                     atol: float, drift_tol: float) -> np.ndarray:
+        """Integrated Reeb flow at the given times, with the drift of G monitored."""
+        if np.allclose(times, 0.0):
+            return np.repeat(z[None, :], len(times), axis=0)
+        if np.any(times > 0.0) and np.any(times < 0.0):
+            raise ValueError("sample times must not mix signs")
+        t_end = float(times[np.argmax(np.abs(times))])
+        sol = integrate(lambda _t, y: to_real(self.reeb_field(to_complex(y))),
+                        t_end, to_real(z), rtol, atol, dense=True)
+        out = np.stack([to_complex(np.ascontiguousarray(sol.sol(t))) for t in times])
+        g0 = self.defining_function(z)
+        drift = max(abs(self.defining_function(p) - g0) for p in out)
+        if drift > drift_tol:
+            raise IntegrationDriftError(
+                f"energy drift {drift:.3e} exceeds tolerance {drift_tol:.3e}")
+        return out
+
+    def return_map(self, twist: RotationTwist, tau: float) -> np.ndarray | None:
+        """Closed-form complex differential of the twisted return map, if any."""
+        return None
+
+    def defining_hamiltonian(self):
+        return CollarHamiltonian(self)
 
 
-def _fd_gradient(f: Callable[[np.ndarray], float], y: np.ndarray,
-                 h: float = _FD_STEP) -> np.ndarray:
-    grad = np.empty_like(y)
-    for i in range(y.size):
-        e = np.zeros_like(y)
-        e[i] = 1.0
-        grad[i] = (-f(y + 2 * h * e) + 8 * f(y + h * e)
-                   - 8 * f(y - h * e) + f(y - 2 * h * e)) / (12 * h)
-    return grad
+# perfbench/spans.py wraps ``reeb_field`` in the body of each model class, so the
+# subclasses bind the shared method under their own name.
+
+@dataclass(frozen=True)
+class RoundSphere(StarShapedModel):
+    """The unit sphere G = |z|^2, whose Reeb flow e^{-2it} z is known in closed form."""
+
+    n: int
+    kind: str = "round_sphere"
+
+    reeb_field = StarShapedModel.reeb_field
+
+    def coefficients(self) -> np.ndarray:
+        return np.ones(self.n)
+
+    def surface_error(self, z) -> float:
+        return abs(float(np.linalg.norm(as_complex_vector(z))) - 1.0)
+
+    def point_on_surface(self, direction) -> np.ndarray:
+        u, _ = normalize_to_sphere(direction)
+        return u
+
+    def flow_samples(self, z, times, rtol, atol, drift_tol) -> np.ndarray:
+        """Closed-form flow e^{-2it} z; no tolerance applies."""
+        return np.exp(-2j * times)[:, None] * z[None, :]
+
+    def return_map(self, twist: RotationTwist, tau: float) -> np.ndarray:
+        return np.diag(np.exp(2j * tau) * twist.phases())
+
+    def defining_hamiltonian(self):
+        return SphereHamiltonian()
 
 
-def fd_jacobian(field: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-                h: float = _FD_STEP) -> np.ndarray:
-    """Fourth-order central-difference Jacobian of a real vector field."""
-    cols = []
-    for i in range(y.size):
-        e = np.zeros_like(y)
-        e[i] = 1.0
-        cols.append((-field(y + 2 * h * e) + 8 * field(y + h * e)
-                     - 8 * field(y - h * e) + field(y - 2 * h * e)) / (12 * h))
-    return np.stack(cols, axis=1)
+@dataclass(frozen=True)
+class RadialProfile(StarShapedModel):
+    """Star-shaped hypersurface |z| = rho(z/|z|) for a positive profile rho.
+
+    The constant and ellipsoid profiles give G = |z|^2 / rho(z/|z|)^2 in
+    closed form; a bare callable profile still has ``radius`` and
+    ``check_invariance`` but no defining function, hence no Reeb field.
+    """
+
+    n: int
+    profile: Callable[[np.ndarray], float]
+    invariant: bool = True
+    kind: str = "radial_profile"
+
+    reeb_field = StarShapedModel.reeb_field
+
+    def coefficients(self) -> np.ndarray:
+        try:
+            return self.profile.quadric(self.n)
+        except AttributeError:
+            raise TypeError("profile has no closed-form defining function") from None
+
+    def radius(self, direction) -> float:
+        u, _ = normalize_to_sphere(direction)
+        r = float(self.profile(u))
+        if not (r > 0.0 and np.isfinite(r)):
+            raise ValueError("profile must be positive and finite")
+        return r
+
+    def surface_error(self, z) -> float:
+        z = as_complex_vector(z)
+        return abs(float(np.linalg.norm(z)) - self.radius(z))
+
+    def point_on_surface(self, direction) -> np.ndarray:
+        u, _ = normalize_to_sphere(direction)
+        return self.radius(u) * u
+
+    def check_invariance(self, twist: RotationTwist, samples: int = 64,
+                         tol: float = 1e-9, seed: int = 0) -> None:
+        """Sample-test rho(phi(u)) = rho(u); raises ValueError on failure."""
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            u = rng.normal(size=self.n) + 1j * rng.normal(size=self.n)
+            u /= np.linalg.norm(u)
+            if abs(self.profile(twist.apply(u)) - self.profile(u)) > tol:
+                raise ValueError("profile is not invariant under the twist")
 
 
 # -- Reeb flow ------------------------------------------------------------------
@@ -302,22 +353,18 @@ def fd_jacobian(field: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
 def reeb_field(z, surface_tol: float = DEFAULT_SURFACE_TOL) -> np.ndarray:
     """Reeb field -2i z of the round sphere; errors off the hypersurface."""
     z = as_complex_vector(z)
-    err = abs(float(np.linalg.norm(z)) - 1.0)
+    sphere = RoundSphere(z.size)
+    err = sphere.surface_error(z)
     if err > surface_tol:
         raise OffSurfaceError(f"|z| - 1 = {err:.3e} exceeds tolerance {surface_tol:.3e}")
-    return -2j * z
+    return sphere.reeb_field(z)
 
 
 def reeb_flow(z, t: float, model: StarShapedModel,
               surface_tol: float = DEFAULT_SURFACE_TOL,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
               drift_tol: float = DEFAULT_DRIFT_TOL) -> np.ndarray:
-    """Time-t Reeb flow on the model hypersurface.
-
-    Round sphere: the closed form e^{-2it} z.  Radial profile: adaptive
-    Runge-Kutta integration of the Reeb field with the defining-function
-    drift monitored along the way.
-    """
+    """Time-t Reeb flow on the model hypersurface (see ``reeb_flow_samples``)."""
     return reeb_flow_samples(z, [t], model, surface_tol=surface_tol,
                              rtol=rtol, atol=atol, drift_tol=drift_tol)[-1]
 
@@ -326,36 +373,17 @@ def reeb_flow_samples(z, times, model: StarShapedModel,
                       surface_tol: float = DEFAULT_SURFACE_TOL,
                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                       drift_tol: float = DEFAULT_DRIFT_TOL) -> np.ndarray:
-    """Reeb flow evaluated at an increasing or decreasing list of times."""
+    """Reeb flow evaluated at an increasing or decreasing list of times.
+
+    The start point must lie within ``surface_tol`` of the hypersurface.  The
+    round sphere flows in closed form; other models are integrated with the
+    drift of G held below ``drift_tol``.
+    """
     z = as_complex_vector(z)
     err = model.surface_error(z)
     if err > surface_tol:
         raise OffSurfaceError(f"surface error {err:.3e} exceeds {surface_tol:.3e}")
-    times = np.asarray(times, dtype=float)
-
-    if isinstance(model, RoundSphere):
-        return np.exp(-2j * times)[:, None] * z[None, :]
-
-    if np.allclose(times, 0.0):
-        return np.repeat(z[None, :], len(times), axis=0)
-    if np.any(times > 0.0) and np.any(times < 0.0):
-        raise ValueError("sample times must not mix signs")
-
-    def rhs(_t, y):
-        return to_real(model.reeb_field(to_complex(y)))
-
-    t_end = float(times[np.argmax(np.abs(times))])
-    sol = solve_ivp(rhs, (0.0, t_end), to_real(z), method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        raise IntegrationDriftError(f"integration failed: {sol.message}")
-    out = np.stack([to_complex(np.ascontiguousarray(sol.sol(t))) for t in times])
-    f0 = model.defining_value(z)
-    drift = max(abs(model.defining_value(p) - f0) for p in out)
-    if drift > drift_tol:
-        raise IntegrationDriftError(
-            f"energy drift {drift:.3e} exceeds tolerance {drift_tol:.3e}")
-    return out
+    return model.flow_samples(z, np.asarray(times, dtype=float), rtol, atol, drift_tol)
 
 
 # -- defining Hamiltonian functions ----------------------------------------------
@@ -368,6 +396,12 @@ def _smoothstep(u: float) -> float:
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
+def _smoothstep_slope(u: float) -> float:
+    if u <= 0.0 or u >= 1.0:
+        return 0.0
+    return 30.0 * u * u * (1.0 - u) ** 2
+
+
 def _smoothstep_integral(u: float) -> float:
     """Integral of the quintic smoothstep from 0 to u (equals 1/2 at u = 1)."""
     if u <= 0.0:
@@ -378,12 +412,12 @@ def _smoothstep_integral(u: float) -> float:
 
 
 def _mollified_clamp(r: float, lo_corner: float, hi_corner: float,
-                     eps: float) -> tuple[float, float]:
+                     eps: float) -> tuple[float, float, float]:
     """C^2 ramp with unit slope between the corners, constant outside.
 
-    Returns (value, slope), where the value is normalized to vanish at the
-    midpoint of the corners.  The slope rises from 0 to 1 over a width-2*eps
-    collar around each corner via a quintic smoothstep.
+    Returns (value, slope, curvature), where the value is normalized to
+    vanish at the midpoint of the corners.  The slope rises from 0 to 1 over
+    a width-2*eps collar around each corner via a quintic smoothstep.
     """
     a0, a1 = lo_corner - eps, lo_corner + eps
     b0, b1 = hi_corner - eps, hi_corner + eps
@@ -391,21 +425,23 @@ def _mollified_clamp(r: float, lo_corner: float, hi_corner: float,
         raise ValueError("mollification width too large for the ramp")
 
     if r <= a0:
-        raw, slope = 0.0, 0.0
+        raw, slope, curv = 0.0, 0.0, 0.0
     elif r <= a1:
         u = (r - a0) / (2 * eps)
         raw, slope = 2 * eps * _smoothstep_integral(u), _smoothstep(u)
+        curv = _smoothstep_slope(u) / (2 * eps)
     elif r <= b0:
-        raw, slope = eps + (r - a1), 1.0
+        raw, slope, curv = eps + (r - a1), 1.0, 0.0
     elif r <= b1:
         u = (r - b0) / (2 * eps)
         raw = eps + (b0 - a1) + (r - b0) - 2 * eps * _smoothstep_integral(u)
         slope = 1.0 - _smoothstep(u)
+        curv = -_smoothstep_slope(u) / (2 * eps)
     else:
-        raw, slope = eps + (b0 - a1) + eps, 0.0
+        raw, slope, curv = eps + (b0 - a1) + eps, 0.0, 0.0
 
     mid_raw = eps + ((lo_corner + hi_corner) / 2.0 - a1)
-    return raw - mid_raw, slope
+    return raw - mid_raw, slope, curv
 
 
 @dataclass(frozen=True)
@@ -421,80 +457,74 @@ class SphereHamiltonian:
 
     eps: float = 0.05
 
+    def _ramp(self, r: float) -> tuple[float, float, float]:
+        return _mollified_clamp(r, 0.5, 1.5, self.eps)
+
     def beta(self, r: float) -> float:
-        value, _ = _mollified_clamp(r, 0.5, 1.5, self.eps)
-        return 2.0 * value + 1.0
+        return 2.0 * self._ramp(r)[0] + 1.0
 
     def value(self, z) -> float:
         z = as_complex_vector(z)
         return (self.beta(float(np.sum(np.abs(z) ** 2))) - 1.0) / 2.0
 
-    def _slope(self, r: float) -> float:
-        _, s = _mollified_clamp(r, 0.5, 1.5, self.eps)
-        return s
-
     def field(self, z) -> np.ndarray:
         z = as_complex_vector(z)
-        return -2j * self._slope(float(np.sum(np.abs(z) ** 2))) * z
+        return -2j * self._ramp(float(np.sum(np.abs(z) ** 2)))[1] * z
+
+    def jacobian(self, z) -> np.ndarray:
+        """Real Jacobian of the field -2i s(|z|^2) z, s the slope of the ramp."""
+        z = as_complex_vector(z)
+        _, s, ds = self._ramp(float(np.sum(np.abs(z) ** 2)))
+        y = to_real(z)
+        return (s * _dual_rows(2.0 * np.eye(y.size))
+                + np.outer(to_real(-2j * z), 2.0 * ds * y))
 
     def flow(self, z, t: float) -> np.ndarray:
         # |z| is conserved, so the flow is a rigid phase rotation
         z = as_complex_vector(z)
-        rate = self._slope(float(np.sum(np.abs(z) ** 2)))
+        rate = self._ramp(float(np.sum(np.abs(z) ** 2)))[1]
         return np.exp(-2j * rate * t) * z
 
 
 @dataclass(frozen=True)
 class CollarHamiltonian:
-    """Defining Hamiltonian built in the scaling-flow collar coordinate.
+    """Defining Hamiltonian built in the scaling-flow collar coordinate log G.
 
-    The collar coordinate r(p) = log(|p|^2 / rho(u)^2) vanishes on the
-    hypersurface; the Hamiltonian is a mollified clamp of r to
-    [-width/2, width/2].  The field is obtained as the symplectic dual of
-    the finite-difference gradient, which restricts to the Reeb field on
-    the hypersurface.
+    log G vanishes on the hypersurface; the Hamiltonian is a mollified clamp
+    of it to [-width/2, width/2].  Its field slope * X_G / G restricts to the
+    Reeb field on the hypersurface.
     """
 
     model: StarShapedModel
     width: float = 0.5
     eps: float = 0.05
 
-    def _collar_coordinate(self, z) -> float:
-        z = as_complex_vector(z)
-        rho = 1.0 if isinstance(self.model, RoundSphere) else self.model.radius(z)
-        return math.log(float(np.sum(np.abs(z) ** 2)) / rho ** 2)
+    def _clamp(self, z) -> tuple[float, tuple[float, float, float]]:
+        g = self.model.defining_function(as_complex_vector(z))
+        return g, _mollified_clamp(math.log(g), -self.width / 2, self.width / 2, self.eps)
 
     def value(self, z) -> float:
-        r = self._collar_coordinate(z)
-        v, _ = _mollified_clamp(r, -self.width / 2, self.width / 2, self.eps)
-        return v
+        return self._clamp(z)[1][0]
 
     def field(self, z) -> np.ndarray:
+        g, (_, s, _) = self._clamp(z)
+        return s / g * self.model.reeb_field(as_complex_vector(z))
+
+    def jacobian(self, z) -> np.ndarray:
         z = as_complex_vector(z)
-        grad = _fd_gradient(lambda y: self.value(to_complex(y)), to_real(z))
-        return hamiltonian_dual(grad)
+        g, (_, s, ds) = self._clamp(z)
+        x_g = to_real(self.model.reeb_field(z))
+        return (s / g * self.model.field_jacobian(z)
+                + np.outer(x_g, (ds - s) / g ** 2 * self.model.gradient(z)))
 
     def flow(self, z, t: float, rtol: float = DEFAULT_RTOL,
              atol: float = DEFAULT_ATOL) -> np.ndarray:
         z = as_complex_vector(z)
         if t == 0.0:
             return z
-
-        def rhs(_t, y):
-            return to_real(self.field(to_complex(y)))
-
-        sol = solve_ivp(rhs, (0.0, t), to_real(z), method="RK45",
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            raise IntegrationDriftError(sol.message)
+        sol = integrate(lambda _t, y: to_real(self.field(to_complex(y))),
+                        t, to_real(z), rtol, atol)
         return to_complex(np.ascontiguousarray(sol.y[:, -1]))
-
-
-def defining_hamiltonian(model: StarShapedModel):
-    """Default defining Hamiltonian for a model hypersurface."""
-    if isinstance(model, RoundSphere):
-        return SphereHamiltonian()
-    return CollarHamiltonian(model)
 
 
 # -- weight profiles and reparametrized flows -------------------------------------
@@ -553,9 +583,7 @@ def reparametrized_flow_check(chi, hamiltonian, z, t: float,
     def rhs(s, y):
         return float(chi(s)) * to_real(hamiltonian.field(to_complex(y)))
 
-    sol = solve_ivp(rhs, (0.0, t), to_real(z), method="RK45", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationDriftError(sol.message)
+    sol = integrate(rhs, t, to_real(z), rtol, atol)
     weighted = to_complex(np.ascontiguousarray(sol.y[:, -1]))
     reference = hamiltonian.flow(z, chi.cumulative(t))
     return float(np.max(np.abs(weighted - reference)))

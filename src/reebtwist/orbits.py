@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 
 from .czindex import UnitaryPath, cz_index_unitary
@@ -23,11 +22,9 @@ from .geometry import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     RotationTwist,
-    RoundSphere,
     StarShapedModel,
     as_complex_vector,
-    defining_hamiltonian,
-    fd_jacobian,
+    integrate,
     reeb_flow,
     reeb_flow_samples,
     to_complex,
@@ -185,11 +182,6 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
     section = to_real(model.reeb_field(z_seed))
     n2 = 2 * z_seed.size
 
-    def surface_eq(z):
-        if isinstance(model, RoundSphere):
-            return float(np.sum(np.abs(z) ** 2)) - 1.0
-        return model.defining_value(z)
-
     def residual_vec(u: np.ndarray) -> np.ndarray:
         z = to_complex(u[:n2])
         tau = float(u[n2])
@@ -199,7 +191,7 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
                          drift_tol=np.inf)
         rv = np.empty(n2 + 2)
         rv[:n2] = to_real(flow - twist.apply(z))
-        rv[n2] = surface_eq(z)
+        rv[n2] = model.surface_row(z)
         rv[n2 + 1] = float(np.dot(to_real(z) - to_real(z_seed), section))
         return rv
 
@@ -220,7 +212,7 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
         jac = np.zeros((n2 + 2, n2 + 1))
         jac[:n2, :n2] = flow_map - dphi
         jac[:n2, n2] = to_real(model.reeb_field(endpoint))
-        jac[n2, :n2] = _surface_gradient(model, z)
+        jac[n2, :n2] = model.gradient(z)
         jac[n2 + 1, :n2] = section
         return jac
 
@@ -290,13 +282,6 @@ def merge_certified_orbits(orbits, dedup_tol: float = 1e-6) -> list[TwistedOrbit
     return merged
 
 
-def _surface_gradient(model, z) -> np.ndarray:
-    if isinstance(model, RoundSphere):
-        return 2.0 * to_real(z)
-    from .geometry import _fd_gradient_batch
-    return _fd_gradient_batch(model.defining_value_batch, to_real(z))
-
-
 # -- linearized flows ----------------------------------------------------------------
 
 def _complex_to_real_matrix(mc: np.ndarray) -> np.ndarray:
@@ -320,47 +305,37 @@ def _real_to_complex_matrix(mr: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return mr[0::2, 0::2] + 1j * mr[1::2, 0::2]
 
 
-def _real_field_jacobian(model, y: np.ndarray) -> np.ndarray:
-    if isinstance(model, RoundSphere):
-        # the extended field is the linear map -2i z
-        return _complex_to_real_matrix(-2j * np.eye(y.size // 2))
-    return fd_jacobian(lambda yy: to_real(model.reeb_field(to_complex(yy))), y)
+def _variational_solution(field, jacobian, z: np.ndarray, t: float,
+                          settings: SolverSettings, dense: bool = False):
+    """Integrate y' = f(y), M' = Df(y) M from (z, identity) over [0, t].
 
-
-def _variational_flow(model, z, t: float, settings: SolverSettings,
-                      t_eval: np.ndarray | None = None):
-    """Flow endpoint and its differential by integrating the variational system.
-
-    Returns (D flow_t at z as a real matrix, endpoint) or, with ``t_eval``,
-    (list of matrices, list of points) at the requested times.
+    ``field`` and its real ``jacobian`` take complex points (Hairer-Norsett-
+    Wanner, Solving ODEs I, I.14).  Read states with ``_split_state``.
     """
-    z = as_complex_vector(z)
     n2 = 2 * z.size
-    y0 = np.concatenate([to_real(z), np.eye(n2).ravel()])
 
     def rhs(_t, state):
-        y = state[:n2]
+        y = to_complex(state[:n2])
         mat = state[n2:].reshape(n2, n2)
-        jac = _real_field_jacobian(model, y)
-        dy = to_real(model.reeb_field(to_complex(y)))
-        return np.concatenate([dy, (jac @ mat).ravel()])
+        return np.concatenate([to_real(field(y)), (jacobian(y) @ mat).ravel()])
 
-    if t == 0.0 and t_eval is None:
-        return np.eye(n2), z
-    sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=settings.rtol,
-                    atol=settings.atol, dense_output=t_eval is not None)
-    if not sol.success:
-        raise ConvergenceError("variational integration failed",
-                               {"message": sol.message})
-    if t_eval is None:
-        state = sol.y[:, -1]
-        return state[n2:].reshape(n2, n2), to_complex(np.ascontiguousarray(state[:n2]))
-    mats, pts = [], []
-    for s in t_eval:
-        state = np.ascontiguousarray(sol.sol(s))
-        mats.append(state[n2:].reshape(n2, n2).copy())
-        pts.append(to_complex(np.ascontiguousarray(state[:n2])))
-    return mats, pts
+    y0 = np.concatenate([to_real(z), np.eye(n2).ravel()])
+    return integrate(rhs, t, y0, settings.rtol, settings.atol, dense=dense)
+
+
+def _split_state(state: np.ndarray, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(real 2n x 2n flow differential, complex point) of a variational state."""
+    state = np.ascontiguousarray(state)
+    return state[n2:].reshape(n2, n2), to_complex(state[:n2])
+
+
+def _variational_flow(model, z, t: float, settings: SolverSettings):
+    """Differential of the time-t Reeb flow at z (a real matrix) and its endpoint."""
+    z = as_complex_vector(z)
+    if t == 0.0:
+        return np.eye(2 * z.size), z
+    sol = _variational_solution(model.reeb_field, model.field_jacobian, z, t, settings)
+    return _split_state(sol.y[:, -1], 2 * z.size)
 
 
 def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
@@ -370,17 +345,15 @@ def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
 
     At a certified orbit point this is the linearized return map whose
     fixed vectors span the critical directions.  Returns the real 2n x 2n
-    matrix.  ``method``: "analytic" (round sphere), "variational", or
-    "auto".
+    matrix.  ``method``: "analytic" (the model's closed form, which only
+    the round sphere has), "variational", or "auto" (closed form if any).
     """
     z = as_complex_vector(z)
-    if method == "auto":
-        method = "analytic" if isinstance(model, RoundSphere) else "variational"
+    exact = None if method == "variational" else model.return_map(twist, tau)
+    if exact is not None:
+        return _complex_to_real_matrix(exact)
     if method == "analytic":
-        if not isinstance(model, RoundSphere):
-            raise ValueError("analytic return map only exists for the round sphere")
-        mc = np.diag(np.exp(2j * tau) * twist.phases())
-        return _complex_to_real_matrix(mc)
+        raise ValueError("the model has no closed-form return map")
     phi_z = twist.apply(z)
     back_map, _ = _variational_flow(model, phi_z, -tau, settings)
     return back_map @ _complex_to_real_matrix(np.diag(twist.phases()))
@@ -396,7 +369,7 @@ class MonodromyReport:
 
 def _tangent_frames(model, z) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (columns) of the tangent space and contact hyperplane."""
-    normal = _surface_gradient(model, z)
+    normal = model.gradient(z)
     tangent = null_space(normal[None, :])
     re, im = np.real(z), np.imag(z)
     lam_row = np.empty(2 * z.size)
@@ -445,30 +418,14 @@ def hamiltonian_unitary_path(hamiltonian, z0, tau: float, samples: int = 65,
     with the complex structure is rejected.
     """
     z0 = as_complex_vector(z0)
-    n2 = 2 * z0.size
-    y0 = np.concatenate([to_real(z0), np.eye(n2).ravel()])
-
-    def field_real(y):
-        return to_real(hamiltonian.field(to_complex(y)))
-
-    def rhs(_t, state):
-        y = state[:n2]
-        mat = state[n2:].reshape(n2, n2)
-        jac = fd_jacobian(field_real, y)
-        return np.concatenate([field_real(y), (jac @ mat).ravel()])
-
     grid = np.linspace(0.0, 1.0, samples) * tau
     if tau == 0.0:
         frames = [np.eye(z0.size, dtype=complex)] * samples
     else:
-        sol = solve_ivp(rhs, (0.0, tau), y0, method="RK45", rtol=settings.rtol,
-                        atol=settings.atol, dense_output=True)
-        if not sol.success:
-            raise ConvergenceError("variational integration failed",
-                                   {"message": sol.message})
-        frames = [_real_to_complex_matrix(
-            np.ascontiguousarray(sol.sol(s))[n2:].reshape(n2, n2), tol=1e-6)
-            for s in grid]
+        sol = _variational_solution(hamiltonian.field, hamiltonian.jacobian, z0, tau,
+                                    settings, dense=True)
+        frames = [_real_to_complex_matrix(_split_state(sol.sol(s), 2 * z0.size)[0],
+                                          tol=1e-6) for s in grid]
 
     def fn(t):
         return frames[int(round(t * (samples - 1)))]
@@ -522,7 +479,7 @@ def gradient_residual(loop: np.ndarray, tau: float, model: StarShapedModel,
         raise TwistBoundaryError(
             f"loop end differs from the rotated start by {mismatch:.3e}")
     if hamiltonian is None:
-        hamiltonian = defining_hamiltonian(model)
+        hamiltonian = model.defining_hamiltonian()
 
     dt = 1.0 / count
     velocity = np.empty((count, pts.shape[1]), dtype=complex)

@@ -2,7 +2,8 @@
 
 Everything here avoids the library's own computational paths: rank by
 row-span enumeration, homology by exhaustive cycle/boundary counting,
-spectra by residual scans on a parameter grid.
+spectra by residual scans on a parameter grid, derivatives by central
+differences.
 """
 
 from __future__ import annotations
@@ -168,3 +169,19 @@ def f2_inverse(mat: list[list[int]]) -> list[list[int]]:
                 aug[i] = [(x ^ y) for x, y in zip(aug[i], aug[r])]
         r += 1
     return [row[n:] for row in aug]
+
+
+def fd_gradient(f, y: np.ndarray, h: float = 1e-3) -> np.ndarray:
+    """Fourth-order central-difference gradient of a scalar function of real y."""
+    return fd_jacobian(lambda yy: np.atleast_1d(f(yy)), y, h)[0]
+
+
+def fd_jacobian(field, y: np.ndarray, h: float = 1e-3) -> np.ndarray:
+    """Fourth-order central-difference Jacobian of a real vector field."""
+    cols = []
+    for i in range(y.size):
+        e = np.zeros_like(y)
+        e[i] = h
+        cols.append((-field(y + 2 * e) + 8 * field(y + e)
+                     - 8 * field(y - e) + field(y - 2 * e)) / (12 * h))
+    return np.stack(cols, axis=1)

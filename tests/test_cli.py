@@ -214,6 +214,29 @@ def test_model_file_radial(capsys, tmp_path):
     assert payload["data"]["noncontractible"] is True
 
 
+def test_integration_drift_exit_code(capsys, tmp_path):
+    # at rtol 1e-6 the ellipsoid flow drifts off the level set beyond 1e-8
+    model = {"kind": "radial_profile", "n": 2, "twist": {"m": 2, "k": [1, 1]},
+             "profile": {"type": "ellipsoid", "coefficients": [1.0, 1.3]}}
+    path = tmp_path / "ell.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "certify", "--model", str(path), "--tol", "rtol=1e-6",
+                         "--tol", "atol=1e-8", "--tol", "residual=1e-4")
+    assert code == 3 and out == ""
+    assert err.startswith("solver error: energy drift") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--m", "2", "--k", "1,1", "--n", "2", "--samples", "1"],
+    ["action", "--m", "2", "--k", "1,1", "--n", "2", "--tau", "1.5", "--samples", "0"],
+], ids=["certify", "action"])
+def test_too_few_samples_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "need at least 2 samples" in capsys.readouterr().err
+
+
 def test_entry_point_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "reebtwist.cli", "tate", "--m", "3",

@@ -8,12 +8,14 @@ from reebtwist.geometry import (
     CollarHamiltonian,
     ConstantProfile,
     EllipsoidProfile,
+    IntegrationDriftError,
     OffSurfaceError,
     RadialProfile,
     RotationTwist,
     RoundSphere,
     SphereHamiltonian,
     UniformWeight,
+    integrate,
     liouville_flow,
     liouville_form_eval,
     load_model,
@@ -22,7 +24,11 @@ from reebtwist.geometry import (
     reeb_flow,
     reeb_flow_samples,
     reparametrized_flow_check,
+    to_complex,
+    to_real,
 )
+
+from oracles import fd_gradient, fd_jacobian
 
 
 def unit_points(n, count, seed=0):
@@ -126,6 +132,73 @@ def test_ellipsoid_reeb_periods():
     assert np.max(np.abs(out - z)) < 1e-7
 
 
+def test_integrator_matches_exact_ellipsoid_flow():
+    # the ellipsoid's Reeb flow is e^{-2i a_j t} z_j in closed form
+    a = np.array([1.0, 1.3])
+    radial = RadialProfile(2, EllipsoidProfile(tuple(a)))
+    z = radial.point_on_surface(unit_points(2, 1, seed=7)[0])
+    out = reeb_flow(z, math.pi, radial)
+    assert np.max(np.abs(out - np.exp(-2j * a * math.pi) * z)) < 1e-9
+
+
+def test_integrator_failure_raises_drift_error():
+    # y' = y^2 from y = 1 blows up at t = 1
+    with pytest.raises(IntegrationDriftError, match="integration failed"):
+        integrate(lambda _t, y: y ** 2, 2.0, np.array([1.0]), 1e-10, 1e-12)
+
+
+# -- the defining function G and what is derived from it ----------------------------
+
+G_MODELS = {"sphere2": RoundSphere(2), "sphere3": RoundSphere(3),
+            "constant": RadialProfile(2, ConstantProfile(1.3)),
+            "ellipsoid2": RadialProfile(2, EllipsoidProfile((1.0, 1.3))),
+            "ellipsoid3": RadialProfile(3, EllipsoidProfile((1.0, 1.2, 1.5)))}
+
+
+def _profile_defining_value(model, y):
+    """|z|^2 - rho(z/|z|)^2 from the radius profile alone, never from G."""
+    z = to_complex(y)
+    rho = model.radius(z) if isinstance(model, RadialProfile) else 1.0
+    return float(np.sum(np.abs(z) ** 2)) - rho ** 2
+
+
+@pytest.mark.parametrize("model", G_MODELS.values(), ids=G_MODELS.keys())
+def test_defining_function_derivatives_match_fd(model):
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        y = rng.normal(size=2 * model.n)
+        z = to_complex(y)
+        # degree-2 homogeneity, and G = 1 exactly on the hypersurface
+        assert model.defining_function(1.7 * z) == pytest.approx(
+            1.7 ** 2 * model.defining_function(z), rel=1e-12)
+        assert model.surface_row(model.point_on_surface(z)) == pytest.approx(0.0, abs=1e-12)
+        grad = fd_gradient(lambda yy: model.defining_function(to_complex(yy)), y)
+        np.testing.assert_allclose(model.gradient(z), grad, atol=1e-9)
+        hess = fd_jacobian(lambda yy: model.gradient(to_complex(yy)), y)
+        np.testing.assert_allclose(model.hessian(z), hess, atol=1e-9)
+        jac = fd_jacobian(lambda yy: to_real(model.reeb_field(to_complex(yy))), y)
+        np.testing.assert_allclose(model.field_jacobian(z), jac, atol=1e-9)
+
+
+@pytest.mark.parametrize("model", G_MODELS.values(), ids=G_MODELS.keys())
+def test_reeb_field_matches_fd_of_profile(model):
+    # X_F / lambda(X_F) for F = |z|^2 - rho^2 is the Reeb field on the surface
+    for u in unit_points(model.n, 5, seed=22):
+        z = model.point_on_surface(u)
+        grad = fd_gradient(lambda yy: _profile_defining_value(model, yy), to_real(z))
+        x_f = grad[1::2] - 1j * grad[0::2]
+        expected = x_f / liouville_form_eval(z, x_f)
+        np.testing.assert_allclose(model.reeb_field(z), expected, atol=1e-8)
+        assert liouville_form_eval(z, model.reeb_field(z)) == pytest.approx(1.0)
+
+
+def test_bare_callable_profile_has_no_reeb_field():
+    model = RadialProfile(2, lambda u: 1.0)
+    assert model.radius([2.0, 0.0]) == 1.0
+    with pytest.raises(TypeError, match="defining function"):
+        model.reeb_field([1.0, 0.0])
+
+
 # -- normalization ----------------------------------------------------------------
 
 def test_normalize_identity_on_sphere():
@@ -224,6 +297,20 @@ def test_collar_hamiltonian_matches_reeb_on_surface():
         z = model.point_on_surface(unit_points(2, 1, seed=14)[0])
         assert ham.value(z) == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(ham.field(z), model.reeb_field(z), atol=1e-9)
+
+
+@pytest.mark.parametrize("ham, model, scales", [
+    (SphereHamiltonian(), RoundSphere(2), (0.7, 1.0, 1.22)),
+    (CollarHamiltonian(G_MODELS["ellipsoid2"]), G_MODELS["ellipsoid2"], (0.88, 1.0, 1.133)),
+], ids=["sphere", "collar"])
+def test_hamiltonian_jacobian_matches_fd(ham, model, scales):
+    # scaled surface points: on the unit-slope stretch and inside both
+    # mollified corners, where the slope itself varies
+    for u in unit_points(2, 3, seed=23):
+        for scale in scales:
+            y = to_real(scale * model.point_on_surface(u))
+            field = fd_jacobian(lambda yy: to_real(ham.field(to_complex(yy))), y, h=1e-4)
+            np.testing.assert_allclose(ham.jacobian(to_complex(y)), field, atol=1e-6)
 
 
 def test_defining_hamiltonian_convex_blends_share_zero_set():

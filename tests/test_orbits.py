@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from reebtwist.czindex import cz_index_unitary
-from reebtwist.geometry import ConstantProfile, RadialProfile, RotationTwist, RoundSphere
+from reebtwist.geometry import (
+    ConstantProfile,
+    EllipsoidProfile,
+    RadialProfile,
+    RotationTwist,
+    RoundSphere,
+)
 from reebtwist.orbits import (
     ConvergenceError,
     SolverSettings,
@@ -258,13 +264,27 @@ def test_monodromy_off_spectrum_kernel_empty():
 
 
 def test_monodromy_radial_unit_profile():
-    # same degeneracy certificate through the finite-difference field path
+    # same degeneracy certificate through the integrated variational path
     twist = RotationTwist(2, (1, 1))
     radial = RadialProfile(2, ConstantProfile(1.0))
     orbit = make_orbit(twist, 2, 1, direction=[0.6, 0.8])
     report = monodromy(orbit, radial, twist, kernel_tol=1e-5)
     assert report.kernel_dim_tangent == 3
     assert report.kernel_dim_contact == 2
+
+
+def test_ellipsoid_variational_return_map_matches_exact_flow():
+    # the ellipsoid flow e^{-2i a_j t} z_j is linear, so the return map is
+    # diag(e^{2i a_j tau}) times the twist at every point
+    a = np.array([1.0, 1.3])
+    twist = RotationTwist(2, (1, 1))
+    radial = RadialProfile(2, EllipsoidProfile(tuple(a)))
+    z = radial.point_on_surface(np.array([0.6, 0.8j]))
+    numeric = twist_return_differential(radial, twist, z, 1.1)
+    exact = np.diag(np.exp(2j * a * 1.1) * twist.phases())
+    assert np.max(np.abs(numeric[0::2, 0::2] + 1j * numeric[1::2, 0::2] - exact)) < 1e-8
+    with pytest.raises(ValueError, match="closed-form"):
+        twist_return_differential(radial, twist, z, 1.1, method="analytic")
 
 
 def test_monodromy_untwisted_closed_orbit_identity():
