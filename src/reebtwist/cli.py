@@ -18,9 +18,8 @@ import sys
 import numpy as np
 
 from .complexes import ComplexValidationError, homology, quotient_by_action
-from .czindex import cz_index_unitary
+from .czindex import UnitaryPath, cz_index_unitary
 from .geometry import (
-    IntegrationDriftError,
     OffSurfaceError,
     RotationTwist,
     RoundSphere,
@@ -153,28 +152,31 @@ def _parse_window(text: str, what: str = "window") -> tuple[int, int]:
         raise ConfigError(f"bad {what} {text!r}, expected LO:HI") from exc
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
-    if not args.config:
-        return args
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The config file's keys as flag tokens, to be parsed before the user's flags.
+
+    Parsed that way, every key passes the flag's own validation and the
+    command line's flags win; a list becomes one token per item for an
+    appending flag (``tol``) and a comma-joined value otherwise.
+    """
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    tokens = []
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "config") or not hasattr(args, attr):
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) in (None, [], parser_default(attr)):
-            if attr == "k" and isinstance(value, list):
-                value = ",".join(str(v) for v in value)
-            setattr(args, attr, value)
-    return args
-
-
-def parser_default(attr: str):
-    # attributes whose argparse default is not None
-    return {"tol": [], "format": None, "basepoint": None}.get(attr, None)
+        if isinstance(getattr(args, attr), list):
+            items = value if isinstance(value, list) else [value]
+        else:
+            items = [",".join(map(str, value)) if isinstance(value, list) else value]
+        tokens.extend(f"--{attr.replace('_', '-')}={item}" for item in items)
+    return tokens
 
 
 def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
@@ -302,7 +304,7 @@ def cmd_cz_index(args, tols):
     window = _parse_window(args.window or "0:3")
     rows = []
     for k in range(window[0], window[1] + 1):
-        tau = orbit_multiplier(twist.m, 1, k)
+        tau = orbit_multiplier(twist.m, twist.residue(0), k)
         rows.append({"k": k, "tau": tau,
                      "index": cz_index_unitary(monodromy_unitary_path(tau, n))})
     return {"rows": rows}, rows, EXIT_OK
@@ -357,11 +359,13 @@ def cmd_lift(args, tols):
 def cmd_certify(args, tols):
     model, twist, n = _resolve_geometry(args)
     settings = _solver_settings(tols)
-    tau_seed = orbit_multiplier(twist.m, 1, args.pearl)
+    tau_seed = orbit_multiplier(twist.m, twist.residue(0), args.pearl)
     seed = _parse_seed_point(getattr(args, "z", None), n)
     orbit = shoot_orbit(model, twist, seed, tau_seed, settings=settings)
     value = action(orbit, model, settings=settings)
-    index = cz_index_unitary(monodromy_unitary_path(orbit.tau, n))
+    # the linearised flow rotates coordinate j at rate 2 tau a_j
+    index = cz_index_unitary(
+        UnitaryPath.from_rotation_rates(2.0 * orbit.tau * model.coefficients()))
     result = classify_orbit_loop(orbit, twist, model, samples=args.samples)
     data = {
         "orbit": _orbit_payload(orbit),
@@ -461,9 +465,13 @@ def _write(text: str, out_path: str | None) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        if args.config:
+            # the subcommand comes first: no option precedes it
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         tols = _parse_tolerances(args.tol)
         settings = _solver_settings(tols)
         data, rows, code = COMMANDS[args.command](args, tols)
@@ -476,7 +484,7 @@ def main(argv=None) -> int:
     except (AmbiguousLiftError,) as exc:
         print(f"lifting error: {exc}", file=sys.stderr)
         return EXIT_LIFT
-    except (OffSurfaceError, IntegrationDriftError) as exc:
+    except OffSurfaceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -4,14 +4,16 @@ Geometry of complex n-space with its standard Liouville form.
 Complex coordinates z^j = x^j + i y^j carry the primitive
 lambda = (1/2) sum_j (y^j dx^j - x^j dy^j), and a rotation twist acts
 coordinatewise by roots of unity.  Every star-shaped model is the level set
-G = 1 of a function G homogeneous of degree two, given in closed form with
-its real gradient and Hessian: |z|^2 for the round sphere,
-sum_j a_j |z^j|^2 for the constant and ellipsoid profiles.  Everything else
+G = 1 of the diagonal quadric G = sum_j a_j |z^j|^2, given in closed form
+with its real gradient and Hessian: a = 1 for the round sphere, 1/rho^2 for
+a constant profile rho, the coefficients of an ellipsoid.  Everything else
 is derived from G once: the surface row G - 1, the Reeb field X_G (the
 symplectic dual of dG, with lambda(X_G) = G by Euler's identity), its
 Jacobian, and the collar coordinate log G of the default defining
-Hamiltonian.  The round sphere flows in closed form, e^{-2it} z; every other
-flow goes through the one adaptive Runge-Kutta entry point ``integrate``.
+Hamiltonian.  X_G = -2i a z is linear, so every model's Reeb flow is
+z_j -> e^{-2i a_j t} z_j in closed form, on and off the hypersurface.  The
+one adaptive Runge-Kutta entry point ``integrate`` serves only the
+Hamiltonian flows and the variational equations.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from scipy.integrate import solve_ivp
 DEFAULT_SURFACE_TOL = 1e-9
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-DEFAULT_DRIFT_TOL = 1e-8
 
 
 class OffSurfaceError(Exception):
@@ -34,7 +35,7 @@ class OffSurfaceError(Exception):
 
 
 class IntegrationDriftError(Exception):
-    """Numeric flow left the energy level beyond the drift tolerance."""
+    """The adaptive integrator's step-size control failed."""
 
 
 # -- packing helpers ---------------------------------------------------------
@@ -151,7 +152,7 @@ class RotationTwist:
 
 def integrate(rhs, t_end: float, y0: np.ndarray, rtol: float, atol: float,
               dense: bool = False):
-    """RK45 solution of y' = rhs(t, y) over [0, t_end]: every numeric flow's entry point.
+    """RK45 solution of y' = rhs(t, y) over [0, t_end]: the one numeric integrator.
 
     Returns scipy's solution object (dense interpolant ``sol.sol`` if asked);
     raises IntegrationDriftError when the step-size control fails.
@@ -213,11 +214,11 @@ class EllipsoidProfile:
 
 
 class StarShapedModel:
-    """The hypersurface G = 1 of a function G homogeneous of degree two.
+    """The hypersurface G = 1 of the diagonal quadric G = sum_j a_j |z^j|^2.
 
-    A model supplies G (``defining_function``) with its real gradient and
-    Hessian; the defaults are the diagonal quadric sum_j a_j |z^j|^2 with
-    a = ``coefficients()``.  Everything else is derived from these three.
+    A model supplies a = ``coefficients()``.  G (``defining_function``), its
+    real gradient and Hessian, the Reeb field, its flow and the twisted
+    return map are all closed-form expressions in a.
     """
 
     def defining_function(self, z) -> float:
@@ -241,27 +242,13 @@ class StarShapedModel:
         """Real Jacobian of ``reeb_field``: the dual map applied to the Hessian."""
         return _dual_rows(self.hessian(z))
 
-    def flow_samples(self, z: np.ndarray, times: np.ndarray, rtol: float,
-                     atol: float, drift_tol: float) -> np.ndarray:
-        """Integrated Reeb flow at the given times, with the drift of G monitored."""
-        if np.allclose(times, 0.0):
-            return np.repeat(z[None, :], len(times), axis=0)
-        if np.any(times > 0.0) and np.any(times < 0.0):
-            raise ValueError("sample times must not mix signs")
-        t_end = float(times[np.argmax(np.abs(times))])
-        sol = integrate(lambda _t, y: to_real(self.reeb_field(to_complex(y))),
-                        t_end, to_real(z), rtol, atol, dense=True)
-        out = np.stack([to_complex(np.ascontiguousarray(sol.sol(t))) for t in times])
-        g0 = self.defining_function(z)
-        drift = max(abs(self.defining_function(p) - g0) for p in out)
-        if drift > drift_tol:
-            raise IntegrationDriftError(
-                f"energy drift {drift:.3e} exceeds tolerance {drift_tol:.3e}")
-        return out
+    def flow_samples(self, z: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Reeb flow z_j -> e^{-2i a_j t} z_j at each time, exact for X_G = -2i a z."""
+        return np.exp(-2j * np.multiply.outer(times, self.coefficients())) * z
 
-    def return_map(self, twist: RotationTwist, tau: float) -> np.ndarray | None:
-        """Closed-form complex differential of the twisted return map, if any."""
-        return None
+    def return_map(self, twist: RotationTwist, tau: float) -> np.ndarray:
+        """Complex differential of the twisted return map: diag(e^{2i a tau}) times the twist."""
+        return np.diag(np.exp(2j * tau * self.coefficients()) * twist.phases())
 
     def defining_hamiltonian(self):
         return CollarHamiltonian(self)
@@ -272,7 +259,7 @@ class StarShapedModel:
 
 @dataclass(frozen=True)
 class RoundSphere(StarShapedModel):
-    """The unit sphere G = |z|^2, whose Reeb flow e^{-2it} z is known in closed form."""
+    """The unit sphere G = |z|^2, with Reeb flow e^{-2it} z."""
 
     n: int
     kind: str = "round_sphere"
@@ -288,13 +275,6 @@ class RoundSphere(StarShapedModel):
     def point_on_surface(self, direction) -> np.ndarray:
         u, _ = normalize_to_sphere(direction)
         return u
-
-    def flow_samples(self, z, times, rtol, atol, drift_tol) -> np.ndarray:
-        """Closed-form flow e^{-2it} z; no tolerance applies."""
-        return np.exp(-2j * times)[:, None] * z[None, :]
-
-    def return_map(self, twist: RotationTwist, tau: float) -> np.ndarray:
-        return np.diag(np.exp(2j * tau) * twist.phases())
 
     def defining_hamiltonian(self):
         return SphereHamiltonian()
@@ -361,29 +341,24 @@ def reeb_field(z, surface_tol: float = DEFAULT_SURFACE_TOL) -> np.ndarray:
 
 
 def reeb_flow(z, t: float, model: StarShapedModel,
-              surface_tol: float = DEFAULT_SURFACE_TOL,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-              drift_tol: float = DEFAULT_DRIFT_TOL) -> np.ndarray:
+              surface_tol: float = DEFAULT_SURFACE_TOL) -> np.ndarray:
     """Time-t Reeb flow on the model hypersurface (see ``reeb_flow_samples``)."""
-    return reeb_flow_samples(z, [t], model, surface_tol=surface_tol,
-                             rtol=rtol, atol=atol, drift_tol=drift_tol)[-1]
+    return reeb_flow_samples(z, [t], model, surface_tol=surface_tol)[-1]
 
 
 def reeb_flow_samples(z, times, model: StarShapedModel,
-                      surface_tol: float = DEFAULT_SURFACE_TOL,
-                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                      drift_tol: float = DEFAULT_DRIFT_TOL) -> np.ndarray:
-    """Reeb flow evaluated at an increasing or decreasing list of times.
+                      surface_tol: float = DEFAULT_SURFACE_TOL) -> np.ndarray:
+    """Reeb flow evaluated at a list of times of either sign, one row per time.
 
-    The start point must lie within ``surface_tol`` of the hypersurface.  The
-    round sphere flows in closed form; other models are integrated with the
-    drift of G held below ``drift_tol``.
+    The start point must lie within ``surface_tol`` of the hypersurface.
+    Every model flows in closed form (``StarShapedModel.flow_samples``), so
+    no tolerance other than the surface check applies.
     """
     z = as_complex_vector(z)
     err = model.surface_error(z)
     if err > surface_tol:
         raise OffSurfaceError(f"surface error {err:.3e} exceeds {surface_tol:.3e}")
-    return model.flow_samples(z, np.asarray(times, dtype=float), rtol, atol, drift_tol)
+    return model.flow_samples(z, np.asarray(times, dtype=float))
 
 
 # -- defining Hamiltonian functions ----------------------------------------------

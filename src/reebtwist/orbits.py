@@ -4,9 +4,9 @@ Twisted periodic Reeb orbits and their certificates.
 An orbit is a pair (z0, tau) whose time-one Reeb flow at speed tau lands on
 the rotated start point.  On the round sphere the admissible multipliers
 form arithmetic progressions indexed by the exponent classes of the twist;
-radial-profile models are handled by damped Gauss-Newton shooting on the
-flow residual.  Certification data: the twist residual, the period-action
-identity, and the linearized return map.
+on any model, orbits are certified by damped Gauss-Newton shooting on the
+residual of the closed-form flow.  Certification data: the twist residual,
+the period-action identity, and the linearized return map.
 """
 
 from __future__ import annotations
@@ -166,8 +166,7 @@ def _component_id(twist: RotationTwist, support: tuple[int, ...], tau: float) ->
 
 
 def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: float,
-                settings: SolverSettings = SolverSettings(),
-                jacobian: str = "fd") -> TwistedOrbit:
+                settings: SolverSettings = SolverSettings()) -> TwistedOrbit:
     """Damped Gauss-Newton on the twist residual, gauge-fixed at the seed.
 
     Unknowns are (z, tau); equations are the 2n components of
@@ -176,7 +175,8 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
     The solver certifies the orbit nearest the seed: steps are rejected when
     the residual fails to decrease under damping, and multipliers wandering
     beyond ``tau_travel_limit`` from the seed abort with a diagnostic
-    instead of certifying a different branch.
+    instead of certifying a different branch.  The Newton Jacobian is a
+    forward difference of step ``fd_step``: 2n+1 closed-form flows.
     """
     z_seed = model.point_on_surface(as_complex_vector(seed_z))
     section = to_real(model.reeb_field(z_seed))
@@ -186,16 +186,14 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
         z = to_complex(u[:n2])
         tau = float(u[n2])
         # iterates may sit off the surface; the constraint row pulls them back
-        flow = reeb_flow(z, tau, model, surface_tol=np.inf,
-                         rtol=settings.rtol, atol=settings.atol,
-                         drift_tol=np.inf)
+        flow = reeb_flow(z, tau, model, surface_tol=np.inf)
         rv = np.empty(n2 + 2)
         rv[:n2] = to_real(flow - twist.apply(z))
         rv[n2] = model.surface_row(z)
         rv[n2 + 1] = float(np.dot(to_real(z) - to_real(z_seed), section))
         return rv
 
-    def jacobian_fd(u: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    def jacobian(u: np.ndarray, r0: np.ndarray) -> np.ndarray:
         h = settings.fd_step
         cols = []
         for i in range(u.size):
@@ -204,27 +202,13 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
             cols.append((residual_vec(up) - r0) / h)
         return np.stack(cols, axis=1)
 
-    def jacobian_variational(u: np.ndarray, _r0) -> np.ndarray:
-        z = to_complex(u[:n2])
-        tau = float(u[n2])
-        flow_map, endpoint = _variational_flow(model, z, tau, settings)
-        dphi = _complex_to_real_matrix(np.diag(twist.phases()))
-        jac = np.zeros((n2 + 2, n2 + 1))
-        jac[:n2, :n2] = flow_map - dphi
-        jac[:n2, n2] = to_real(model.reeb_field(endpoint))
-        jac[n2, :n2] = model.gradient(z)
-        jac[n2 + 1, :n2] = section
-        return jac
-
-    jac_fun = {"fd": jacobian_fd, "variational": jacobian_variational}[jacobian]
-
     u = np.concatenate([to_real(z_seed), [float(seed_tau)]])
     r = residual_vec(u)
     history = [float(np.linalg.norm(r))]
     for iteration in range(settings.max_iterations):
         if float(np.max(np.abs(r))) <= settings.residual_tol:
             return _certify(model, twist, u, settings)
-        jac = jac_fun(u, r)
+        jac = jacobian(u, r)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         for _ in range(settings.max_damping_halvings + 1):
@@ -258,8 +242,7 @@ def _certify(model, twist, u: np.ndarray, settings: SolverSettings) -> TwistedOr
     n2 = u.size - 1
     z = to_complex(u[:n2])
     tau = float(u[n2])
-    flow = reeb_flow(z, tau, model, surface_tol=settings.flow_surface_tol,
-                     rtol=settings.rtol, atol=settings.atol)
+    flow = reeb_flow(z, tau, model, surface_tol=settings.flow_surface_tol)
     residual = float(np.linalg.norm(flow - twist.apply(z)))
     support = tuple(j + 1 for j in range(z.size) if abs(z[j]) > SUPPORT_TOL)
     return TwistedOrbit(z0=z, tau=tau, support=support, residual=residual,
@@ -345,17 +328,12 @@ def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
 
     At a certified orbit point this is the linearized return map whose
     fixed vectors span the critical directions.  Returns the real 2n x 2n
-    matrix.  ``method``: "analytic" (the model's closed form, which only
-    the round sphere has), "variational", or "auto" (closed form if any).
+    matrix.  ``method``: "auto" or "analytic" take the model's closed form;
+    "variational" integrates the variational equation of the Reeb field.
     """
-    z = as_complex_vector(z)
-    exact = None if method == "variational" else model.return_map(twist, tau)
-    if exact is not None:
-        return _complex_to_real_matrix(exact)
-    if method == "analytic":
-        raise ValueError("the model has no closed-form return map")
-    phi_z = twist.apply(z)
-    back_map, _ = _variational_flow(model, phi_z, -tau, settings)
+    if method != "variational":
+        return _complex_to_real_matrix(model.return_map(twist, tau))
+    back_map, _ = _variational_flow(model, twist.apply(z), -tau, settings)
     return back_map @ _complex_to_real_matrix(np.diag(twist.phases()))
 
 
@@ -440,8 +418,7 @@ def orbit_samples(orbit: TwistedOrbit, model: StarShapedModel, count: int,
     """count+1 points along one twisted period, endpoints included."""
     times = orbit.tau * np.linspace(0.0, 1.0, count + 1)
     return reeb_flow_samples(orbit.z0, times, model,
-                             surface_tol=settings.flow_surface_tol,
-                             rtol=settings.rtol, atol=settings.atol)
+                             surface_tol=settings.flow_surface_tol)
 
 
 def loop_action(samples: np.ndarray) -> float:

@@ -3,7 +3,8 @@
 Everything here avoids the library's own computational paths: rank by
 row-span enumeration, homology by exhaustive cycle/boundary counting,
 spectra by residual scans on a parameter grid, derivatives by central
-differences.
+differences, flows by scipy's RK45 on the analytic field, rotation indices
+by their closed form.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from itertools import product
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 def brute_rank(rows: list[list[int]]) -> int:
@@ -185,3 +187,34 @@ def fd_jacobian(field, y: np.ndarray, h: float = 1e-3) -> np.ndarray:
         cols.append((-field(y + 2 * e) + 8 * field(y + e)
                      - 8 * field(y - e) + field(y - 2 * e)) / (12 * h))
     return np.stack(cols, axis=1)
+
+
+def rk45_flow(field, z: np.ndarray, times, rtol: float = 1e-12,
+              atol: float = 1e-14) -> np.ndarray:
+    """Flow of a complex vector field by scipy's RK45, one integration per time."""
+    z = np.asarray(z, dtype=complex)
+
+    def rhs(_t, y):
+        return np.asarray(field(y.view(np.complex128)), dtype=complex).view(np.float64)
+
+    rows = []
+    for t in times:
+        if t == 0.0:
+            rows.append(z)
+            continue
+        sol = solve_ivp(rhs, (0.0, t), z.view(np.float64), method="RK45",
+                        rtol=rtol, atol=atol)
+        assert sol.success, sol.message
+        rows.append(np.ascontiguousarray(sol.y[:, -1]).view(np.complex128))
+    return np.stack(rows)
+
+
+def rotation_index(theta: float, tol: float = 1e-9) -> int:
+    """Conley-Zehnder index of the rotation path t -> e^{-i theta t}, t in [0, 1].
+
+    2 floor(theta / 2 pi) + 1 for a nondegenerate end; 2q when theta = 2 pi q.
+    """
+    turns = round(theta / (2 * math.pi))
+    if abs(theta - 2 * math.pi * turns) <= tol:
+        return 2 * turns
+    return 2 * math.floor(theta / (2 * math.pi)) + 1

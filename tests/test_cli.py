@@ -5,10 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from reebtwist.cli import main
 from reebtwist.geometry import RotationTwist
 from reebtwist.lifting import QuotientLoop
+
+from oracles import rotation_index
 
 
 def run(capsys, *argv):
@@ -214,16 +218,140 @@ def test_model_file_radial(capsys, tmp_path):
     assert payload["data"]["noncontractible"] is True
 
 
-def test_integration_drift_exit_code(capsys, tmp_path):
-    # at rtol 1e-6 the ellipsoid flow drifts off the level set beyond 1e-8
-    model = {"kind": "radial_profile", "n": 2, "twist": {"m": 2, "k": [1, 1]},
-             "profile": {"type": "ellipsoid", "coefficients": [1.0, 1.3]}}
-    path = tmp_path / "ell.json"
-    path.write_text(json.dumps(model))
-    code, out, err = run(capsys, "certify", "--model", str(path), "--tol", "rtol=1e-6",
-                         "--tol", "atol=1e-8", "--tol", "residual=1e-4")
-    assert code == 3 and out == ""
-    assert err.startswith("solver error: energy drift") and err.count("\n") == 1
+def write_model(tmp_path, m, k, profile):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "radial_profile", "n": len(k),
+                                "twist": {"m": m, "k": list(k)}, "profile": profile}))
+    return str(path)
+
+
+def in_progression(tau_a, m, k):
+    """tau a_j in pi (m Z - k_j) / m."""
+    x = tau_a * m / math.pi + k
+    return abs(x - m * round(x / m)) <= 1e-9 * m
+
+
+def test_loose_rtol_certifies_without_drift_check(capsys, tmp_path):
+    # rtol 1e-6 once let the integrated ellipsoid flow drift off the level set
+    # and exit 3; the flow is closed form now and no command reads rtol/atol
+    path = write_model(tmp_path, 2, (1, 1),
+                       {"type": "ellipsoid", "coefficients": [1.0, 1.3]})
+    payload = run_json(capsys, "certify", "--model", path, "--tol", "rtol=1e-6",
+                       "--tol", "atol=1e-8", "--tol", "residual=1e-4")
+    assert in_progression(payload["data"]["orbit"]["tau"], 2, 1)   # a_1 = 1
+    assert payload["meta"]["tolerances"]["rtol"] == 1e-6
+
+
+def test_certify_seeds_with_the_twists_residue(capsys):
+    # k = (2, 2) has no exponent in class 1; seeding with residue 1 left the
+    # multiplier trust interval and cz-index printed the class-1 multipliers
+    flags = ("--m", "5", "--k", "2,2", "--n", "2")
+    data = run_json(capsys, "certify", *flags)["data"]
+    assert data["orbit"]["tau"] == pytest.approx(3 * math.pi / 5, abs=1e-9)
+    cz = run_json(capsys, "cz-index", *flags, "--window", "0:3")["data"]["rows"]
+    spectrum = run_json(capsys, "spectrum", *flags, "--window", "0:3")["data"]["rows"]
+    assert [row["tau"] for row in cz] == [row["tau"] for row in spectrum]
+    assert cz[1]["tau"] == data["orbit"]["tau"]
+
+
+def test_certify_index_from_the_model(capsys, tmp_path):
+    # the linearised ellipsoid flow rotates coordinate j at rate 2 tau a_j:
+    # on a = (1, 2.5) at tau = pi/2 that is 1 + 3, not the round sphere's 1 + 1
+    path = write_model(tmp_path, 2, (1, 1),
+                       {"type": "ellipsoid", "coefficients": [1.0, 2.5]})
+    data = run_json(capsys, "certify", "--model", path)["data"]
+    tau = data["orbit"]["tau"]
+    assert tau == pytest.approx(math.pi / 2, abs=1e-9)
+    assert data["index"] == rotation_index(2 * tau) + rotation_index(5 * tau) == 4
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect: the forward-difference surface row gives a "
+                          "coordinate at zero a spurious slope a_j * fd_step")
+def test_certify_resonant_seed_stalls(capsys, tmp_path):
+    # seeded at tau = -pi/2, coordinate 2 (a_2 = 1, same class as k_1) is
+    # resonant, its flow block vanishes, and Newton's step in z_2 is huge
+    path = write_model(tmp_path, 2, (1, 1),
+                       {"type": "ellipsoid", "coefficients": [1.001, 1.0]})
+    data = run_json(capsys, "certify", "--model", path, "--pearl", "0")["data"]
+    assert data["orbit"]["tau"] == pytest.approx(-math.pi / 2 / 1.001, abs=1e-9)
+
+
+def test_config_keys_apply_over_defaults(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"samples": 10, "m": 2, "n": 2}))
+    data = run_json(capsys, "action", "--config", str(cfg), "--tau", "1.5")["data"]
+    assert data["samples"] == 10
+    # a flag wins even when it repeats the default
+    data = run_json(capsys, "action", "--config", str(cfg), "--tau", "1.5",
+                    "--samples", "1000")["data"]
+    assert data["samples"] == 1000
+    cfg.write_text(json.dumps({"degrees": "0:2"}))
+    data = run_json(capsys, "tate", "--m", "3", "--config", str(cfg))["data"]
+    assert [row["d"] for row in data["degrees"]] == [0, 1, 2]
+
+
+def test_config_tolerances_merge_with_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"m": 2, "k": [1, 1], "n": 2,
+                               "tol": ["residual=1e-10", "fd_step=1e-7"]}))
+    tols = run_json(capsys, "spectrum", "--config", str(cfg),
+                    "--tol", "residual=1e-9")["meta"]["tolerances"]
+    assert tols["residual"] == 1e-9 and tols["fd_step"] == 1e-7
+
+
+def test_config_values_pass_flag_validation(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"samples": 1, "m": 2, "n": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["action", "--config", str(cfg), "--tau", "1.5"])
+    assert exc.value.code == 2
+    assert "need at least 2 samples" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"bogus": 1}))
+    code, _, err = run(capsys, "tate", "--m", "3", "--config", str(cfg))
+    assert code == 2 and "unknown config key" in err
+
+
+@st.composite
+def twisted_pearls(draw):
+    m = draw(st.integers(2, 8))
+    units = [k for k in range(1, 2 * m + 1) if math.gcd(k, m) == 1]
+    k = draw(st.lists(st.sampled_from(units), min_size=2, max_size=3))
+    return m, k, draw(st.integers(-1, 2))
+
+
+def _flags(m, k):
+    return ["--m", str(m), "--k", ",".join(map(str, k)), "--n", str(len(k))]
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(twisted_pearls())
+def test_certify_cz_index_and_spectrum_agree(capsys, case):
+    m, k, pearl = case
+    window = f"--window={pearl}:{pearl}"
+    tau = run_json(capsys, "certify", *_flags(m, k), "--pearl", str(pearl))["data"]["orbit"]["tau"]
+    cz = run_json(capsys, "cz-index", *_flags(m, k), window)["data"]["rows"]
+    assert cz[0]["tau"] == pytest.approx(tau, abs=1e-9)
+    rows = run_json(capsys, "spectrum", *_flags(m, k), window)["data"]["rows"]
+    assert any(1 in row["support"] and row["tau"] == pytest.approx(tau, abs=1e-9)
+               for row in rows)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(twisted_pearls(), st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+def test_certify_index_matches_ellipsoid_closed_form(capsys, tmp_path, case, offsets):
+    m, k, pearl = case
+    a = [1.0 + d / 1000 for d in offsets[:len(k)]]
+    # a_j = 1 on another coordinate of k_1's class resonates with the seed
+    # multiplier and stalls the shooting (test_certify_resonant_seed_stalls)
+    assume(not any(a[j] == 1.0 and (k[j] - k[0]) % m == 0 for j in range(1, len(k))))
+    path = write_model(tmp_path, m, k, {"type": "ellipsoid", "coefficients": a})
+    data = run_json(capsys, "certify", "--model", path, "--pearl", str(pearl))["data"]
+    tau = data["orbit"]["tau"]
+    assert in_progression(tau * a[0], m, k[0])
+    assert data["index"] == sum(rotation_index(2 * tau * aj) for aj in a)
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,7 +28,7 @@ from reebtwist.geometry import (
     to_real,
 )
 
-from oracles import fd_gradient, fd_jacobian
+from oracles import fd_gradient, fd_jacobian, rk45_flow
 
 
 def unit_points(n, count, seed=0):
@@ -137,7 +137,9 @@ def test_integrator_matches_exact_ellipsoid_flow():
     a = np.array([1.0, 1.3])
     radial = RadialProfile(2, EllipsoidProfile(tuple(a)))
     z = radial.point_on_surface(unit_points(2, 1, seed=7)[0])
-    out = reeb_flow(z, math.pi, radial)
+    sol = integrate(lambda _t, y: to_real(radial.reeb_field(to_complex(y))), math.pi,
+                    to_real(z), 1e-10, 1e-12)
+    out = to_complex(np.ascontiguousarray(sol.y[:, -1]))
     assert np.max(np.abs(out - np.exp(-2j * a * math.pi) * z)) < 1e-9
 
 
@@ -190,6 +192,16 @@ def test_reeb_field_matches_fd_of_profile(model):
         expected = x_f / liouville_form_eval(z, x_f)
         np.testing.assert_allclose(model.reeb_field(z), expected, atol=1e-8)
         assert liouville_form_eval(z, model.reeb_field(z)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("model", G_MODELS.values(), ids=G_MODELS.keys())
+def test_reeb_flow_matches_rk45_of_field(model):
+    # the closed-form flow against an integration of the analytic field,
+    # at times of both signs in one call
+    z = model.point_on_surface(unit_points(model.n, 1, seed=23)[0])
+    times = np.array([-2.3, -0.4, 0.0, 0.7, 3.1])
+    expected = rk45_flow(model.reeb_field, z, times)
+    np.testing.assert_allclose(reeb_flow_samples(z, times, model), expected, atol=1e-9)
 
 
 def test_bare_callable_profile_has_no_reeb_field():

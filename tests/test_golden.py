@@ -5,6 +5,7 @@ protocol replaced the sphere's special cases.  The commands are the README
 examples plus off-axis seeds, higher pearls and mixed exponent classes.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,38 @@ def test_golden_json(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+MODELS = {
+    "ellipsoid": {"type": "ellipsoid", "coefficients": [1.0, 1.3]},
+    "constant": {"type": "constant", "value": 1.1},
+}
+
+MODEL_CASES = {
+    "certify": "certify",
+    "orbit": "orbit --tau 1.5",
+    "action": "action --tau 1.5 --samples 200",
+}
+
+
+def _refuse_integration(*_args, **_kwargs):
+    raise AssertionError("a CLI command reached the numeric integrator")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_commands_never_integrate(capsys, monkeypatch, name):
+    monkeypatch.setattr("reebtwist.geometry.solve_ivp", _refuse_integration)
+    assert main(CASES[name].split()) == 0
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+@pytest.mark.parametrize("profile", sorted(MODELS))
+def test_model_commands_never_integrate(capsys, monkeypatch, tmp_path, profile, case):
+    # every model flows in closed form; tau = 1.5 seeds within the trust
+    # interval of the multiplier pi / (2 a_1)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "radial_profile", "n": 2,
+                                "twist": {"m": 2, "k": [1, 1]},
+                                "profile": MODELS[profile]}))
+    monkeypatch.setattr("reebtwist.geometry.solve_ivp", _refuse_integration)
+    assert main([*MODEL_CASES[case].split(), "--model", str(path)]) == 0

@@ -145,15 +145,6 @@ def test_shoot_far_seed_raises_diagnostic():
     assert "iterations" in err.value.diagnostic
 
 
-def test_shoot_variational_jacobian_agrees():
-    twist = RotationTwist(3, (1, 1))
-    tau1 = orbit_multiplier(3, 1, 1)
-    a = shoot_orbit(SPHERE2, twist, [0.8, 0.6], tau1 + 0.2, jacobian="fd")
-    b = shoot_orbit(SPHERE2, twist, [0.8, 0.6], tau1 + 0.2, jacobian="variational")
-    assert a.tau == pytest.approx(b.tau, abs=1e-9)
-    assert np.max(np.abs(a.z0 - b.z0)) < 1e-6
-
-
 def test_shot_orbits_satisfy_period_action_equality():
     for m in (2, 3):
         twist = RotationTwist(m, tuple([1] * 2))
@@ -264,7 +255,7 @@ def test_monodromy_off_spectrum_kernel_empty():
 
 
 def test_monodromy_radial_unit_profile():
-    # same degeneracy certificate through the integrated variational path
+    # same degeneracy certificate through the model's closed-form return map
     twist = RotationTwist(2, (1, 1))
     radial = RadialProfile(2, ConstantProfile(1.0))
     orbit = make_orbit(twist, 2, 1, direction=[0.6, 0.8])
@@ -280,11 +271,10 @@ def test_ellipsoid_variational_return_map_matches_exact_flow():
     twist = RotationTwist(2, (1, 1))
     radial = RadialProfile(2, EllipsoidProfile(tuple(a)))
     z = radial.point_on_surface(np.array([0.6, 0.8j]))
-    numeric = twist_return_differential(radial, twist, z, 1.1)
     exact = np.diag(np.exp(2j * a * 1.1) * twist.phases())
-    assert np.max(np.abs(numeric[0::2, 0::2] + 1j * numeric[1::2, 0::2] - exact)) < 1e-8
-    with pytest.raises(ValueError, match="closed-form"):
-        twist_return_differential(radial, twist, z, 1.1, method="analytic")
+    for method in ("variational", "auto"):
+        mat = twist_return_differential(radial, twist, z, 1.1, method=method)
+        assert np.max(np.abs(mat[0::2, 0::2] + 1j * mat[1::2, 0::2] - exact)) < 1e-8
 
 
 def test_monodromy_untwisted_closed_orbit_identity():
