@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .complexes import ComplexValidationError, homology, quotient_by_action
-from .czindex import UnitaryPath, cz_index_unitary
 from .geometry import (
     OffSurfaceError,
     RotationTwist,
@@ -31,7 +31,7 @@ from .orbits import (
     SolverSettings,
     action,
     analytic_spectrum,
-    monodromy_unitary_path,
+    orbit_index,
     orbit_multiplier,
     shoot_orbit,
 )
@@ -74,6 +74,17 @@ def _sample_count(text: str) -> int:
     return count
 
 
+def _finite_float(text: str) -> float:
+    # nan or inf would reach the solver's linear algebra
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reebtwist",
@@ -103,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="shoot and certify a twisted orbit")
     common(p)
-    p.add_argument("--tau", type=float, required=True, help="multiplier seed")
+    p.add_argument("--tau", type=_finite_float, required=True, help="multiplier seed")
     p.add_argument("--z", type=str, default=None,
                    help="seed point, comma-separated interleaved reals")
 
     p = sub.add_parser("action", help="Liouville action of a certified orbit")
     common(p)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--tau", type=_finite_float, required=True)
     p.add_argument("--z", type=str, default=None)
     p.add_argument("--samples", type=_sample_count, default=1000)
 
@@ -146,10 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_window(text: str, what: str = "window") -> tuple[int, int]:
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except Exception as exc:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError as exc:
         raise ConfigError(f"bad {what} {text!r}, expected LO:HI") from exc
+    if lo > hi:
+        raise ConfigError(f"empty {what} {text!r}: LO exceeds HI")
+    return lo, hi
 
 
 def _config_tokens(args: argparse.Namespace) -> list[str]:
@@ -275,7 +288,7 @@ def _orbit_payload(orbit) -> dict:
 def cmd_spectrum(args, tols):
     model, twist, n = _resolve_geometry(args)
     window = _parse_window(args.window or "0:3")
-    table = analytic_spectrum(twist, n, window)
+    table = analytic_spectrum(twist, n, window, model.coefficients())
     rows = table.to_json_rows()
     return {"rows": rows, "window": list(window)}, rows, EXIT_OK
 
@@ -300,13 +313,13 @@ def cmd_action(args, tols):
 
 
 def cmd_cz_index(args, tols):
-    _, twist, n = _resolve_geometry(args)
+    model, twist, _ = _resolve_geometry(args)
     window = _parse_window(args.window or "0:3")
+    a = model.coefficients()
     rows = []
     for k in range(window[0], window[1] + 1):
-        tau = orbit_multiplier(twist.m, twist.residue(0), k)
-        rows.append({"k": k, "tau": tau,
-                     "index": cz_index_unitary(monodromy_unitary_path(tau, n))})
+        tau = orbit_multiplier(twist.m, twist.residue(0), k) / a[0]
+        rows.append({"k": k, "tau": tau, "index": orbit_index(tau, a)})
     return {"rows": rows}, rows, EXIT_OK
 
 
@@ -359,13 +372,12 @@ def cmd_lift(args, tols):
 def cmd_certify(args, tols):
     model, twist, n = _resolve_geometry(args)
     settings = _solver_settings(tols)
-    tau_seed = orbit_multiplier(twist.m, twist.residue(0), args.pearl)
+    a = model.coefficients()
+    tau_seed = orbit_multiplier(twist.m, twist.residue(0), args.pearl) / a[0]
     seed = _parse_seed_point(getattr(args, "z", None), n)
     orbit = shoot_orbit(model, twist, seed, tau_seed, settings=settings)
     value = action(orbit, model, settings=settings)
-    # the linearised flow rotates coordinate j at rate 2 tau a_j
-    index = cz_index_unitary(
-        UnitaryPath.from_rotation_rates(2.0 * orbit.tau * model.coefficients()))
+    index = orbit_index(orbit.tau, a)
     result = classify_orbit_loop(orbit, twist, model, samples=args.samples)
     data = {
         "orbit": _orbit_payload(orbit),

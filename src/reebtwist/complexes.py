@@ -33,12 +33,6 @@ class CyclicAction:
     order: int
     perms: Mapping[int, tuple[int, ...]]
 
-    def power(self, degree: int, idx: int, j: int) -> int:
-        p = self.perms[degree]
-        for _ in range(j % self.order):
-            idx = p[idx]
-        return idx
-
     def orbit(self, degree: int, idx: int) -> tuple[int, ...]:
         seen = [idx]
         cur = self.perms[degree][idx]

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 _TWO_PI = 2.0 * np.pi
 
@@ -60,29 +59,15 @@ class UnitaryPath:
         return self.angles.shape[0]
 
     @classmethod
-    def from_rotation_rates(cls, rates, samples: int = 33) -> "UnitaryPath":
-        """Path t -> diag(e^{-i rate_j t}) as angle tracks rate_j * t."""
+    def from_rotation_rates(cls, rates) -> "UnitaryPath":
+        """Path t -> diag(e^{-i rate_j t}) as angle tracks rate_j * t.
+
+        At least 33 samples, and enough that every step stays below pi/2.
+        """
         rates = np.atleast_1d(np.asarray(rates, dtype=float))
+        samples = max(33, int(2.0 * float(np.max(np.abs(rates))) / np.pi) + 2)
         times = np.linspace(0.0, 1.0, samples)
         return cls(times, rates[:, None] * times[None, :])
-
-    @classmethod
-    def from_matrix_function(cls, fn, samples: int = 65,
-                             max_refinements: int = 6) -> "UnitaryPath":
-        """Track eigenvalue angles of a unitary-matrix path t -> U(t).
-
-        Eigenvalues of consecutive samples are matched by minimal circular
-        distance; the grid is refined by doubling until every matched jump
-        is below pi/2.
-        """
-        for _ in range(max_refinements + 1):
-            times = np.linspace(0.0, 1.0, samples)
-            tracks, ok = _track_angles(fn, times)
-            if ok:
-                return cls(times, tracks)
-            samples = 2 * samples - 1
-        raise DiscontinuousTrackError(
-            "angle jumps persist after maximal grid refinement")
 
     def validate(self, max_jump: float = np.pi) -> None:
         jumps = np.abs(np.diff(self.angles, axis=1))
@@ -106,29 +91,6 @@ class UnitaryPath:
         times = np.concatenate([t1, t2[1:]])
         angles = np.concatenate([self.angles, other.angles[:, 1:] + shift], axis=1)
         return UnitaryPath(times, angles)
-
-
-def _track_angles(fn, times: np.ndarray) -> tuple[np.ndarray, bool]:
-    mats = [np.asarray(fn(t), dtype=complex) for t in times]
-    n = mats[0].shape[0]
-    tracks = np.zeros((n, len(times)))
-    prev = -np.angle(np.linalg.eigvals(mats[0]))
-    order = np.argsort(prev)
-    tracks[:, 0] = prev[order]
-    current = tracks[:, 0].copy()
-    ok = True
-    for i in range(1, len(times)):
-        raw = -np.angle(np.linalg.eigvals(mats[i]))
-        # circular distance cost between current track ends and new angles
-        diff = raw[None, :] - current[:, None]
-        wrapped = (diff + np.pi) % _TWO_PI - np.pi
-        rows, cols = linear_sum_assignment(np.abs(wrapped))
-        step = wrapped[rows, cols]
-        if np.any(np.abs(step) >= np.pi / 2):
-            ok = False
-        current = current + step
-        tracks[:, i] = current
-    return tracks, ok
 
 
 def _odd_winding(theta: float, tol: float = 1e-9) -> int:

@@ -75,25 +75,10 @@ class F2Matrix:
             width = 0
         return cls(len(packed), width, tuple(packed))
 
-    @classmethod
-    def from_text(cls, grid: str) -> "F2Matrix":
-        """Parse the fixture literal format: one row of 0/1 characters per line."""
-        lines = [ln.strip() for ln in grid.strip().splitlines() if ln.strip()]
-        return cls.from_rows([[int(c) for c in ln] for ln in lines])
-
     # -- element access ----------------------------------------------------
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.row_bits[i] >> j) & 1
 
     def to_rows(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.row_bits]
-
-    def to_text(self) -> str:
-        return "\n".join("".join(str((r >> j) & 1) for j in range(self.cols))
-                         for r in self.row_bits)
 
     def column_bits(self, j: int) -> int:
         """Column ``j`` packed into an int (bit i = entry in row i)."""
@@ -101,10 +86,6 @@ class F2Matrix:
         for i, r in enumerate(self.row_bits):
             out |= ((r >> j) & 1) << i
         return out
-
-    def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows,
-                        tuple(self.column_bits(j) for j in range(self.cols)))
 
     @property
     def is_zero(self) -> bool:
@@ -130,21 +111,6 @@ def matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
             j += 1
         out.append(acc)
     return F2Matrix(a.rows, b.cols, tuple(out))
-
-
-def apply(m: F2Matrix, vec_bits: int) -> int:
-    """Apply ``m`` to a column vector packed as an int (bit j = coordinate j)."""
-    if vec_bits & ~((1 << m.cols) - 1):
-        raise ValueError("vector has bits outside the column range")
-    acc = 0
-    j = 0
-    v = vec_bits
-    while v:
-        if v & 1:
-            acc ^= m.column_bits(j)
-        v >>= 1
-        j += 1
-    return acc
 
 
 def rank(m: F2Matrix) -> int:
@@ -173,37 +139,3 @@ def rank(m: F2Matrix) -> int:
 def nullspace_dim(m: F2Matrix) -> int:
     """Dimension of the kernel: cols - rank."""
     return m.cols - rank(m)
-
-
-def nullspace_basis(m: F2Matrix) -> list[int]:
-    """Basis of ker(m) as packed column vectors (bit j = coordinate j)."""
-    # Reduce the matrix, remembering pivot columns; free columns seed the basis.
-    rows = list(m.row_bits)
-    pivots: list[int] = []
-    rk = 0
-    for col in range(m.cols):
-        bit = 1 << col
-        pivot = None
-        for i in range(rk, len(rows)):
-            if rows[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        for i in range(len(rows)):
-            if i != rk and rows[i] & bit:
-                rows[i] ^= rows[rk]
-        pivots.append(col)
-        rk += 1
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for i, pc in enumerate(pivots):
-            if rows[i] & (1 << free):
-                vec |= 1 << pc
-        basis.append(vec)
-    return basis

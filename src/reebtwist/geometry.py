@@ -13,7 +13,8 @@ Jacobian, and the collar coordinate log G of the default defining
 Hamiltonian.  X_G = -2i a z is linear, so every model's Reeb flow is
 z_j -> e^{-2i a_j t} z_j in closed form, on and off the hypersurface.  The
 one adaptive Runge-Kutta entry point ``integrate`` serves only the
-Hamiltonian flows and the variational equations.
+variational equation of the Reeb field, the numeric check of the closed-form
+return map.
 """
 
 from __future__ import annotations
@@ -70,15 +71,6 @@ def liouville_form_eval(z, v) -> float:
     if v.shape != z.shape:
         raise ValueError(f"dimension mismatch: point {z.shape}, vector {v.shape}")
     return -0.5 * float(np.imag(np.sum(np.conj(z) * v)))
-
-
-def liouville_vector_field(z) -> np.ndarray:
-    """Radial field z/2 generating the scaling flow e^{t/2} z."""
-    return as_complex_vector(z) / 2.0
-
-
-def liouville_flow(z, t: float) -> np.ndarray:
-    return math.exp(t / 2.0) * as_complex_vector(z)
 
 
 def normalize_to_sphere(x) -> tuple[np.ndarray, float]:
@@ -150,15 +142,13 @@ class RotationTwist:
 
 # -- the integrator ---------------------------------------------------------------
 
-def integrate(rhs, t_end: float, y0: np.ndarray, rtol: float, atol: float,
-              dense: bool = False):
+def integrate(rhs, t_end: float, y0: np.ndarray, rtol: float, atol: float):
     """RK45 solution of y' = rhs(t, y) over [0, t_end]: the one numeric integrator.
 
-    Returns scipy's solution object (dense interpolant ``sol.sol`` if asked);
-    raises IntegrationDriftError when the step-size control fails.
+    Returns scipy's solution object; raises IntegrationDriftError when the
+    step-size control fails.
     """
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=rtol, atol=atol,
-                    dense_output=dense)
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationDriftError(f"integration failed: {sol.message}")
     return sol
@@ -371,12 +361,6 @@ def _smoothstep(u: float) -> float:
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def _smoothstep_slope(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    return 30.0 * u * u * (1.0 - u) ** 2
-
-
 def _smoothstep_integral(u: float) -> float:
     """Integral of the quintic smoothstep from 0 to u (equals 1/2 at u = 1)."""
     if u <= 0.0:
@@ -387,12 +371,12 @@ def _smoothstep_integral(u: float) -> float:
 
 
 def _mollified_clamp(r: float, lo_corner: float, hi_corner: float,
-                     eps: float) -> tuple[float, float, float]:
+                     eps: float) -> tuple[float, float]:
     """C^2 ramp with unit slope between the corners, constant outside.
 
-    Returns (value, slope, curvature), where the value is normalized to
-    vanish at the midpoint of the corners.  The slope rises from 0 to 1 over
-    a width-2*eps collar around each corner via a quintic smoothstep.
+    Returns (value, slope), where the value is normalized to vanish at the
+    midpoint of the corners.  The slope rises from 0 to 1 over a width-2*eps
+    collar around each corner via a quintic smoothstep.
     """
     a0, a1 = lo_corner - eps, lo_corner + eps
     b0, b1 = hi_corner - eps, hi_corner + eps
@@ -400,23 +384,21 @@ def _mollified_clamp(r: float, lo_corner: float, hi_corner: float,
         raise ValueError("mollification width too large for the ramp")
 
     if r <= a0:
-        raw, slope, curv = 0.0, 0.0, 0.0
+        raw, slope = 0.0, 0.0
     elif r <= a1:
         u = (r - a0) / (2 * eps)
         raw, slope = 2 * eps * _smoothstep_integral(u), _smoothstep(u)
-        curv = _smoothstep_slope(u) / (2 * eps)
     elif r <= b0:
-        raw, slope, curv = eps + (r - a1), 1.0, 0.0
+        raw, slope = eps + (r - a1), 1.0
     elif r <= b1:
         u = (r - b0) / (2 * eps)
         raw = eps + (b0 - a1) + (r - b0) - 2 * eps * _smoothstep_integral(u)
         slope = 1.0 - _smoothstep(u)
-        curv = -_smoothstep_slope(u) / (2 * eps)
     else:
-        raw, slope, curv = eps + (b0 - a1) + eps, 0.0, 0.0
+        raw, slope = eps + (b0 - a1) + eps, 0.0
 
     mid_raw = eps + ((lo_corner + hi_corner) / 2.0 - a1)
-    return raw - mid_raw, slope, curv
+    return raw - mid_raw, slope
 
 
 @dataclass(frozen=True)
@@ -432,7 +414,7 @@ class SphereHamiltonian:
 
     eps: float = 0.05
 
-    def _ramp(self, r: float) -> tuple[float, float, float]:
+    def _ramp(self, r: float) -> tuple[float, float]:
         return _mollified_clamp(r, 0.5, 1.5, self.eps)
 
     def beta(self, r: float) -> float:
@@ -445,20 +427,6 @@ class SphereHamiltonian:
     def field(self, z) -> np.ndarray:
         z = as_complex_vector(z)
         return -2j * self._ramp(float(np.sum(np.abs(z) ** 2)))[1] * z
-
-    def jacobian(self, z) -> np.ndarray:
-        """Real Jacobian of the field -2i s(|z|^2) z, s the slope of the ramp."""
-        z = as_complex_vector(z)
-        _, s, ds = self._ramp(float(np.sum(np.abs(z) ** 2)))
-        y = to_real(z)
-        return (s * _dual_rows(2.0 * np.eye(y.size))
-                + np.outer(to_real(-2j * z), 2.0 * ds * y))
-
-    def flow(self, z, t: float) -> np.ndarray:
-        # |z| is conserved, so the flow is a rigid phase rotation
-        z = as_complex_vector(z)
-        rate = self._ramp(float(np.sum(np.abs(z) ** 2)))[1]
-        return np.exp(-2j * rate * t) * z
 
 
 @dataclass(frozen=True)
@@ -474,94 +442,17 @@ class CollarHamiltonian:
     width: float = 0.5
     eps: float = 0.05
 
-    def _clamp(self, z) -> tuple[float, tuple[float, float, float]]:
+    def _clamp(self, z) -> tuple[float, float, float]:
+        """(G, clamped value, slope) at z."""
         g = self.model.defining_function(as_complex_vector(z))
-        return g, _mollified_clamp(math.log(g), -self.width / 2, self.width / 2, self.eps)
+        return g, *_mollified_clamp(math.log(g), -self.width / 2, self.width / 2, self.eps)
 
     def value(self, z) -> float:
-        return self._clamp(z)[1][0]
+        return self._clamp(z)[1]
 
     def field(self, z) -> np.ndarray:
-        g, (_, s, _) = self._clamp(z)
+        g, _, s = self._clamp(z)
         return s / g * self.model.reeb_field(as_complex_vector(z))
-
-    def jacobian(self, z) -> np.ndarray:
-        z = as_complex_vector(z)
-        g, (_, s, ds) = self._clamp(z)
-        x_g = to_real(self.model.reeb_field(z))
-        return (s / g * self.model.field_jacobian(z)
-                + np.outer(x_g, (ds - s) / g ** 2 * self.model.gradient(z)))
-
-    def flow(self, z, t: float, rtol: float = DEFAULT_RTOL,
-             atol: float = DEFAULT_ATOL) -> np.ndarray:
-        z = as_complex_vector(z)
-        if t == 0.0:
-            return z
-        sol = integrate(lambda _t, y: to_real(self.field(to_complex(y))),
-                        t, to_real(z), rtol, atol)
-        return to_complex(np.ascontiguousarray(sol.y[:, -1]))
-
-
-# -- weight profiles and reparametrized flows -------------------------------------
-
-def _smootherstep(u: float) -> float:
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return u ** 4 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
-
-
-def _smootherstep_slope(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    return 140.0 * u ** 3 * (1.0 - u) ** 3
-
-
-@dataclass(frozen=True)
-class UniformWeight:
-    """Constant unit weight; the reparametrization is the identity."""
-
-    def __call__(self, t: float) -> float:
-        return 1.0
-
-    def cumulative(self, t: float) -> float:
-        return t
-
-
-@dataclass(frozen=True)
-class BumpWeight:
-    """Nonnegative C^2 bump supported in (lo, hi) with total mass one."""
-
-    lo: float = 0.1
-    hi: float = 0.4
-
-    def __call__(self, t: float) -> float:
-        return _smootherstep_slope((t - self.lo) / (self.hi - self.lo)) / (self.hi - self.lo)
-
-    def cumulative(self, t: float) -> float:
-        return _smootherstep((t - self.lo) / (self.hi - self.lo))
-
-
-def reparametrized_flow_check(chi, hamiltonian, z, t: float,
-                              rtol: float = DEFAULT_RTOL,
-                              atol: float = DEFAULT_ATOL) -> float:
-    """Sup-norm gap between the weighted flow and the reparametrized one.
-
-    Integrates the time-dependent field chi(s) X_H and compares the endpoint
-    against the autonomous flow at time integral_0^t chi.
-    """
-    z = as_complex_vector(z)
-    if t == 0.0:
-        return 0.0
-
-    def rhs(s, y):
-        return float(chi(s)) * to_real(hamiltonian.field(to_complex(y)))
-
-    sol = integrate(rhs, t, to_real(z), rtol, atol)
-    weighted = to_complex(np.ascontiguousarray(sol.y[:, -1]))
-    reference = hamiltonian.flow(z, chi.cumulative(t))
-    return float(np.max(np.abs(weighted - reference)))
 
 
 # -- model description files ------------------------------------------------------

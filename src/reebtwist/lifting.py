@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RotationTwist, as_complex_vector
+from .geometry import RotationTwist
 
 LIFT_MATCH_TOL = 1e-6
 
@@ -181,18 +181,3 @@ def classify_orbit_loop(orbit, twist: RotationTwist, model, samples: int = 128,
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     loop = QuotientLoop(samples=pts, twist=twist)
     return lift_loop(loop, basepoint_choice=basepoint_choice)
-
-
-def concatenate_loops(a: QuotientLoop, b: QuotientLoop,
-                      match_tol: float = LIFT_MATCH_TOL) -> QuotientLoop:
-    """Join two composable quotient loops (end of a over start of b)."""
-    if a.twist != b.twist:
-        raise ValueError("loops carry different twists")
-    twist = a.twist
-    end, start = a.samples[-1], b.samples[0]
-    for j in range(twist.m):
-        if np.linalg.norm(end - twist.apply(start, power=j)) <= match_tol:
-            shifted = b.samples * twist.phases(j)[None, :]
-            return QuotientLoop(
-                samples=np.concatenate([a.samples, shifted[1:]]), twist=twist)
-    raise ValueError("loops are not composable at the base point")

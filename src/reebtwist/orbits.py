@@ -2,11 +2,11 @@
 Twisted periodic Reeb orbits and their certificates.
 
 An orbit is a pair (z0, tau) whose time-one Reeb flow at speed tau lands on
-the rotated start point.  On the round sphere the admissible multipliers
-form arithmetic progressions indexed by the exponent classes of the twist;
-on any model, orbits are certified by damped Gauss-Newton shooting on the
-residual of the closed-form flow.  Certification data: the twist residual,
-the period-action identity, and the linearized return map.
+the rotated start point.  On the quadric G = sum_j a_j |z^j|^2 the
+multipliers of coordinate j form an arithmetic progression fixed by its
+exponent class and a_j; orbits are certified by damped Gauss-Newton
+shooting on the residual of the closed-form flow.  Certification data: the
+twist residual, the period-action identity, and the linearized return map.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .geometry import (
 )
 
 SUPPORT_TOL = 1e-8
+TAU_TOL = 1e-9       # multipliers closer than this are one
 
 
 class ConvergenceError(Exception):
@@ -82,8 +83,6 @@ class SpectrumRow:
     support: tuple[int, ...]
     dim: int
     index: int
-    residue: int
-    branch: int
 
     def to_json_dict(self) -> dict:
         return {"tau": self.tau, "support": list(self.support),
@@ -99,7 +98,7 @@ class SpectrumTable:
 
     def __post_init__(self) -> None:
         taus = [r.tau for r in self.rows]
-        if any(b - a <= 1e-9 for a, b in zip(taus, taus[1:])):
+        if any(b - a <= TAU_TOL for a, b in zip(taus, taus[1:])):
             raise ValueError("multiplier values not distinct/sorted")
 
     def taus(self) -> list[float]:
@@ -107,13 +106,6 @@ class SpectrumTable:
 
     def to_json_rows(self) -> list[dict]:
         return [r.to_json_dict() for r in self.rows]
-
-    def to_csv(self) -> str:
-        lines = ["tau,support,dim,index"]
-        for r in self.rows:
-            supp = ";".join(str(j) for j in r.support)
-            lines.append(f"{r.tau:.12g},{supp},{r.dim},{r.index}")
-        return "\n".join(lines) + "\n"
 
 
 def orbit_multiplier(m: int, residue: int, branch: int) -> float:
@@ -126,30 +118,45 @@ def monodromy_unitary_path(tau: float, n: int) -> UnitaryPath:
     return UnitaryPath.from_rotation_rates([2.0 * tau] * n)
 
 
-def analytic_spectrum(twist: RotationTwist, n: int,
-                      window: tuple[int, int]) -> SpectrumTable:
-    """Closed-form twisted spectrum of the round sphere.
+def orbit_index(tau: float, coefficients) -> int:
+    """Index of an orbit on the quadric with coefficients a: rates 2 tau a_j."""
+    return cz_index_unitary(
+        UnitaryPath.from_rotation_rates(2.0 * tau * np.asarray(coefficients)))
 
-    For each exponent class of the twist, with residue r normalized into
-    1..m, the supported coordinates carry orbits with multiplier
-    pi (m l - r)/m for every integer branch l in the window.  The critical
-    component of each row is a sphere of dimension 2 |support| - 1 inside
-    the supported coordinate subspace.
+
+def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
+                      coefficients=None) -> SpectrumTable:
+    """Closed-form twisted spectrum of the quadric G = sum_j a_j |z^j|^2.
+
+    ``coefficients`` are the a_j, all 1 (the round sphere) by default.  The
+    flow rotates coordinate j at rate 2 a_j, so it closes up under the twist
+    at the multipliers pi (m l - r_j) / (m a_j), r_j its exponent residue in
+    1..m, for every integer branch l in the window.  Equal multipliers share
+    one row whose support is every coordinate closing up there; its critical
+    component is a sphere of dimension 2 |support| - 1 inside the supported
+    coordinate subspace.
     """
     if twist.n != n:
         raise ValueError("twist exponent count does not match dimension n")
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError("empty branch window")
+    a = [1.0] * n if coefficients is None else [float(c) for c in coefficients]
+
+    def multiplier(j: int, branch: int) -> float:
+        return orbit_multiplier(twist.m, twist.residue(j), branch) / a[j]
+
+    def closes_up(j: int, tau: float) -> bool:
+        branch = round((tau * a[j] * twist.m / math.pi + twist.residue(j)) / twist.m)
+        return abs(multiplier(j, branch) - tau) <= TAU_TOL
+
     rows = []
-    for residue, support in twist.congruence_classes().items():
-        for branch in range(lo, hi + 1):
-            tau = orbit_multiplier(twist.m, residue, branch)
-            rows.append(SpectrumRow(
-                tau=tau, support=support, dim=2 * len(support) - 1,
-                index=cz_index_unitary(monodromy_unitary_path(tau, n)),
-                residue=residue, branch=branch))
-    rows.sort(key=lambda r: r.tau)
+    for tau in sorted({multiplier(j, l) for j in range(n) for l in range(lo, hi + 1)}):
+        if rows and tau - rows[-1].tau <= TAU_TOL:
+            continue
+        support = tuple(j + 1 for j in range(n) if closes_up(j, tau))
+        rows.append(SpectrumRow(tau=tau, support=support, dim=2 * len(support) - 1,
+                                index=orbit_index(tau, a)))
     return SpectrumTable(rows=tuple(rows), window=(lo, hi), twist=twist, n=n)
 
 
@@ -249,22 +256,6 @@ def _certify(model, twist, u: np.ndarray, settings: SolverSettings) -> TwistedOr
                         component_id=_component_id(twist, support, tau))
 
 
-def merge_certified_orbits(orbits, dedup_tol: float = 1e-6) -> list[TwistedOrbit]:
-    """Merge concurrent shooting results, deduplicating by multiplier.
-
-    Orbits whose multipliers agree within ``dedup_tol`` collapse to the one
-    with the smallest residual; output is sorted by multiplier.
-    """
-    merged: list[TwistedOrbit] = []
-    for orbit in sorted(orbits, key=lambda o: o.tau):
-        if merged and abs(orbit.tau - merged[-1].tau) <= dedup_tol:
-            if orbit.residual < merged[-1].residual:
-                merged[-1] = orbit
-            continue
-        merged.append(orbit)
-    return merged
-
-
 # -- linearized flows ----------------------------------------------------------------
 
 def _complex_to_real_matrix(mc: np.ndarray) -> np.ndarray:
@@ -279,46 +270,26 @@ def _complex_to_real_matrix(mc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_to_complex_matrix(mr: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Inverse of the real representation; errors if the map is not complex-linear."""
-    n = mr.shape[0] // 2
-    j = _complex_to_real_matrix(1j * np.eye(n))
-    if np.max(np.abs(j @ mr - mr @ j)) > tol:
-        raise ValueError("real matrix does not commute with the complex structure")
-    return mr[0::2, 0::2] + 1j * mr[1::2, 0::2]
+def _variational_flow(model, z, t: float, settings: SolverSettings) -> np.ndarray:
+    """Differential of the time-t Reeb flow at z, as a real 2n x 2n matrix.
 
-
-def _variational_solution(field, jacobian, z: np.ndarray, t: float,
-                          settings: SolverSettings, dense: bool = False):
-    """Integrate y' = f(y), M' = Df(y) M from (z, identity) over [0, t].
-
-    ``field`` and its real ``jacobian`` take complex points (Hairer-Norsett-
-    Wanner, Solving ODEs I, I.14).  Read states with ``_split_state``.
+    Integrates y' = X(y), M' = DX(y) M from (z, identity) (Hairer-Norsett-
+    Wanner, Solving ODEs I, I.14).
     """
+    z = as_complex_vector(z)
     n2 = 2 * z.size
+    if t == 0.0:
+        return np.eye(n2)
 
     def rhs(_t, state):
         y = to_complex(state[:n2])
         mat = state[n2:].reshape(n2, n2)
-        return np.concatenate([to_real(field(y)), (jacobian(y) @ mat).ravel()])
+        return np.concatenate([to_real(model.reeb_field(y)),
+                               (model.field_jacobian(y) @ mat).ravel()])
 
     y0 = np.concatenate([to_real(z), np.eye(n2).ravel()])
-    return integrate(rhs, t, y0, settings.rtol, settings.atol, dense=dense)
-
-
-def _split_state(state: np.ndarray, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """(real 2n x 2n flow differential, complex point) of a variational state."""
-    state = np.ascontiguousarray(state)
-    return state[n2:].reshape(n2, n2), to_complex(state[:n2])
-
-
-def _variational_flow(model, z, t: float, settings: SolverSettings):
-    """Differential of the time-t Reeb flow at z (a real matrix) and its endpoint."""
-    z = as_complex_vector(z)
-    if t == 0.0:
-        return np.eye(2 * z.size), z
-    sol = _variational_solution(model.reeb_field, model.field_jacobian, z, t, settings)
-    return _split_state(sol.y[:, -1], 2 * z.size)
+    sol = integrate(rhs, t, y0, settings.rtol, settings.atol)
+    return np.ascontiguousarray(sol.y[n2:, -1]).reshape(n2, n2)
 
 
 def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
@@ -333,7 +304,7 @@ def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
     """
     if method != "variational":
         return _complex_to_real_matrix(model.return_map(twist, tau))
-    back_map, _ = _variational_flow(model, twist.apply(z), -tau, settings)
+    back_map = _variational_flow(model, twist.apply(z), -tau, settings)
     return back_map @ _complex_to_real_matrix(np.diag(twist.phases()))
 
 
@@ -383,32 +354,6 @@ def monodromy(orbit: TwistedOrbit, model: StarShapedModel, twist: RotationTwist,
     dim_c, _ = _restricted_kernel_dim(gap, contact, kernel_tol)
     return MonodromyReport(matrix=mat, kernel_dim_tangent=dim_t,
                            kernel_dim_contact=dim_c, tangent_deviation=dev)
-
-
-def hamiltonian_unitary_path(hamiltonian, z0, tau: float, samples: int = 65,
-                             settings: SolverSettings = SolverSettings()) -> UnitaryPath:
-    """Eigen-angle tracks of the linearized defining-Hamiltonian flow.
-
-    Integrates the variational system of the Hamiltonian field over one
-    twisted period and converts the frames to complex-linear maps.  Near
-    the hypersurface the sphere profile has constant slope, so the frames
-    are rigid rotations; a Hamiltonian whose linearization fails to commute
-    with the complex structure is rejected.
-    """
-    z0 = as_complex_vector(z0)
-    grid = np.linspace(0.0, 1.0, samples) * tau
-    if tau == 0.0:
-        frames = [np.eye(z0.size, dtype=complex)] * samples
-    else:
-        sol = _variational_solution(hamiltonian.field, hamiltonian.jacobian, z0, tau,
-                                    settings, dense=True)
-        frames = [_real_to_complex_matrix(_split_state(sol.sol(s), 2 * z0.size)[0],
-                                          tol=1e-6) for s in grid]
-
-    def fn(t):
-        return frames[int(round(t * (samples - 1)))]
-
-    return UnitaryPath.from_matrix_function(fn, samples=samples, max_refinements=0)
 
 
 # -- action and gradient ---------------------------------------------------------------

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reebtwist
 from reebtwist.cli import main
 from reebtwist.geometry import RotationTwist
 from reebtwist.lifting import QuotientLoop
@@ -268,13 +271,68 @@ def test_certify_index_from_the_model(capsys, tmp_path):
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="known defect: the forward-difference surface row gives a "
                           "coordinate at zero a spurious slope a_j * fd_step")
-def test_certify_resonant_seed_stalls(capsys, tmp_path):
+def test_resonant_seed_stalls(capsys, tmp_path):
     # seeded at tau = -pi/2, coordinate 2 (a_2 = 1, same class as k_1) is
     # resonant, its flow block vanishes, and Newton's step in z_2 is huge
     path = write_model(tmp_path, 2, (1, 1),
                        {"type": "ellipsoid", "coefficients": [1.001, 1.0]})
-    data = run_json(capsys, "certify", "--model", path, "--pearl", "0")["data"]
+    data = run_json(capsys, "orbit", "--model", path, "--tau=-1.5707963267948966")["data"]
     assert data["orbit"]["tau"] == pytest.approx(-math.pi / 2 / 1.001, abs=1e-9)
+
+
+@pytest.mark.parametrize("profile, a", [
+    ({"type": "constant", "value": 0.7}, 1 / 0.49),
+    ({"type": "ellipsoid", "coefficients": [2.0, 2.0]}, 2.0),
+], ids=["constant", "ellipsoid"])
+def test_certify_seeds_at_the_models_multiplier(capsys, tmp_path, profile, a):
+    # seeded at the sphere's pi/2, these left the multiplier trust interval
+    path = write_model(tmp_path, 2, (1, 1), profile)
+    data = run_json(capsys, "certify", "--model", path)["data"]
+    assert data["orbit"]["tau"] == pytest.approx(math.pi / (2 * a), abs=1e-9)
+    assert data["index"] == 2 * rotation_index(math.pi)
+
+
+def test_spectrum_and_cz_index_follow_the_model(capsys, tmp_path):
+    # both once printed the round sphere's rows on any model file
+    path = write_model(tmp_path, 2, (1, 1),
+                       {"type": "ellipsoid", "coefficients": [1.0, 2.5]})
+    cz = run_json(capsys, "cz-index", "--model", path, "--window", "1:1")["data"]["rows"]
+    assert cz == [{"k": 1, "tau": pytest.approx(math.pi / 2), "index": 4}]
+    rows = run_json(capsys, "spectrum", "--model", path, "--window", "1:1")["data"]["rows"]
+    assert [(row["tau"], row["support"], row["index"]) for row in rows] == [
+        (pytest.approx(math.pi / 5), [2], 2), (pytest.approx(math.pi / 2), [1], 4)]
+
+
+@pytest.mark.parametrize("argv, index", [
+    ("cz-index --m 2 --k 1,1 --n 2 --window 17:17", 66),
+    ("cz-index --m 2 --k 1,1 --n 2 --window=-16:-16", -66),
+    ("spectrum --m 2 --k 1,1 --n 2 --window 17:17", 66),
+    ("certify --m 2 --k 1,1 --n 2 --pearl 17", 66),
+])
+def test_rotation_paths_at_any_branch(capsys, argv, index):
+    # rates above 32 pi once made 33-sample tracks discontinuous
+    data = run_json(capsys, *argv.split())["data"]
+    assert [row["index"] for row in data.get("rows", [data])] == [index]
+
+
+@pytest.mark.parametrize("argv", [
+    "cz-index --m 2 --k 1,1 --n 2 --window 3:1",
+    "sweep --m-range 6:2",
+    "tate --m 2 --degrees 3:1",
+])
+def test_reversed_windows_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert "LO exceeds HI" in err
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_non_finite_tau_rejected_at_parse_time(capsys, tau):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--m", "2", "--n", "2", f"--tau={tau}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "need a finite number" in err and "DLASCL" not in err
 
 
 def test_config_keys_apply_over_defaults(capsys, tmp_path):
@@ -344,14 +402,28 @@ def test_certify_cz_index_and_spectrum_agree(capsys, case):
 def test_certify_index_matches_ellipsoid_closed_form(capsys, tmp_path, case, offsets):
     m, k, pearl = case
     a = [1.0 + d / 1000 for d in offsets[:len(k)]]
-    # a_j = 1 on another coordinate of k_1's class resonates with the seed
-    # multiplier and stalls the shooting (test_certify_resonant_seed_stalls)
-    assume(not any(a[j] == 1.0 and (k[j] - k[0]) % m == 0 for j in range(1, len(k))))
     path = write_model(tmp_path, m, k, {"type": "ellipsoid", "coefficients": a})
     data = run_json(capsys, "certify", "--model", path, "--pearl", str(pearl))["data"]
     tau = data["orbit"]["tau"]
     assert in_progression(tau * a[0], m, k[0])
     assert data["index"] == sum(rotation_index(2 * tau * aj) for aj in a)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(twisted_pearls(), st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3))
+def test_ellipsoid_certify_cz_index_and_spectrum_agree(capsys, tmp_path, case, coeffs):
+    m, k, pearl = case
+    path = write_model(tmp_path, m, k, {"type": "ellipsoid", "coefficients": coeffs[:len(k)]})
+    window = f"--window={pearl}:{pearl}"
+    data = run_json(capsys, "certify", "--model", path, "--pearl", str(pearl))["data"]
+    tau = data["orbit"]["tau"]
+    cz = run_json(capsys, "cz-index", "--model", path, window)["data"]["rows"]
+    assert cz[0]["tau"] == pytest.approx(tau, abs=1e-9)
+    assert cz[0]["index"] == data["index"]
+    rows = run_json(capsys, "spectrum", "--model", path, window)["data"]["rows"]
+    assert any(1 in row["support"] and row["tau"] == pytest.approx(tau, abs=1e-9)
+               for row in rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -366,9 +438,10 @@ def test_too_few_samples_rejected_at_parse_time(capsys, argv):
 
 
 def test_entry_point_subprocess():
+    src = Path(reebtwist.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-m", "reebtwist.cli", "tate", "--m", "3",
          "--degrees", "0:3", "--format", "csv"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "d,dim,reliable"

@@ -117,36 +117,12 @@ def test_discontinuous_track_rejected():
         cz_index_unitary(UnitaryPath(times, angles))
 
 
-def test_eigenvalue_tracking_of_matrix_path():
-    tau = spectrum_value(3, 1)
-    rates = np.array([2 * tau, 2 * tau])
-
-    def fn(t):
-        return np.diag(np.exp(-1j * rates * t))
-
-    path = UnitaryPath.from_matrix_function(fn)
-    assert cz_index_unitary(path) == cz_index_unitary(orbit_path(tau, 2))
-
-
-def test_eigenvalue_tracking_refines_fast_paths():
-    # per-sample jump starts above pi/2, forcing one grid refinement
-    def fn(t):
-        return np.array([[np.exp(-20j * t)]])
-
-    path = UnitaryPath.from_matrix_function(fn, samples=9)
-    assert len(path.times) > 9
-    assert cz_index_unitary(path) == 2 * math.floor(10 / math.pi) + 1
-
-
-def test_tracking_non_diagonal_unitaries():
-    # conjugated rotation pair: eigenvalues unchanged by the basis rotation
-    theta = 0.6
-    q = np.array([[math.cos(theta), -math.sin(theta)],
-                  [math.sin(theta), math.cos(theta)]], dtype=complex)
-
-    def fn(t):
-        return q @ np.diag([np.exp(-2.4j * t), np.exp(1.3j * t)]) @ q.conj().T
-
-    path = UnitaryPath.from_matrix_function(fn)
-    ends = sorted(path.end_angles())
-    assert ends == pytest.approx([-1.3, 2.4], abs=1e-9)
+def test_rotation_path_at_any_branch():
+    # 33 samples once made every step of a rate above 32 pi at least pi
+    for rate in (33 * math.pi, -33 * math.pi, 400.0):
+        path = UnitaryPath.from_rotation_rates([rate, 0.5 * rate])
+        assert len(path.times) > 33
+        assert float(np.max(np.abs(np.diff(path.angles, axis=1)))) < math.pi / 2
+        assert cz_index_unitary(path) == sum(
+            2 * math.floor(r / (2 * math.pi)) + 1 for r in (rate, 0.5 * rate))
+    assert len(UnitaryPath.from_rotation_rates([1.0]).times) == 33

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from reebtwist.geometry import (
-    BumpWeight,
     CollarHamiltonian,
     ConstantProfile,
     EllipsoidProfile,
@@ -14,16 +13,13 @@ from reebtwist.geometry import (
     RotationTwist,
     RoundSphere,
     SphereHamiltonian,
-    UniformWeight,
     integrate,
-    liouville_flow,
     liouville_form_eval,
     load_model,
     normalize_to_sphere,
     reeb_field,
     reeb_flow,
     reeb_flow_samples,
-    reparametrized_flow_check,
     to_complex,
     to_real,
 )
@@ -224,8 +220,8 @@ def test_normalize_scaling():
     unit, delta = normalize_to_sphere([2.0 + 0j, 0j])
     assert delta == pytest.approx(-2 * math.log(2))
     np.testing.assert_allclose(unit, [1, 0])
-    # the scaling flow at time delta indeed lands on the sphere
-    np.testing.assert_allclose(liouville_flow([2.0 + 0j, 0j], delta), [1, 0])
+    # the scaling flow e^{t/2} x at time delta indeed lands on the sphere
+    np.testing.assert_allclose(math.exp(delta / 2) * np.array([2.0 + 0j, 0j]), [1, 0])
 
 
 def test_normalize_twist_equivariance():
@@ -244,10 +240,11 @@ def test_normalize_rejects_zero():
 
 
 def test_liouville_flow_commutes_with_twist():
+    # normalize_to_sphere is the scaling flow run to the sphere
     twist = RotationTwist(2, (1, 1))
     x = np.array([0.3 + 0.4j, -1.2 + 0.1j])
-    np.testing.assert_allclose(twist.apply(liouville_flow(x, 0.8)),
-                               liouville_flow(twist.apply(x), 0.8))
+    np.testing.assert_allclose(twist.apply(normalize_to_sphere(x)[0]),
+                               normalize_to_sphere(twist.apply(x))[0])
 
 
 # -- rotation twists ---------------------------------------------------------------
@@ -311,20 +308,6 @@ def test_collar_hamiltonian_matches_reeb_on_surface():
         np.testing.assert_allclose(ham.field(z), model.reeb_field(z), atol=1e-9)
 
 
-@pytest.mark.parametrize("ham, model, scales", [
-    (SphereHamiltonian(), RoundSphere(2), (0.7, 1.0, 1.22)),
-    (CollarHamiltonian(G_MODELS["ellipsoid2"]), G_MODELS["ellipsoid2"], (0.88, 1.0, 1.133)),
-], ids=["sphere", "collar"])
-def test_hamiltonian_jacobian_matches_fd(ham, model, scales):
-    # scaled surface points: on the unit-slope stretch and inside both
-    # mollified corners, where the slope itself varies
-    for u in unit_points(2, 3, seed=23):
-        for scale in scales:
-            y = to_real(scale * model.point_on_surface(u))
-            field = fd_jacobian(lambda yy: to_real(ham.field(to_complex(yy))), y, h=1e-4)
-            np.testing.assert_allclose(ham.jacobian(to_complex(y)), field, atol=1e-6)
-
-
 def test_defining_hamiltonian_convex_blends_share_zero_set():
     h0 = SphereHamiltonian()
     h1 = CollarHamiltonian(RoundSphere(2))
@@ -336,32 +319,6 @@ def test_defining_hamiltonian_convex_blends_share_zero_set():
             inside = (1 - sigma) * h0.value(0.9 * z) + sigma * h1.value(0.9 * z)
             outside = (1 - sigma) * h0.value(1.1 * z) + sigma * h1.value(1.1 * z)
             assert inside < 0 < outside
-
-
-# -- reparametrized flows --------------------------------------------------------------
-
-def test_reparametrization_identity_weight():
-    ham = SphereHamiltonian()
-    z = unit_points(2, 1, seed=16)[0]
-    assert reparametrized_flow_check(UniformWeight(), ham, z, 1.0) < 1e-8
-
-
-def test_reparametrization_bump_weight():
-    ham = SphereHamiltonian()
-    chi = BumpWeight(0.1, 0.4)
-    z = unit_points(2, 1, seed=17)[0]
-    assert chi.cumulative(1.0) == pytest.approx(1.0)
-    assert reparametrized_flow_check(chi, ham, z, 1.0) < 1e-6
-
-
-def test_reparametrization_dead_zone_is_constant():
-    ham = SphereHamiltonian()
-    chi = BumpWeight(0.1, 0.4)
-    z = unit_points(2, 1, seed=18)[0]
-    # past the support of the weight the flow sits at the full-time endpoint
-    for t in (0.5, 0.75, 1.0):
-        assert chi.cumulative(t) == pytest.approx(1.0)
-        assert reparametrized_flow_check(chi, ham, z, t) < 1e-6
 
 
 # -- model files -------------------------------------------------------------------

@@ -10,7 +10,6 @@ from reebtwist.lifting import (
     LiftResult,
     QuotientLoop,
     classify_orbit_loop,
-    concatenate_loops,
     lift_loop,
     orbit_separation,
 )
@@ -31,6 +30,13 @@ def reeb_arc(twist, power=1, samples=64, z=None):
 
 def make_loop(samples, twist):
     return QuotientLoop(samples=samples, twist=twist)
+
+
+def join(a, b, twist, power):
+    """Samples of a, then those of b rotated by the power-th twist to start where a ends."""
+    shifted = b * twist.phases(power)[None, :]
+    np.testing.assert_allclose(shifted[0], a[-1], atol=1e-12)
+    return np.concatenate([a, shifted[1:]])
 
 
 def test_constant_loop_has_trivial_deck():
@@ -55,11 +61,11 @@ def test_reeb_arc_detects_generator():
 
 def test_m_fold_concatenation_closes_up():
     twist = RotationTwist(3, (1, 1))
-    arc = make_loop(reeb_arc(twist), twist)
-    loop = arc
-    for _ in range(twist.m - 1):
-        loop = concatenate_loops(loop, arc)
-    result = lift_loop(loop)
+    arc = reeb_arc(twist)
+    samples = arc
+    for power in range(1, twist.m):
+        samples = join(samples, arc, twist, power)
+    result = lift_loop(make_loop(samples, twist))
     # the m-th power of the generator is trivial in the deck group
     assert result.deck == DeckElement(0, 3)
 
@@ -119,11 +125,11 @@ def test_deck_element_independent_of_basepoint():
 
 def test_concatenation_is_homomorphism():
     twist = RotationTwist(5, (1, 1))
-    arc1 = make_loop(reeb_arc(twist, power=1, samples=128), twist)
-    arc2 = make_loop(reeb_arc(twist, power=2, samples=128), twist)
-    d1 = lift_loop(arc1).deck
-    d2 = lift_loop(arc2).deck
-    joined = lift_loop(concatenate_loops(arc1, arc2)).deck
+    arc1 = reeb_arc(twist, power=1, samples=128)
+    arc2 = reeb_arc(twist, power=2, samples=128)
+    d1 = lift_loop(make_loop(arc1, twist)).deck
+    d2 = lift_loop(make_loop(arc2, twist)).deck
+    joined = lift_loop(make_loop(join(arc1, arc2, twist, 1), twist)).deck
     assert joined == d1 + d2
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reebtwist.czindex import cz_index_unitary
+from reebtwist.czindex import UnitaryPath, cz_index_unitary
 from reebtwist.geometry import (
     ConstantProfile,
     EllipsoidProfile,
@@ -19,10 +19,8 @@ from reebtwist.orbits import (
     action,
     analytic_spectrum,
     gradient_residual,
-    hamiltonian_unitary_path,
     loop_action,
     monodromy,
-    monodromy_unitary_path,
     orbit_multiplier,
     orbit_samples,
     shoot_orbit,
@@ -99,8 +97,10 @@ def test_spectrum_consecutive_gap_is_pi():
 
 
 def test_spectrum_csv_mirrors_json_rows():
+    from reebtwist.cli import _render_csv
+
     table = analytic_spectrum(RotationTwist(2, (1, 1)), 2, (0, 2))
-    lines = table.to_csv().strip().splitlines()
+    lines = _render_csv(table.to_json_rows()).strip().splitlines()
     assert lines[0] == "tau,support,dim,index"
     assert len(lines) == 1 + len(table.rows)
     for line, row in zip(lines[1:], table.to_json_rows()):
@@ -108,6 +108,28 @@ def test_spectrum_csv_mirrors_json_rows():
         assert float(tau) == pytest.approx(row["tau"])
         assert [int(s) for s in supp.split(";")] == row["support"]
         assert int(dim) == row["dim"] and int(index) == row["index"]
+
+
+def test_ellipsoid_spectrum_per_coordinate():
+    # coordinate j closes up at pi (m l - k_j) / (m a_j); a = (1, 2.5), m = 2
+    table = analytic_spectrum(RotationTwist(2, (1, 1)), 2, (0, 2), (1.0, 2.5))
+    by_support = {}
+    for row in table.rows:
+        by_support.setdefault(row.support, []).append(row.tau)
+        assert row.dim == 1
+        assert row.index == cz_index_unitary(UnitaryPath.from_rotation_rates(
+            [2 * row.tau, 5 * row.tau]))
+    assert by_support[(1,)] == pytest.approx([-math.pi / 2, math.pi / 2, 3 * math.pi / 2])
+    assert by_support[(2,)] == pytest.approx([-math.pi / 5, math.pi / 5, 3 * math.pi / 5])
+
+
+def test_spectrum_merges_equal_multipliers():
+    # a = (1, 3): tau = pi/2 is branch 1 of coordinate 1 and branch 2 of
+    # coordinate 2, outside the window, which still joins the support
+    table = analytic_spectrum(RotationTwist(2, (1, 1)), 2, (1, 1), (1.0, 3.0))
+    assert table.taus() == pytest.approx([math.pi / 6, math.pi / 2])
+    assert [row.support for row in table.rows] == [(2,), (1, 2)]
+    assert table.rows[1].dim == 3
 
 
 def test_spectrum_errors():
@@ -172,8 +194,6 @@ def test_orbit_invariance_under_time_shift_and_twist():
 def test_concurrent_shooting_sweep_merges_by_multiplier():
     from concurrent.futures import ThreadPoolExecutor
 
-    from reebtwist.orbits import SolverSettings, merge_certified_orbits
-
     twist = RotationTwist(2, (1, 1))
     settings = SolverSettings()
     targets = [orbit_multiplier(2, 1, k) for k in (0, 1, 2)]
@@ -186,8 +206,9 @@ def test_concurrent_shooting_sweep_merges_by_multiplier():
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         orbits = list(pool.map(run, seeds))
-    merged = merge_certified_orbits(orbits, dedup_tol=settings.dedup_tol)
-    assert [o.tau for o in merged] == pytest.approx(targets, abs=1e-8)
+    taus = sorted(o.tau for o in orbits)
+    merged = [t for i, t in enumerate(taus) if i == 0 or t - taus[i - 1] > 1e-6]
+    assert merged == pytest.approx(targets, abs=1e-8)
 
 
 # -- action ---------------------------------------------------------------------
@@ -284,20 +305,6 @@ def test_monodromy_untwisted_closed_orbit_identity():
     report = monodromy(orbit, SPHERE2, twist)
     assert report.tangent_deviation <= 1e-12
     assert report.kernel_dim_tangent == 3
-
-
-def test_hamiltonian_unitary_path_index():
-    # orbit certified on the unit-profile radial model; the linearized
-    # defining-Hamiltonian flow tracks the same rigid rotation
-    from reebtwist.geometry import SphereHamiltonian
-
-    twist = RotationTwist(2, (1, 1))
-    radial = RadialProfile(2, ConstantProfile(1.0))
-    orbit = shoot_orbit(radial, twist, [0.6, 0.8], math.pi / 2 - 0.1)
-    path = hamiltonian_unitary_path(SphereHamiltonian(), orbit.z0, orbit.tau)
-    assert cz_index_unitary(path) == cz_index_unitary(
-        monodromy_unitary_path(orbit.tau, 2))
-    assert cz_index_unitary(path) == 2
 
 
 # -- gradient residual ------------------------------------------------------------
