@@ -1,7 +1,7 @@
 """Twisted Reeb orbit and equivariant GF(2) homology toolkit."""
 
 from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, quotient_by_action, validate
-from .czindex import UnitaryPath, cz_index_unitary, grading, relative_index
+from .czindex import cz_index_unitary, grading, relative_index
 from .f2 import F2Matrix, matmul, nullspace_dim, rank
 from .geometry import (
     RadialProfile,

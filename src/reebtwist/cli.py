@@ -207,12 +207,8 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
 
 _SETTINGS_KEYS = {
     "residual": "residual_tol",
-    "fd_step": "fd_step",
-    "rtol": "rtol",
-    "atol": "atol",
     "tau_travel": "tau_travel_limit",
     "surface": "flow_surface_tol",
-    "dedup": "dedup_tol",
 }
 
 
@@ -221,7 +217,7 @@ def _solver_settings(tols: dict[str, float]) -> SolverSettings:
     for name, value in tols.items():
         if name in _SETTINGS_KEYS:
             kwargs[_SETTINGS_KEYS[name]] = value
-        elif name not in ("lift_match", "kernel"):
+        elif name != "lift_match":
             raise ConfigError(f"unknown tolerance name {name!r}")
     return dataclasses.replace(SolverSettings(), **kwargs)
 
@@ -229,7 +225,6 @@ def _solver_settings(tols: dict[str, float]) -> SolverSettings:
 def _effective_tolerances(settings: SolverSettings, tols: dict) -> dict:
     eff = {name: getattr(settings, field) for name, field in _SETTINGS_KEYS.items()}
     eff["lift_match"] = tols.get("lift_match", 1e-6)
-    eff["kernel"] = tols.get("kernel", 1e-6)
     return eff
 
 

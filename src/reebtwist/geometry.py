@@ -9,20 +9,19 @@ with its real gradient and Hessian: a = 1 for the round sphere, 1/rho^2 for
 a constant profile rho, the coefficients of an ellipsoid.  Everything else
 is derived from G once: the surface row G - 1, the Reeb field X_G (the
 symplectic dual of dG, with lambda(X_G) = G by Euler's identity), its
-Jacobian, and the collar coordinate log G of the default defining
-Hamiltonian.  X_G = -2i a z is linear, so every model's Reeb flow is
-z_j -> e^{-2i a_j t} z_j in closed form, on and off the hypersurface.  The
-one adaptive Runge-Kutta entry point ``integrate`` serves only the
-variational equation of the Reeb field, the numeric check of the closed-form
-return map.
+Jacobian, the radial point u / sqrt(G(u)) on the hypersurface, and the
+collar coordinate log G of the one defining Hamiltonian.  X_G = -2i a z is
+linear, so every model's Reeb flow is z_j -> e^{-2i a_j t} z_j in closed
+form, on and off the hypersurface, and G is invariant under every rotation
+twist.  The one adaptive Runge-Kutta entry point ``integrate`` serves only
+the variational equation of the Reeb field, the numeric check of the
+closed-form return map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -179,10 +178,6 @@ def _dual_rows(hess: np.ndarray) -> np.ndarray:
 class ConstantProfile:
     value: float = 1.0
 
-    def __call__(self, u: np.ndarray):
-        u = np.asarray(u, dtype=complex)
-        return np.full(u.shape[:-1], self.value) if u.ndim > 1 else self.value
-
     def quadric(self, n: int) -> np.ndarray:
         """Coefficients a_j of G = sum_j a_j |z^j|^2 cutting out this sphere."""
         return np.full(n, self.value ** -2.0)
@@ -194,11 +189,6 @@ class EllipsoidProfile:
 
     coefficients: tuple[float, ...]
 
-    def __call__(self, u: np.ndarray):
-        a = np.asarray(self.coefficients)
-        quad = np.sum(a * np.abs(np.asarray(u, dtype=complex)) ** 2, axis=-1)
-        return quad ** -0.5
-
     def quadric(self, n: int) -> np.ndarray:
         return np.asarray(self.coefficients, dtype=float)
 
@@ -207,12 +197,22 @@ class StarShapedModel:
     """The hypersurface G = 1 of the diagonal quadric G = sum_j a_j |z^j|^2.
 
     A model supplies a = ``coefficients()``.  G (``defining_function``), its
-    real gradient and Hessian, the Reeb field, its flow and the twisted
-    return map are all closed-form expressions in a.
+    real gradient and Hessian, the radial surface point, the Reeb field, its
+    flow and the twisted return map are all closed-form expressions in a.
     """
 
     def defining_function(self, z) -> float:
         return float(np.sum(self.coefficients() * np.abs(z) ** 2))
+
+    def point_on_surface(self, direction) -> np.ndarray:
+        """The hypersurface point u / sqrt(G(u)) on the ray of u = direction / |direction|."""
+        u, _ = normalize_to_sphere(direction)
+        return u / math.sqrt(self.defining_function(u))
+
+    def surface_error(self, z) -> float:
+        """Radial distance | |z| - |z| / sqrt(G(z)) | from z to the hypersurface."""
+        norm = float(np.linalg.norm(as_complex_vector(z)))
+        return abs(norm - norm / math.sqrt(self.defining_function(z)))
 
     def gradient(self, z) -> np.ndarray:
         return 2.0 * np.repeat(self.coefficients(), 2) * to_real(z)
@@ -240,9 +240,6 @@ class StarShapedModel:
         """Complex differential of the twisted return map: diag(e^{2i a tau}) times the twist."""
         return np.diag(np.exp(2j * tau * self.coefficients()) * twist.phases())
 
-    def defining_hamiltonian(self):
-        return CollarHamiltonian(self)
-
 
 # perfbench/spans.py wraps ``reeb_field`` in the body of each model class, so the
 # subclasses bind the shared method under their own name.
@@ -259,63 +256,22 @@ class RoundSphere(StarShapedModel):
     def coefficients(self) -> np.ndarray:
         return np.ones(self.n)
 
-    def surface_error(self, z) -> float:
-        return abs(float(np.linalg.norm(as_complex_vector(z))) - 1.0)
-
-    def point_on_surface(self, direction) -> np.ndarray:
-        u, _ = normalize_to_sphere(direction)
-        return u
-
-    def defining_hamiltonian(self):
-        return SphereHamiltonian()
-
 
 @dataclass(frozen=True)
 class RadialProfile(StarShapedModel):
-    """Star-shaped hypersurface |z| = rho(z/|z|) for a positive profile rho.
+    """Star-shaped hypersurface |z| = rho(z/|z|) of a constant or ellipsoid profile.
 
-    The constant and ellipsoid profiles give G = |z|^2 / rho(z/|z|)^2 in
-    closed form; a bare callable profile still has ``radius`` and
-    ``check_invariance`` but no defining function, hence no Reeb field.
+    Both give G = |z|^2 / rho(z/|z|)^2 as a diagonal quadric in closed form.
     """
 
     n: int
-    profile: Callable[[np.ndarray], float]
-    invariant: bool = True
+    profile: ConstantProfile | EllipsoidProfile
     kind: str = "radial_profile"
 
     reeb_field = StarShapedModel.reeb_field
 
     def coefficients(self) -> np.ndarray:
-        try:
-            return self.profile.quadric(self.n)
-        except AttributeError:
-            raise TypeError("profile has no closed-form defining function") from None
-
-    def radius(self, direction) -> float:
-        u, _ = normalize_to_sphere(direction)
-        r = float(self.profile(u))
-        if not (r > 0.0 and np.isfinite(r)):
-            raise ValueError("profile must be positive and finite")
-        return r
-
-    def surface_error(self, z) -> float:
-        z = as_complex_vector(z)
-        return abs(float(np.linalg.norm(z)) - self.radius(z))
-
-    def point_on_surface(self, direction) -> np.ndarray:
-        u, _ = normalize_to_sphere(direction)
-        return self.radius(u) * u
-
-    def check_invariance(self, twist: RotationTwist, samples: int = 64,
-                         tol: float = 1e-9, seed: int = 0) -> None:
-        """Sample-test rho(phi(u)) = rho(u); raises ValueError on failure."""
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            u = rng.normal(size=self.n) + 1j * rng.normal(size=self.n)
-            u /= np.linalg.norm(u)
-            if abs(self.profile(twist.apply(u)) - self.profile(u)) > tol:
-                raise ValueError("profile is not invariant under the twist")
+        return self.profile.quadric(self.n)
 
 
 # -- Reeb flow ------------------------------------------------------------------
@@ -402,40 +358,13 @@ def _mollified_clamp(r: float, lo_corner: float, hi_corner: float,
 
 
 @dataclass(frozen=True)
-class SphereHamiltonian:
-    """Defining Hamiltonian (beta(|z|^2) - 1)/2 for the unit sphere.
-
-    beta is a mollified ramp in r = |z|^2: constant below 1/2 - eps and
-    above 3/2 + eps, passing through beta(1) = 1 with slope 2 on the middle
-    stretch.  The slope normalization makes the Hamiltonian vector field
-    restrict to the Reeb field on the sphere; the zero set is exactly
-    |z| = 1 and dH has compact support.
-    """
-
-    eps: float = 0.05
-
-    def _ramp(self, r: float) -> tuple[float, float]:
-        return _mollified_clamp(r, 0.5, 1.5, self.eps)
-
-    def beta(self, r: float) -> float:
-        return 2.0 * self._ramp(r)[0] + 1.0
-
-    def value(self, z) -> float:
-        z = as_complex_vector(z)
-        return (self.beta(float(np.sum(np.abs(z) ** 2))) - 1.0) / 2.0
-
-    def field(self, z) -> np.ndarray:
-        z = as_complex_vector(z)
-        return -2j * self._ramp(float(np.sum(np.abs(z) ** 2)))[1] * z
-
-
-@dataclass(frozen=True)
 class CollarHamiltonian:
     """Defining Hamiltonian built in the scaling-flow collar coordinate log G.
 
     log G vanishes on the hypersurface; the Hamiltonian is a mollified clamp
     of it to [-width/2, width/2].  Its field slope * X_G / G restricts to the
-    Reeb field on the hypersurface.
+    Reeb field on the hypersurface (-2i z on the unit sphere), and dH has
+    compact support.
     """
 
     model: StarShapedModel
@@ -457,15 +386,19 @@ class CollarHamiltonian:
 
 # -- model description files ------------------------------------------------------
 
-_PROFILES = {
-    "constant": lambda spec: ConstantProfile(value=float(spec.get("value", 1.0))),
-    "ellipsoid": lambda spec: EllipsoidProfile(
-        coefficients=tuple(float(c) for c in spec["coefficients"])),
-}
+def _positive(value, what: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    return value
 
 
 def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
-    """Build (model, twist) from a JSON model description dict."""
+    """Build (model, twist) from a JSON model description dict.
+
+    A profile must make G positive definite: a constant profile value, or
+    exactly n ellipsoid coefficients, all finite and positive.
+    """
     kind = spec.get("kind")
     n = int(spec["n"])
     twist = None
@@ -479,12 +412,15 @@ def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
     if kind == "radial_profile":
         pspec = spec.get("profile", {"type": "constant"})
         ptype = pspec.get("type")
-        if ptype not in _PROFILES:
+        if ptype == "constant":
+            profile = ConstantProfile(_positive(pspec.get("value", 1.0), "profile value"))
+        elif ptype == "ellipsoid":
+            coeffs = tuple(_positive(c, "ellipsoid coefficient")
+                           for c in pspec["coefficients"])
+            if len(coeffs) != n:
+                raise ValueError(f"need {n} ellipsoid coefficients, got {len(coeffs)}")
+            profile = EllipsoidProfile(coeffs)
+        else:
             raise ValueError(f"unknown profile type {ptype!r}")
-        profile = _PROFILES[ptype](pspec)
-        model = RadialProfile(n=n, profile=profile,
-                              invariant=bool(pspec.get("invariant", True)))
-        if twist is not None and model.invariant:
-            model.check_invariance(twist)
-        return model, twist
+        return RadialProfile(n=n, profile=profile), twist
     raise ValueError(f"unknown model kind {kind!r}")

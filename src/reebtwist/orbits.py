@@ -4,9 +4,11 @@ Twisted periodic Reeb orbits and their certificates.
 An orbit is a pair (z0, tau) whose time-one Reeb flow at speed tau lands on
 the rotated start point.  On the quadric G = sum_j a_j |z^j|^2 the
 multipliers of coordinate j form an arithmetic progression fixed by its
-exponent class and a_j; orbits are certified by damped Gauss-Newton
-shooting on the residual of the closed-form flow.  Certification data: the
-twist residual, the period-action identity, and the linearized return map.
+exponent class and a_j, and an orbit's index is the closed-form index of
+the rotation rates 2 tau a_j.  Orbits are certified by damped Gauss-Newton
+shooting on the residual of the closed-form flow, with its Jacobian in
+closed form too.  Certification data: the twist residual, the period-action
+identity, and the linearized return map.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .czindex import UnitaryPath, cz_index_unitary
+from .czindex import cz_index_unitary
 from .geometry import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
+    CollarHamiltonian,
     RotationTwist,
     StarShapedModel,
     as_complex_vector,
@@ -52,13 +55,9 @@ class TwistBoundaryError(Exception):
 class SolverSettings:
     residual_tol: float = 1e-8
     max_iterations: int = 50
-    fd_step: float = 1e-6
     max_damping_halvings: int = 8
     tau_travel_limit: float = 0.5   # certified orbit must stay near the seed
-    flow_surface_tol: float = 1e-3  # slack for finite-difference probe points
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
-    dedup_tol: float = 1e-6
+    flow_surface_tol: float = 1e-3  # surface check of certified and sampled orbit points
 
 
 @dataclass(frozen=True)
@@ -113,15 +112,14 @@ def orbit_multiplier(m: int, residue: int, branch: int) -> float:
     return math.pi * (m * branch - residue) / m
 
 
-def monodromy_unitary_path(tau: float, n: int) -> UnitaryPath:
-    """Linearized-flow path of a sphere orbit: rigid rotation at rate 2 tau."""
-    return UnitaryPath.from_rotation_rates([2.0 * tau] * n)
+def monodromy_unitary_path(tau: float, n: int) -> np.ndarray:
+    """Rotation rates of a sphere orbit's linearized flow: 2 tau on every line."""
+    return np.full(n, 2.0 * tau)
 
 
 def orbit_index(tau: float, coefficients) -> int:
     """Index of an orbit on the quadric with coefficients a: rates 2 tau a_j."""
-    return cz_index_unitary(
-        UnitaryPath.from_rotation_rates(2.0 * tau * np.asarray(coefficients)))
+    return cz_index_unitary(2.0 * tau * np.asarray(coefficients, dtype=float))
 
 
 def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
@@ -172,6 +170,50 @@ def _component_id(twist: RotationTwist, support: tuple[int, ...], tau: float) ->
     return f"supp({supp})|mixed"
 
 
+def _complex_to_real_matrix(mc: np.ndarray) -> np.ndarray:
+    """Real 2n x 2n representation of a complex-linear map on interleaved coords."""
+    n = mc.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    a, b = mc.real, mc.imag
+    out[0::2, 0::2] = a
+    out[0::2, 1::2] = -b
+    out[1::2, 0::2] = b
+    out[1::2, 1::2] = a
+    return out
+
+
+def _shooting_residual(model, twist, z_seed, section, u: np.ndarray) -> np.ndarray:
+    """Twist residual flow_tau(z) - phi(z), surface row G - 1, section row at the seed."""
+    n2 = u.size - 1
+    z = to_complex(u[:n2])
+    # iterates may sit off the surface; the surface row pulls them back
+    flow = reeb_flow(z, float(u[n2]), model, surface_tol=np.inf)
+    rv = np.empty(n2 + 2)
+    rv[:n2] = to_real(flow - twist.apply(z))
+    rv[n2] = model.surface_row(z)
+    rv[n2 + 1] = float(np.dot(to_real(z) - to_real(z_seed), section))
+    return rv
+
+
+def _shooting_jacobian(model, twist, section, u: np.ndarray) -> np.ndarray:
+    """Closed-form Jacobian of ``_shooting_residual`` in (z, tau).
+
+    The flow rows are diag(e^{-2i a tau} - phases) in z and -2i a e^{-2i a tau} z
+    in tau; the surface row is dG and the section row the section, both
+    constant in tau.
+    """
+    n2 = u.size - 1
+    z = to_complex(u[:n2])
+    a = model.coefficients()
+    rotation = np.exp(-2j * a * float(u[n2]))
+    jac = np.zeros((n2 + 2, n2 + 1))
+    jac[:n2, :n2] = _complex_to_real_matrix(np.diag(rotation - twist.phases()))
+    jac[:n2, n2] = to_real(-2j * a * rotation * z)
+    jac[n2, :n2] = model.gradient(z)
+    jac[n2 + 1, :n2] = section
+    return jac
+
+
 def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: float,
                 settings: SolverSettings = SolverSettings()) -> TwistedOrbit:
     """Damped Gauss-Newton on the twist residual, gauge-fixed at the seed.
@@ -182,32 +224,15 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
     The solver certifies the orbit nearest the seed: steps are rejected when
     the residual fails to decrease under damping, and multipliers wandering
     beyond ``tau_travel_limit`` from the seed abort with a diagnostic
-    instead of certifying a different branch.  The Newton Jacobian is a
-    forward difference of step ``fd_step``: 2n+1 closed-form flows.
+    instead of certifying a different branch.  The Newton Jacobian is the
+    closed form of ``_shooting_jacobian``, so a step costs one flow.
     """
     z_seed = model.point_on_surface(as_complex_vector(seed_z))
     section = to_real(model.reeb_field(z_seed))
     n2 = 2 * z_seed.size
 
     def residual_vec(u: np.ndarray) -> np.ndarray:
-        z = to_complex(u[:n2])
-        tau = float(u[n2])
-        # iterates may sit off the surface; the constraint row pulls them back
-        flow = reeb_flow(z, tau, model, surface_tol=np.inf)
-        rv = np.empty(n2 + 2)
-        rv[:n2] = to_real(flow - twist.apply(z))
-        rv[n2] = model.surface_row(z)
-        rv[n2 + 1] = float(np.dot(to_real(z) - to_real(z_seed), section))
-        return rv
-
-    def jacobian(u: np.ndarray, r0: np.ndarray) -> np.ndarray:
-        h = settings.fd_step
-        cols = []
-        for i in range(u.size):
-            up = u.copy()
-            up[i] += h
-            cols.append((residual_vec(up) - r0) / h)
-        return np.stack(cols, axis=1)
+        return _shooting_residual(model, twist, z_seed, section, u)
 
     u = np.concatenate([to_real(z_seed), [float(seed_tau)]])
     r = residual_vec(u)
@@ -215,7 +240,7 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
     for iteration in range(settings.max_iterations):
         if float(np.max(np.abs(r))) <= settings.residual_tol:
             return _certify(model, twist, u, settings)
-        jac = jacobian(u, r)
+        jac = _shooting_jacobian(model, twist, section, u)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         for _ in range(settings.max_damping_halvings + 1):
@@ -258,19 +283,7 @@ def _certify(model, twist, u: np.ndarray, settings: SolverSettings) -> TwistedOr
 
 # -- linearized flows ----------------------------------------------------------------
 
-def _complex_to_real_matrix(mc: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n representation of a complex-linear map on interleaved coords."""
-    n = mc.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    a, b = mc.real, mc.imag
-    out[0::2, 0::2] = a
-    out[0::2, 1::2] = -b
-    out[1::2, 0::2] = b
-    out[1::2, 1::2] = a
-    return out
-
-
-def _variational_flow(model, z, t: float, settings: SolverSettings) -> np.ndarray:
+def _variational_flow(model, z, t: float) -> np.ndarray:
     """Differential of the time-t Reeb flow at z, as a real 2n x 2n matrix.
 
     Integrates y' = X(y), M' = DX(y) M from (z, identity) (Hairer-Norsett-
@@ -288,13 +301,12 @@ def _variational_flow(model, z, t: float, settings: SolverSettings) -> np.ndarra
                                (model.field_jacobian(y) @ mat).ravel()])
 
     y0 = np.concatenate([to_real(z), np.eye(n2).ravel()])
-    sol = integrate(rhs, t, y0, settings.rtol, settings.atol)
+    sol = integrate(rhs, t, y0, DEFAULT_RTOL, DEFAULT_ATOL)
     return np.ascontiguousarray(sol.y[n2:, -1]).reshape(n2, n2)
 
 
 def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
-                              tau: float, method: str = "auto",
-                              settings: SolverSettings = SolverSettings()) -> np.ndarray:
+                              tau: float, method: str = "auto") -> np.ndarray:
     """Differential of (backward time-tau Reeb flow) composed after the twist.
 
     At a certified orbit point this is the linearized return map whose
@@ -304,7 +316,7 @@ def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
     """
     if method != "variational":
         return _complex_to_real_matrix(model.return_map(twist, tau))
-    back_map = _variational_flow(model, twist.apply(z), -tau, settings)
+    back_map = _variational_flow(model, twist.apply(z), -tau)
     return back_map @ _complex_to_real_matrix(np.diag(twist.phases()))
 
 
@@ -338,16 +350,14 @@ def _restricted_kernel_dim(mat: np.ndarray, basis: np.ndarray,
 
 
 def monodromy(orbit: TwistedOrbit, model: StarShapedModel, twist: RotationTwist,
-              method: str = "auto", kernel_tol: float = 1e-6,
-              settings: SolverSettings = SolverSettings()) -> MonodromyReport:
+              method: str = "auto", kernel_tol: float = 1e-6) -> MonodromyReport:
     """Linearized return map at the orbit base point with kernel dimensions.
 
     Reports dim ker(M - I) restricted to the full tangent space and to the
     contact hyperplane, plus the operator norm of (M - I) on the tangent
     space (zero for fully degenerate critical components).
     """
-    mat = twist_return_differential(model, twist, orbit.z0, orbit.tau,
-                                    method=method, settings=settings)
+    mat = twist_return_differential(model, twist, orbit.z0, orbit.tau, method=method)
     gap = mat - np.eye(mat.shape[0])
     tangent, contact = _tangent_frames(model, orbit.z0)
     dim_t, dev = _restricted_kernel_dim(gap, tangent, kernel_tol)
@@ -401,7 +411,7 @@ def gradient_residual(loop: np.ndarray, tau: float, model: StarShapedModel,
         raise TwistBoundaryError(
             f"loop end differs from the rotated start by {mismatch:.3e}")
     if hamiltonian is None:
-        hamiltonian = model.defining_hamiltonian()
+        hamiltonian = CollarHamiltonian(model)
 
     dt = 1.0 / count
     velocity = np.empty((count, pts.shape[1]), dtype=complex)

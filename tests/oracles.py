@@ -4,7 +4,7 @@ Everything here avoids the library's own computational paths: rank by
 row-span enumeration, homology by exhaustive cycle/boundary counting,
 spectra by residual scans on a parameter grid, derivatives by central
 differences, flows by scipy's RK45 on the analytic field, rotation indices
-by their closed form.
+by their closed form, profile radii from the model file's profile spec.
 """
 
 from __future__ import annotations
@@ -218,3 +218,17 @@ def rotation_index(theta: float, tol: float = 1e-9) -> int:
     if abs(theta - 2 * math.pi * turns) <= tol:
         return 2 * turns
     return 2 * math.floor(theta / (2 * math.pi)) + 1
+
+
+def profile_radius(profile: dict | None, z: np.ndarray) -> float:
+    """rho(z/|z|) of a model file's profile spec; None is the unit sphere.
+
+    The radius formula of each profile type, independent of the model's
+    quadric coefficients.
+    """
+    if profile is None:
+        return 1.0
+    if profile["type"] == "constant":
+        return float(profile["value"])
+    u = np.asarray(z, dtype=complex) / np.linalg.norm(z)
+    return float(np.sum(np.asarray(profile["coefficients"]) * np.abs(u) ** 2)) ** -0.5

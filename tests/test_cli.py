@@ -234,17 +234,6 @@ def in_progression(tau_a, m, k):
     return abs(x - m * round(x / m)) <= 1e-9 * m
 
 
-def test_loose_rtol_certifies_without_drift_check(capsys, tmp_path):
-    # rtol 1e-6 once let the integrated ellipsoid flow drift off the level set
-    # and exit 3; the flow is closed form now and no command reads rtol/atol
-    path = write_model(tmp_path, 2, (1, 1),
-                       {"type": "ellipsoid", "coefficients": [1.0, 1.3]})
-    payload = run_json(capsys, "certify", "--model", path, "--tol", "rtol=1e-6",
-                       "--tol", "atol=1e-8", "--tol", "residual=1e-4")
-    assert in_progression(payload["data"]["orbit"]["tau"], 2, 1)   # a_1 = 1
-    assert payload["meta"]["tolerances"]["rtol"] == 1e-6
-
-
 def test_certify_seeds_with_the_twists_residue(capsys):
     # k = (2, 2) has no exponent in class 1; seeding with residue 1 left the
     # multiplier trust interval and cz-index printed the class-1 multipliers
@@ -268,16 +257,65 @@ def test_certify_index_from_the_model(capsys, tmp_path):
     assert data["index"] == rotation_index(2 * tau) + rotation_index(5 * tau) == 4
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="known defect: the forward-difference surface row gives a "
-                          "coordinate at zero a spurious slope a_j * fd_step")
-def test_resonant_seed_stalls(capsys, tmp_path):
+def test_resonant_seed_converges(capsys, tmp_path):
     # seeded at tau = -pi/2, coordinate 2 (a_2 = 1, same class as k_1) is
-    # resonant, its flow block vanishes, and Newton's step in z_2 is huge
+    # resonant and its flow block vanishes; the forward-difference surface
+    # row once gave its columns a spurious slope, and damping stalled
     path = write_model(tmp_path, 2, (1, 1),
                        {"type": "ellipsoid", "coefficients": [1.001, 1.0]})
     data = run_json(capsys, "orbit", "--model", path, "--tau=-1.5707963267948966")["data"]
+    assert data["orbit"]["residual"] <= 1e-8
+    data = run_json(capsys, "orbit", "--model", path, "--tau=-1.5707963267948966",
+                    "--tol", "residual=1e-12")["data"]
     assert data["orbit"]["tau"] == pytest.approx(-math.pi / 2 / 1.001, abs=1e-9)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 5), st.integers(2, 3), st.integers(-1, 2),
+       st.floats(-8.0, -3.0), st.sampled_from([-1.0, 1.0]))
+def test_resonant_seeds_converge(capsys, tmp_path, m, n, branch, log_eps, sign):
+    # a_1 = 1 + eps: seeded at the sphere's multiplier, every other coordinate
+    # of the class is exactly resonant
+    a = [1.0 + sign * 10.0 ** log_eps] + [1.0] * (n - 1)
+    path = write_model(tmp_path, m, [1] * n, {"type": "ellipsoid", "coefficients": a})
+    seed = math.pi * (m * branch - 1) / m
+    data = run_json(capsys, "orbit", "--model", path, f"--tau={seed!r}")["data"]
+    assert data["orbit"]["residual"] <= 1e-8
+    assert data["orbit"]["tau"] * a[0] == pytest.approx(seed, abs=1e-6)
+
+
+@pytest.mark.parametrize("profile", [
+    {"type": "constant", "value": 0},
+    {"type": "constant", "value": -0.7},
+    {"type": "ellipsoid", "coefficients": [1, -1]},
+    {"type": "ellipsoid", "coefficients": [1, 0]},
+    {"type": "ellipsoid", "coefficients": [1]},
+    {"type": "ellipsoid", "coefficients": [1, "inf"]},
+], ids=["value0", "value-0.7", "coeffs1,-1", "coeffs1,0", "coeffs1", "coeffs1,inf"])
+@pytest.mark.parametrize("command", ["certify", "spectrum", "cz-index"])
+def test_malformed_model_file_rejected(capsys, tmp_path, profile, command):
+    # each once crashed with a traceback or printed a result
+    path = write_model(tmp_path, 2, (1, 1), profile)
+    code, out, err = run(capsys, command, "--model", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cz_index_at_a_huge_branch(capsys):
+    # the index once came from about 4 |branch| stored angle samples per line
+    rows = run_json(capsys, "cz-index", "--m", "2", "--k", "1,1", "--n", "2",
+                    "--window", "10000000:10000000")["data"]["rows"]
+    assert rows == [{"k": 10000000, "tau": pytest.approx(math.pi * 19999999 / 2),
+                     "index": 4 * 10000000 - 2}]
+
+
+@pytest.mark.parametrize("name", ["rtol", "atol", "fd_step", "dedup", "kernel"])
+def test_removed_tolerance_names_rejected(capsys, name):
+    code, out, err = run(capsys, "spectrum", "--m", "2", "--k", "1,1", "--n", "2",
+                         "--tol", f"{name}=1e-6")
+    assert code == 2 and out == ""
+    assert f"unknown tolerance name {name!r}" in err
 
 
 @pytest.mark.parametrize("profile, a", [
@@ -352,10 +390,10 @@ def test_config_keys_apply_over_defaults(capsys, tmp_path):
 def test_config_tolerances_merge_with_flags(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"m": 2, "k": [1, 1], "n": 2,
-                               "tol": ["residual=1e-10", "fd_step=1e-7"]}))
+                               "tol": ["residual=1e-10", "surface=1e-4"]}))
     tols = run_json(capsys, "spectrum", "--config", str(cfg),
                     "--tol", "residual=1e-9")["meta"]["tolerances"]
-    assert tols["residual"] == 1e-9 and tols["fd_step"] == 1e-7
+    assert tols["residual"] == 1e-9 and tols["surface"] == 1e-4
 
 
 def test_config_values_pass_flag_validation(capsys, tmp_path):

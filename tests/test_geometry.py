@@ -12,7 +12,6 @@ from reebtwist.geometry import (
     RadialProfile,
     RotationTwist,
     RoundSphere,
-    SphereHamiltonian,
     integrate,
     liouville_form_eval,
     load_model,
@@ -24,7 +23,7 @@ from reebtwist.geometry import (
     to_real,
 )
 
-from oracles import fd_gradient, fd_jacobian, rk45_flow
+from oracles import fd_gradient, fd_jacobian, profile_radius, rk45_flow
 
 
 def unit_points(n, count, seed=0):
@@ -147,17 +146,15 @@ def test_integrator_failure_raises_drift_error():
 
 # -- the defining function G and what is derived from it ----------------------------
 
-G_MODELS = {"sphere2": RoundSphere(2), "sphere3": RoundSphere(3),
-            "constant": RadialProfile(2, ConstantProfile(1.3)),
-            "ellipsoid2": RadialProfile(2, EllipsoidProfile((1.0, 1.3))),
-            "ellipsoid3": RadialProfile(3, EllipsoidProfile((1.0, 1.2, 1.5)))}
-
-
-def _profile_defining_value(model, y):
-    """|z|^2 - rho(z/|z|)^2 from the radius profile alone, never from G."""
-    z = to_complex(y)
-    rho = model.radius(z) if isinstance(model, RadialProfile) else 1.0
-    return float(np.sum(np.abs(z) ** 2)) - rho ** 2
+G_SPECS = {"sphere2": {"kind": "round_sphere", "n": 2},
+           "sphere3": {"kind": "round_sphere", "n": 3},
+           "constant": {"kind": "radial_profile", "n": 2,
+                        "profile": {"type": "constant", "value": 1.3}},
+           "ellipsoid2": {"kind": "radial_profile", "n": 2,
+                          "profile": {"type": "ellipsoid", "coefficients": [1.0, 1.3]}},
+           "ellipsoid3": {"kind": "radial_profile", "n": 3,
+                          "profile": {"type": "ellipsoid", "coefficients": [1.0, 1.2, 1.5]}}}
+G_MODELS = {name: load_model(spec)[0] for name, spec in G_SPECS.items()}
 
 
 @pytest.mark.parametrize("model", G_MODELS.values(), ids=G_MODELS.keys())
@@ -179,11 +176,27 @@ def test_defining_function_derivatives_match_fd(model):
 
 
 @pytest.mark.parametrize("model", G_MODELS.values(), ids=G_MODELS.keys())
-def test_reeb_field_matches_fd_of_profile(model):
-    # X_F / lambda(X_F) for F = |z|^2 - rho^2 is the Reeb field on the surface
+def test_surface_error_is_radial_distance(model):
+    p = model.point_on_surface(unit_points(model.n, 1, seed=17)[0])
+    for scale in (0.5, 1.0, 1.7):
+        assert model.surface_error(scale * p) == pytest.approx(
+            abs(scale - 1.0) * np.linalg.norm(p), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", G_SPECS)
+def test_reeb_field_matches_fd_of_profile(name):
+    # X_F / lambda(X_F) for F = |z|^2 - rho(z/|z|)^2 is the Reeb field on the
+    # surface; rho comes from the model file's profile, never from G
+    model, profile = G_MODELS[name], G_SPECS[name].get("profile")
+
+    def f(y):
+        z = to_complex(y)
+        return float(np.sum(np.abs(z) ** 2)) - profile_radius(profile, z) ** 2
+
     for u in unit_points(model.n, 5, seed=22):
         z = model.point_on_surface(u)
-        grad = fd_gradient(lambda yy: _profile_defining_value(model, yy), to_real(z))
+        assert abs(f(to_real(z))) < 1e-12
+        grad = fd_gradient(f, to_real(z))
         x_f = grad[1::2] - 1j * grad[0::2]
         expected = x_f / liouville_form_eval(z, x_f)
         np.testing.assert_allclose(model.reeb_field(z), expected, atol=1e-8)
@@ -198,13 +211,6 @@ def test_reeb_flow_matches_rk45_of_field(model):
     times = np.array([-2.3, -0.4, 0.0, 0.7, 3.1])
     expected = rk45_flow(model.reeb_field, z, times)
     np.testing.assert_allclose(reeb_flow_samples(z, times, model), expected, atol=1e-9)
-
-
-def test_bare_callable_profile_has_no_reeb_field():
-    model = RadialProfile(2, lambda u: 1.0)
-    assert model.radius([2.0, 0.0]) == 1.0
-    with pytest.raises(TypeError, match="defining function"):
-        model.reeb_field([1.0, 0.0])
 
 
 # -- normalization ----------------------------------------------------------------
@@ -273,26 +279,27 @@ def test_twist_congruence_classes():
 # -- defining Hamiltonians ----------------------------------------------------------
 
 def test_sphere_hamiltonian_zero_set_and_plateaus():
-    ham = SphereHamiltonian()
+    # the sphere's defining Hamiltonian clamps log |z|^2 to [-1/4, 1/4]
+    ham = CollarHamiltonian(RoundSphere(2))
     for z in unit_points(2, 5, seed=11):
         assert ham.value(z) == pytest.approx(0.0, abs=1e-14)
-    assert ham.value([0.1 + 0j, 0j]) == pytest.approx(-0.5)
-    assert ham.value([3.0 + 0j, 0j]) == pytest.approx(0.5)
-    assert ham.beta(1.0) == pytest.approx(1.0)
+    assert ham.value([0.1 + 0j, 0j]) == pytest.approx(-0.25)
+    assert ham.value([3.0 + 0j, 0j]) == pytest.approx(0.25)
+    assert ham.value([1.05 + 0j, 0j]) == pytest.approx(math.log(1.05 ** 2))
     # dH vanishes on both plateaus
     assert np.all(ham.field([0.1 + 0j, 0j]) == 0)
     assert np.all(ham.field([3.0 + 0j, 0j]) == 0)
 
 
 def test_sphere_hamiltonian_field_is_reeb_on_surface():
-    ham = SphereHamiltonian()
+    ham = CollarHamiltonian(RoundSphere(3))
     for z in unit_points(3, 5, seed=12):
         np.testing.assert_allclose(ham.field(z), reeb_field(z), atol=1e-14)
 
 
 def test_sphere_hamiltonian_twist_invariance():
     # H depends on |z|^2 only; rotation changes it at the rounding level
-    ham = SphereHamiltonian()
+    ham = CollarHamiltonian(RoundSphere(2))
     twist = RotationTwist(3, (1, 2))
     rng = np.random.default_rng(13)
     for _ in range(5):
@@ -309,7 +316,7 @@ def test_collar_hamiltonian_matches_reeb_on_surface():
 
 
 def test_defining_hamiltonian_convex_blends_share_zero_set():
-    h0 = SphereHamiltonian()
+    h0 = CollarHamiltonian(RoundSphere(2), width=1.0, eps=0.1)
     h1 = CollarHamiltonian(RoundSphere(2))
     pts = unit_points(2, 6, seed=15)
     for sigma in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -331,11 +338,15 @@ def test_load_round_sphere_model():
 
 
 def test_load_radial_model_checks_invariance():
+    # a diagonal quadric is invariant under every rotation twist by construction
     spec = {"kind": "radial_profile", "n": 2,
-            "twist": {"m": 2, "k": [1, 1]},
+            "twist": {"m": 4, "k": [1, 3]},
             "profile": {"type": "ellipsoid", "coefficients": [1.0, 1.4]}}
-    model, _ = load_model(spec)
+    model, twist = load_model(spec)
     assert isinstance(model, RadialProfile)
+    for z in unit_points(2, 5, seed=16):
+        assert model.defining_function(twist.apply(z)) == pytest.approx(
+            model.defining_function(z), rel=1e-14)
 
 
 def test_load_model_rejects_unknown():
@@ -343,10 +354,3 @@ def test_load_model_rejects_unknown():
         load_model({"kind": "torus", "n": 2})
     with pytest.raises(ValueError):
         load_model({"kind": "radial_profile", "n": 2, "profile": {"type": "wavy"}})
-
-
-def test_non_invariant_profile_rejected():
-    # Re(u_0)^2 survives z -> -z but not a quarter turn
-    model = RadialProfile(2, lambda u: 1.0 + 0.1 * float(np.real(u[..., 0]) ** 2))
-    with pytest.raises(ValueError, match="not invariant"):
-        model.check_invariance(RotationTwist(4, (1, 1)))

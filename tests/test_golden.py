@@ -1,7 +1,13 @@
 """Byte-for-byte CLI output on the round sphere, pinned to JSON files.
 
-The files in ``tests/golden/`` were captured before the star-shaped model
-protocol replaced the sphere's special cases.  The commands are the README
+The files in ``tests/golden/`` were first captured before the star-shaped
+model protocol replaced the sphere's special cases.  They were re-captured
+once, when the shooting's forward-difference Newton Jacobian gave way to
+its closed form and five unused tolerance names left ``meta.tolerances``:
+nine files lost only those five keys, and the floats of ``orbit``,
+``orbit_off_axis``, ``action`` and ``action_off_axis`` moved by at most
+6.4e-12, except the sphere orbit's stopping noise in z0 (about 2.5e-9 off
+the exact orbit before, below 1e-18 after).  The commands are the README
 examples plus off-axis seeds, higher pearls and mixed exponent classes.
 """
 

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from reebtwist.czindex import UnitaryPath, cz_index_unitary
 from reebtwist.geometry import (
     ConstantProfile,
     EllipsoidProfile,
     RadialProfile,
     RotationTwist,
     RoundSphere,
+    to_real,
 )
 from reebtwist.orbits import (
     ConvergenceError,
     SolverSettings,
     TwistBoundaryError,
     TwistedOrbit,
+    _shooting_jacobian,
+    _shooting_residual,
     action,
     analytic_spectrum,
     gradient_residual,
@@ -27,7 +29,7 @@ from reebtwist.orbits import (
     twist_return_differential,
 )
 
-from oracles import brute_spectrum_grid
+from oracles import brute_spectrum_grid, fd_jacobian, rotation_index
 
 SPHERE2 = RoundSphere(2)
 
@@ -117,8 +119,7 @@ def test_ellipsoid_spectrum_per_coordinate():
     for row in table.rows:
         by_support.setdefault(row.support, []).append(row.tau)
         assert row.dim == 1
-        assert row.index == cz_index_unitary(UnitaryPath.from_rotation_rates(
-            [2 * row.tau, 5 * row.tau]))
+        assert row.index == rotation_index(2 * row.tau) + rotation_index(5 * row.tau)
     assert by_support[(1,)] == pytest.approx([-math.pi / 2, math.pi / 2, 3 * math.pi / 2])
     assert by_support[(2,)] == pytest.approx([-math.pi / 5, math.pi / 5, 3 * math.pi / 5])
 
@@ -158,6 +159,27 @@ def test_shoot_radial_unit_profile_matches_analytic():
     orbit = shoot_orbit(radial, twist, [0.6, 0.8], math.pi / 2 + 0.1)
     assert orbit.tau == pytest.approx(math.pi / 2, abs=1e-6)
     assert orbit.residual <= 1e-8
+
+
+SHOOT_MODELS = {"sphere": RoundSphere(2),
+                "constant": RadialProfile(2, ConstantProfile(1.3)),
+                "ellipsoid": RadialProfile(3, EllipsoidProfile((1.0, 1.2, 1.5)))}
+
+
+@pytest.mark.parametrize("model", SHOOT_MODELS.values(), ids=SHOOT_MODELS.keys())
+def test_shooting_jacobian_matches_fd(model):
+    # the closed-form Newton Jacobian against central differences of the
+    # shooting residual, at points off the surface and off the spectrum
+    twist = RotationTwist(3, tuple([1, 2, 1][:model.n]))
+    rng = np.random.default_rng(31)
+    z_seed = model.point_on_surface(rng.normal(size=model.n) + 1j * rng.normal(size=model.n))
+    section = to_real(model.reeb_field(z_seed))
+    for _ in range(4):
+        u = np.concatenate([1.4 * rng.normal(size=2 * model.n), [rng.uniform(-3, 3)]])
+        expected = fd_jacobian(
+            lambda uu: _shooting_residual(model, twist, z_seed, section, uu), u)
+        np.testing.assert_allclose(_shooting_jacobian(model, twist, section, u),
+                                   expected, atol=1e-8)
 
 
 def test_shoot_far_seed_raises_diagnostic():
