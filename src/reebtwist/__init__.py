@@ -1,7 +1,7 @@
 """Twisted Reeb orbit and equivariant GF(2) homology toolkit."""
 
 from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, quotient_by_action, validate
-from .czindex import cz_index_unitary, grading, relative_index
+from .czindex import cz_index_unitary, relative_index
 from .f2 import F2Matrix, matmul, nullspace_dim, rank
 from .geometry import (
     RadialProfile,
@@ -20,9 +20,9 @@ from .orbits import (
     TwistedOrbit,
     action,
     analytic_spectrum,
-    gradient_residual,
     monodromy,
     shoot_orbit,
+    twisted_index,
 )
 from .pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle, tate_homology
 

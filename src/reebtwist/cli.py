@@ -91,13 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="twisted Reeb orbits, indices and equivariant homology")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, window=False):
-        p.add_argument("--m", type=int, default=None, help="rotation order")
-        p.add_argument("--k", type=str, default=None,
-                       help="comma-separated rotation exponents")
-        p.add_argument("--n", type=int, default=None, help="complex dimension")
-        p.add_argument("--model", type=str, default=None,
-                       help="model description JSON file")
+    geometry_flags = {
+        "m": dict(type=int, help="rotation order"),
+        "k": dict(type=str, help="comma-separated rotation exponents"),
+        "n": dict(type=int, help="complex dimension"),
+        "model": dict(type=str, help="model description JSON file"),
+    }
+
+    def common(p, geometry=tuple(geometry_flags), window=False):
+        for name in geometry:
+            p.add_argument(f"--{name}", default=None, **geometry_flags[name])
         p.add_argument("--config", type=str, default=None,
                        help="JSON config mirroring the flags; flags win")
         p.add_argument("--tol", action="append", default=[],
@@ -134,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, window=True)
 
     p = sub.add_parser("tate", help="cyclic-group homology oracle table")
-    common(p)
+    common(p, geometry=("m",))
     p.add_argument("--degrees", type=str, default="0:9", help="degree window LO:HI")
 
     p = sub.add_parser("lift", help="lift a quotient loop and classify it")
-    common(p)
+    common(p, geometry=())
     p.add_argument("--input", type=str, required=True, help="loop JSON file")
     p.add_argument("--basepoint", type=int, default=0)
 
@@ -148,10 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_sample_count, default=256)
 
     p = sub.add_parser("sweep", help="homology comparison over a parameter grid")
-    common(p, window=True)
+    common(p, geometry=("model",), window=True)
     p.add_argument("--m-range", type=str, default="2:6", help="LO:HI in m")
     p.add_argument("--n-list", type=str, default="2", help="comma-separated n")
 
+    for p in sub.choices.values():
+        p.allow_abbrev = False  # else sweep would read a dropped --n as --n-list
     return parser
 
 
@@ -228,16 +233,20 @@ def _effective_tolerances(settings: SolverSettings, tols: dict) -> dict:
     return eff
 
 
+def _read_model(path: str):
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read model file: {exc}") from exc
+    return load_model(spec)
+
+
 def _resolve_geometry(args) -> tuple[object, RotationTwist, int]:
     """Model, twist and dimension from --model / --m / --k / --n."""
     model = twist = None
     if args.model:
-        try:
-            with open(args.model) as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read model file: {exc}") from exc
-        model, twist = load_model(spec)
+        model, twist = _read_model(args.model)
     if args.m is not None:
         if args.k is None:
             n = args.n or (model.n if model else None)
@@ -318,25 +327,27 @@ def cmd_cz_index(args, tols):
     return {"rows": rows}, rows, EXIT_OK
 
 
+def _pearl_spec(args, window: str) -> PearlComplexSpec:
+    model, twist, n = _resolve_geometry(args)
+    return PearlComplexSpec(n=n, twist=twist, window=_parse_window(args.window or window),
+                            coefficients=model.coefficients())
+
+
 def cmd_complex(args, tols):
-    _, twist, n = _resolve_geometry(args)
-    window = _parse_window(args.window or "0:2")
-    complex_ = build_pearl_complex(PearlComplexSpec(n=n, twist=twist, window=window))
+    complex_ = build_pearl_complex(_pearl_spec(args, "0:2"))
     return complex_.to_json_dict(), None, EXIT_OK
 
 
 def cmd_homology(args, tols):
-    _, twist, n = _resolve_geometry(args)
-    window = _parse_window(args.window or "0:3")
-    if twist.m == 1:
-        complex_ = build_pearl_complex(PearlComplexSpec(n=n, twist=twist, window=window))
-        table = homology(quotient_by_action(complex_))
+    spec = _pearl_spec(args, "0:3")
+    if spec.twist.m == 1:
+        table = homology(quotient_by_action(build_pearl_complex(spec)))
         rows = [{"d": d, "dim": v} for d, v in sorted(table.interior_dims().items())]
         data = {"note": "trivial rotation: nothing to divide out, "
                         "reporting the untwisted homology table",
-                "degrees": rows, "m": 1, "n": n, "window": list(window)}
+                "degrees": rows, "m": 1, "n": spec.n, "window": list(spec.window)}
         return data, rows, EXIT_OK
-    report = compare_with_oracle(PearlComplexSpec(n=n, twist=twist, window=window))
+    report = compare_with_oracle(spec)
     data = report.to_json_dict()
     data["all_match"] = report.all_match
     rows = data["degrees"]
@@ -392,12 +403,16 @@ def cmd_sweep(args, tols):
         raise ConfigError("sweep requires m >= 2 (no quotient for m = 1)")
     n_list = [int(x) for x in args.n_list.split(",")]
     window = _parse_window(args.window or "0:3")
+    coefficients = _read_model(args.model)[0].coefficients() if args.model else None
+    if coefficients is not None and set(n_list) != {len(coefficients)}:
+        raise ConfigError(f"--n-list must hold only the model's n = {len(coefficients)}")
     grid = [(m, n) for m in range(m_lo, m_hi + 1) for n in n_list]
 
     def run(point):
         m, n = point
         twist = RotationTwist(m, tuple([1] * n))
-        report = compare_with_oracle(PearlComplexSpec(n=n, twist=twist, window=window))
+        report = compare_with_oracle(PearlComplexSpec(n=n, twist=twist, window=window,
+                                                      coefficients=coefficients))
         data = report.to_json_dict()
         data["all_match"] = report.all_match
         return data

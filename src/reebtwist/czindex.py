@@ -45,7 +45,3 @@ def relative_index(a, b, tol: float = 1e-9) -> int:
     """Index difference between two rotation paths, given by their rates."""
     return cz_index_unitary(a, tol) - cz_index_unitary(b, tol)
 
-
-def grading(k: int, morse_index: int, n: int) -> int:
-    """Chain-complex degree of a generator: 2 k n plus the Morse index."""
-    return 2 * k * n + morse_index

@@ -9,13 +9,12 @@ with its real gradient and Hessian: a = 1 for the round sphere, 1/rho^2 for
 a constant profile rho, the coefficients of an ellipsoid.  Everything else
 is derived from G once: the surface row G - 1, the Reeb field X_G (the
 symplectic dual of dG, with lambda(X_G) = G by Euler's identity), its
-Jacobian, the radial point u / sqrt(G(u)) on the hypersurface, and the
-collar coordinate log G of the one defining Hamiltonian.  X_G = -2i a z is
-linear, so every model's Reeb flow is z_j -> e^{-2i a_j t} z_j in closed
-form, on and off the hypersurface, and G is invariant under every rotation
-twist.  The one adaptive Runge-Kutta entry point ``integrate`` serves only
-the variational equation of the Reeb field, the numeric check of the
-closed-form return map.
+Jacobian and the radial point u / sqrt(G(u)) on the hypersurface.
+X_G = -2i a z is linear, so every model's Reeb flow is z_j -> e^{-2i a_j t}
+z_j in closed form, on and off the hypersurface, and G is invariant under
+every rotation twist.  The one adaptive Runge-Kutta entry point
+``integrate`` serves only the variational equation of the Reeb field, the
+numeric check of the closed-form return map.
 """
 
 from __future__ import annotations
@@ -113,10 +112,6 @@ class RotationTwist:
     @property
     def n(self) -> int:
         return len(self.k)
-
-    @property
-    def order(self) -> int:
-        return self.m
 
     def phases(self, power: int = 1) -> np.ndarray:
         return np.exp(2j * np.pi * np.array(self.k) * power / self.m)
@@ -307,83 +302,6 @@ def reeb_flow_samples(z, times, model: StarShapedModel,
     return model.flow_samples(z, np.asarray(times, dtype=float))
 
 
-# -- defining Hamiltonian functions ----------------------------------------------
-
-def _smoothstep(u: float) -> float:
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
-def _smoothstep_integral(u: float) -> float:
-    """Integral of the quintic smoothstep from 0 to u (equals 1/2 at u = 1)."""
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 0.5 + (u - 1.0)
-    return u ** 4 * (2.5 + u * (-3.0 + u))
-
-
-def _mollified_clamp(r: float, lo_corner: float, hi_corner: float,
-                     eps: float) -> tuple[float, float]:
-    """C^2 ramp with unit slope between the corners, constant outside.
-
-    Returns (value, slope), where the value is normalized to vanish at the
-    midpoint of the corners.  The slope rises from 0 to 1 over a width-2*eps
-    collar around each corner via a quintic smoothstep.
-    """
-    a0, a1 = lo_corner - eps, lo_corner + eps
-    b0, b1 = hi_corner - eps, hi_corner + eps
-    if a1 > b0:
-        raise ValueError("mollification width too large for the ramp")
-
-    if r <= a0:
-        raw, slope = 0.0, 0.0
-    elif r <= a1:
-        u = (r - a0) / (2 * eps)
-        raw, slope = 2 * eps * _smoothstep_integral(u), _smoothstep(u)
-    elif r <= b0:
-        raw, slope = eps + (r - a1), 1.0
-    elif r <= b1:
-        u = (r - b0) / (2 * eps)
-        raw = eps + (b0 - a1) + (r - b0) - 2 * eps * _smoothstep_integral(u)
-        slope = 1.0 - _smoothstep(u)
-    else:
-        raw, slope = eps + (b0 - a1) + eps, 0.0
-
-    mid_raw = eps + ((lo_corner + hi_corner) / 2.0 - a1)
-    return raw - mid_raw, slope
-
-
-@dataclass(frozen=True)
-class CollarHamiltonian:
-    """Defining Hamiltonian built in the scaling-flow collar coordinate log G.
-
-    log G vanishes on the hypersurface; the Hamiltonian is a mollified clamp
-    of it to [-width/2, width/2].  Its field slope * X_G / G restricts to the
-    Reeb field on the hypersurface (-2i z on the unit sphere), and dH has
-    compact support.
-    """
-
-    model: StarShapedModel
-    width: float = 0.5
-    eps: float = 0.05
-
-    def _clamp(self, z) -> tuple[float, float, float]:
-        """(G, clamped value, slope) at z."""
-        g = self.model.defining_function(as_complex_vector(z))
-        return g, *_mollified_clamp(math.log(g), -self.width / 2, self.width / 2, self.eps)
-
-    def value(self, z) -> float:
-        return self._clamp(z)[1]
-
-    def field(self, z) -> np.ndarray:
-        g, _, s = self._clamp(z)
-        return s / g * self.model.reeb_field(as_complex_vector(z))
-
-
 # -- model description files ------------------------------------------------------
 
 def _positive(value, what: str) -> float:
@@ -396,31 +314,34 @@ def _positive(value, what: str) -> float:
 def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
     """Build (model, twist) from a JSON model description dict.
 
-    A profile must make G positive definite: a constant profile value, or
-    exactly n ellipsoid coefficients, all finite and positive.
+    A profile must make G positive definite: a constant value or exactly n
+    finite positive ellipsoid coefficients.  Missing keys raise ValueError.
     """
-    kind = spec.get("kind")
-    n = int(spec["n"])
-    twist = None
-    if "twist" in spec and spec["twist"] is not None:
-        twist = RotationTwist(m=int(spec["twist"]["m"]),
-                              k=tuple(spec["twist"]["k"]))
-        if twist.n != n:
-            raise ValueError("twist exponent count does not match dimension n")
-    if kind == "round_sphere":
-        return RoundSphere(n=n), twist
-    if kind == "radial_profile":
-        pspec = spec.get("profile", {"type": "constant"})
-        ptype = pspec.get("type")
-        if ptype == "constant":
-            profile = ConstantProfile(_positive(pspec.get("value", 1.0), "profile value"))
-        elif ptype == "ellipsoid":
-            coeffs = tuple(_positive(c, "ellipsoid coefficient")
-                           for c in pspec["coefficients"])
-            if len(coeffs) != n:
-                raise ValueError(f"need {n} ellipsoid coefficients, got {len(coeffs)}")
-            profile = EllipsoidProfile(coeffs)
-        else:
-            raise ValueError(f"unknown profile type {ptype!r}")
-        return RadialProfile(n=n, profile=profile), twist
-    raise ValueError(f"unknown model kind {kind!r}")
+    try:
+        kind = spec.get("kind")
+        n = int(spec["n"])
+        twist = None
+        if "twist" in spec and spec["twist"] is not None:
+            twist = RotationTwist(m=int(spec["twist"]["m"]),
+                                  k=tuple(spec["twist"]["k"]))
+            if twist.n != n:
+                raise ValueError("twist exponent count does not match dimension n")
+        if kind == "round_sphere":
+            return RoundSphere(n=n), twist
+        if kind == "radial_profile":
+            pspec = spec.get("profile", {"type": "constant"})
+            ptype = pspec.get("type")
+            if ptype == "constant":
+                profile = ConstantProfile(_positive(pspec.get("value", 1.0), "profile value"))
+            elif ptype == "ellipsoid":
+                coeffs = tuple(_positive(c, "ellipsoid coefficient")
+                               for c in pspec["coefficients"])
+                if len(coeffs) != n:
+                    raise ValueError(f"need {n} ellipsoid coefficients, got {len(coeffs)}")
+                profile = EllipsoidProfile(coeffs)
+            else:
+                raise ValueError(f"unknown profile type {ptype!r}")
+            return RadialProfile(n=n, profile=profile), twist
+        raise ValueError(f"unknown model kind {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"model description lacks the key {exc}") from None

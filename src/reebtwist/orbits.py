@@ -8,7 +8,8 @@ exponent class and a_j, and an orbit's index is the closed-form index of
 the rotation rates 2 tau a_j.  Orbits are certified by damped Gauss-Newton
 shooting on the residual of the closed-form flow, with its Jacobian in
 closed form too.  Certification data: the twist residual, the period-action
-identity, and the linearized return map.
+identity, and the linearized return map.  A spectrum row's twisted index
+grades the pearl complex.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .czindex import cz_index_unitary
 from .geometry import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    CollarHamiltonian,
     RotationTwist,
     StarShapedModel,
     as_complex_vector,
@@ -45,10 +45,6 @@ class ConvergenceError(Exception):
         super().__init__(f"{reason}; diagnostic: {diagnostic}")
         self.reason = reason
         self.diagnostic = diagnostic
-
-
-class TwistBoundaryError(Exception):
-    """Loop samples do not satisfy the discrete twist boundary condition."""
 
 
 @dataclass(frozen=True)
@@ -91,9 +87,6 @@ class SpectrumRow:
 @dataclass(frozen=True)
 class SpectrumTable:
     rows: tuple[SpectrumRow, ...]
-    window: tuple[int, int]
-    twist: RotationTwist
-    n: int
 
     def __post_init__(self) -> None:
         taus = [r.tau for r in self.rows]
@@ -122,6 +115,25 @@ def orbit_index(tau: float, coefficients) -> int:
     return cz_index_unitary(2.0 * tau * np.asarray(coefficients, dtype=float))
 
 
+def line_turns(tau: float, a_j: float, twist: RotationTwist, j: int) -> float:
+    """theta_j / 2 pi, theta_j = 2 tau a_j + 2 pi r_j / m: line j's branch where it closes up."""
+    return tau * float(a_j) / math.pi + twist.residue(j) / twist.m
+
+
+def twisted_index(row: SpectrumRow, coefficients, twist: RotationTwist) -> int:
+    """Index of a row's linearized flow followed by the twist's rotation path.
+
+    A line in the row's support ends on the identity and contributes the
+    even 2 round(theta_j / 2 pi), any other line the odd
+    2 floor(theta_j / 2 pi) + 1: the support, not a tolerance, decides.
+    """
+    total = 0
+    for j, a_j in enumerate(coefficients):
+        turns = line_turns(row.tau, a_j, twist, j)
+        total += 2 * round(turns) if j + 1 in row.support else 2 * math.floor(turns) + 1
+    return total
+
+
 def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
                       coefficients=None) -> SpectrumTable:
     """Closed-form twisted spectrum of the quadric G = sum_j a_j |z^j|^2.
@@ -145,8 +157,7 @@ def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
         return orbit_multiplier(twist.m, twist.residue(j), branch) / a[j]
 
     def closes_up(j: int, tau: float) -> bool:
-        branch = round((tau * a[j] * twist.m / math.pi + twist.residue(j)) / twist.m)
-        return abs(multiplier(j, branch) - tau) <= TAU_TOL
+        return abs(multiplier(j, round(line_turns(tau, a[j], twist, j))) - tau) <= TAU_TOL
 
     rows = []
     for tau in sorted({multiplier(j, l) for j in range(n) for l in range(lo, hi + 1)}):
@@ -155,7 +166,7 @@ def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
         support = tuple(j + 1 for j in range(n) if closes_up(j, tau))
         rows.append(SpectrumRow(tau=tau, support=support, dim=2 * len(support) - 1,
                                 index=orbit_index(tau, a)))
-    return SpectrumTable(rows=tuple(rows), window=(lo, hi), twist=twist, n=n)
+    return SpectrumTable(rows=tuple(rows))
 
 
 # -- shooting ----------------------------------------------------------------------
@@ -366,7 +377,7 @@ def monodromy(orbit: TwistedOrbit, model: StarShapedModel, twist: RotationTwist,
                            kernel_dim_contact=dim_c, tangent_deviation=dev)
 
 
-# -- action and gradient ---------------------------------------------------------------
+# -- action ------------------------------------------------------------------------
 
 def orbit_samples(orbit: TwistedOrbit, model: StarShapedModel, count: int,
                   settings: SolverSettings = SolverSettings()) -> np.ndarray:
@@ -390,37 +401,3 @@ def action(orbit: TwistedOrbit, model: StarShapedModel, quadrature_n: int = 1000
     """Line integral of the Liouville form along the orbit, approximately tau."""
     return loop_action(orbit_samples(orbit, model, quadrature_n, settings))
 
-
-def gradient_residual(loop: np.ndarray, tau: float, model: StarShapedModel,
-                      twist: RotationTwist, hamiltonian=None,
-                      boundary_tol: float = 1e-6) -> float:
-    """Discrete L2 norm of the action gradient at a sampled twisted loop.
-
-    The loop must satisfy the twist boundary condition: its last sample is
-    the rotated first sample.  The gradient has the loop component
-    (velocity minus tau times the Hamiltonian field; the compatible complex
-    structure is an isometry, so it drops out of the norm) and the scalar
-    component (minus the average of the Hamiltonian along the loop).
-    """
-    pts = np.asarray(loop, dtype=complex)
-    if pts.ndim != 2 or pts.shape[0] < 3:
-        raise ValueError("need a 2d array of at least three loop samples")
-    count = pts.shape[0] - 1
-    mismatch = float(np.max(np.abs(pts[-1] - twist.apply(pts[0]))))
-    if mismatch > boundary_tol:
-        raise TwistBoundaryError(
-            f"loop end differs from the rotated start by {mismatch:.3e}")
-    if hamiltonian is None:
-        hamiltonian = CollarHamiltonian(model)
-
-    dt = 1.0 / count
-    velocity = np.empty((count, pts.shape[1]), dtype=complex)
-    velocity[0] = (pts[1] - twist.apply(pts[-2], power=-1)) / (2 * dt)
-    velocity[1:] = (pts[2:] - pts[:-2]) / (2 * dt)
-
-    field = np.stack([hamiltonian.field(p) for p in pts[:-1]])
-    loop_part = np.sum(np.abs(velocity - tau * field) ** 2) * dt
-
-    h_vals = np.array([hamiltonian.value(p) for p in pts])
-    scalar_part = float(np.trapezoid(h_vals, dx=dt)) ** 2
-    return math.sqrt(loop_part + scalar_part)

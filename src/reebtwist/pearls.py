@@ -1,45 +1,47 @@
 """
-The equivariant Morse-Bott chain complex of the rotation-symmetric sphere.
+The equivariant Morse-Bott chain complex of a twisted quadric.
 
-The critical set is one sphere per integer branch of the twisted spectrum,
-linked into a string of pearls.  Auxiliary Morse data on each sphere is
-the coordinate-weighted moduli function f(z) = sum_j j |z^j|^2, whose
-critical manifolds are the n coordinate circles (Morse-Bott index 2(j-1)),
-together with the m-periodic cosine on each circle with m maxima and m
-minima.  A generator is therefore a triple (branch, circle, cosine
-critical point), graded by 2 k n plus its total Morse index.
+Generators come from the rows of the closed-form twisted spectrum.  A row
+with support s is a critical sphere of dimension 2s - 1, with Morse data
+critical on its s coordinate circles, each carrying m minima and m maxima
+of the m-periodic cosine.  Circle c, the i-th of the support, has Morse
+indices 2i and 2i + 1; the row sits in degrees mu_tw - s + n + morse, mu_tw
+its twisted index, and consecutive rows meet without gap or overlap.  The
+window keeps every row whose multiplier lies between the lowest branch-LO
+and the highest branch-HI multiplier over the coordinates.
 
 Boundary matrices alternate between two m x m stencils: out of odd degrees
 each maximum hits its two neighbouring minima on the circle (identity plus
 one-step cyclic shift), and out of even degrees every generator hits every
 generator one degree down through an odd number of connecting flow lines,
 counted as one mod 2 (the all-ones matrix).  Both stencils have two ones
-per column, so the composite boundary vanishes for every m.  The rotation
-acts by cyclically shifting the cosine critical points; dividing by it
-collapses each degree to a single class, with the all-ones stencil
-descending to multiplication by m mod 2 and the circle stencil to zero.
+per column, so the composite boundary vanishes.  The rotation shifts the
+critical points of circle c by its exponent k_c, which commutes with both
+stencils: the equivariant cellular complex of a lens space (Hatcher,
+Algebraic Topology, Ex. 2.43).  Dividing by it collapses each degree to one
+class, the all-ones stencil descending to m mod 2 and the circle stencil to
+zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, quotient_by_action
-from .czindex import grading
 from .f2 import F2Matrix
 from .geometry import RotationTwist
-
-MORSE_ON_SPHERE = "coordinate-weighted moduli"
-MORSE_ON_CIRCLE = "m-periodic cosine"
+from .orbits import TAU_TOL, SpectrumRow, analytic_spectrum, line_turns, orbit_multiplier, twisted_index
 
 
 @dataclass(frozen=True)
 class PearlComplexSpec:
-    """Build parameters: ambient dimension, twist, inclusive branch window."""
+    """Build parameters: dimension, twist, inclusive branch window, quadric (sphere by default)."""
 
     n: int
     twist: RotationTwist
     window: tuple[int, int]
+    coefficients: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -48,6 +50,22 @@ class PearlComplexSpec:
             raise ValueError("twist exponent count does not match n")
         if self.window[0] > self.window[1]:
             raise ValueError("empty branch window")
+        a = (1.0,) * self.n if self.coefficients is None else tuple(map(float, self.coefficients))
+        if len(a) != self.n:
+            raise ValueError("coefficient count does not match n")
+        object.__setattr__(self, "coefficients", a)
+
+
+def _window_rows(spec: PearlComplexSpec) -> tuple[SpectrumRow, ...]:
+    """Spectrum rows between the lowest branch-LO and the highest branch-HI multiplier."""
+    twist, n, a = spec.twist, spec.n, spec.coefficients
+    lo, hi = spec.window
+    tau_lo = min(orbit_multiplier(twist.m, twist.residue(j), lo) / a[j] for j in range(n))
+    tau_hi = max(orbit_multiplier(twist.m, twist.residue(j), hi) / a[j] for j in range(n))
+    branches = (min(math.floor(line_turns(tau_lo, a[j], twist, j)) for j in range(n)),
+                max(math.ceil(line_turns(tau_hi, a[j], twist, j)) for j in range(n)))
+    rows = analytic_spectrum(twist, n, branches, a).rows
+    return tuple(r for r in rows if tau_lo - TAU_TOL <= r.tau <= tau_hi + TAU_TOL)
 
 
 def circle_boundary(m: int) -> F2Matrix:
@@ -63,36 +81,27 @@ def connecting_boundary(m: int) -> F2Matrix:
 
 
 def build_pearl_complex(spec: PearlComplexSpec) -> GradedF2Complex:
-    """String-of-pearls complex over the branch window, with the cyclic action.
-
-    Requires all twist exponents congruent (the directly computable case)
-    and a window of at least two pearls.
-    """
-    twist, n = spec.twist, spec.n
-    m = twist.m
-    classes = twist.congruence_classes()
-    if len(classes) != 1:
-        raise ValueError(
-            "pearl complex requires all twist exponents congruent; "
-            f"found classes {sorted(classes)}")
-    k_lo, k_hi = spec.window
-    if k_hi - k_lo + 1 < 2:
+    """String-of-pearls complex on a window of at least two pearls, with the cyclic action."""
+    twist, n, m = spec.twist, spec.n, spec.twist.m
+    if spec.window[1] - spec.window[0] + 1 < 2:
         raise ValueError("window holds fewer than two pearls")
-
-    shift = twist.k[0] % m
-    d_min = grading(k_lo, 0, n)
-    d_max = grading(k_hi, 2 * n - 1, n)
 
     generators: dict[int, tuple[str, ...]] = {}
     perms: dict[int, tuple[int, ...]] = {}
-    for d in range(d_min, d_max + 1):
-        k, offset = divmod(d - d_min, 2 * n)
-        k += k_lo
-        circle, level = divmod(offset, 2)
-        generators[d] = tuple(
-            f"k{k}.c{circle + 1}.h{level}.s{p}" for p in range(m))
-        perms[d] = tuple((p + shift) % m for p in range(m))
+    d_max = None
+    for row in _window_rows(spec):
+        d = twisted_index(row, spec.coefficients, twist) - len(row.support) + n
+        if d_max is not None and d != d_max + 1:
+            raise ValueError(f"spectrum rows leave a gap or overlap at degree {d}")
+        for c in row.support:
+            branch = round(line_turns(row.tau, spec.coefficients[c - 1], twist, c - 1))
+            for level in (0, 1):
+                generators[d] = tuple(f"k{branch}.c{c}.h{level}.s{p}" for p in range(m))
+                perms[d] = tuple((p + twist.k[c - 1]) % m for p in range(m))
+                d += 1
+        d_max = d - 1
 
+    d_min = min(generators)
     boundaries = {
         d: (circle_boundary(m) if d % 2 else connecting_boundary(m))
         for d in range(d_min + 1, d_max + 1)}

@@ -14,6 +14,7 @@ import reebtwist
 from reebtwist.cli import main
 from reebtwist.geometry import RotationTwist
 from reebtwist.lifting import QuotientLoop
+from reebtwist.pearls import PearlComplexSpec, compare_with_oracle
 
 from oracles import rotation_index
 
@@ -300,6 +301,85 @@ def test_malformed_model_file_rejected(capsys, tmp_path, profile, command):
     code, out, err = run(capsys, command, "--model", path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, model", [
+    ("n", {"kind": "radial_profile", "twist": {"m": 2, "k": [1, 1]}}),
+    ("coefficients", {"kind": "radial_profile", "n": 2, "twist": {"m": 2, "k": [1, 1]},
+                      "profile": {"type": "ellipsoid"}}),
+    ("m", {"kind": "round_sphere", "n": 2, "twist": {"k": [1, 1]}}),
+    ("k", {"kind": "round_sphere", "n": 2, "twist": {"m": 2}}),
+], ids=["n", "coefficients", "m", "k"])
+def test_model_file_missing_key_rejected(capsys, tmp_path, key, model):
+    # each once ended in a KeyError traceback with exit 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "spectrum", "--model", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    ("tate --m 3", "k", "1"),
+    ("tate --m 3", "n", "2"),
+    ("tate --m 3", "model", "model.json"),
+    ("lift --input loop.json", "m", "2"),
+    ("lift --input loop.json", "k", "1,1"),
+    ("lift --input loop.json", "n", "2"),
+    ("lift --input loop.json", "model", "model.json"),
+    ("sweep --m-range 2:3 --n-list 2", "m", "7"),
+    ("sweep --m-range 2:3 --n-list 2", "k", "1,3"),
+    ("sweep --m-range 2:3 --n-list 2", "n", "5"),
+])
+def test_unread_flags_rejected(capsys, tmp_path, argv, flag, value):
+    # each command takes only the flags it reads; sweep once ignored all three
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), f"--{flag}", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag: value}))
+    code, out, err = run(capsys, *argv.split(), "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"unknown config key {flag!r}" in err
+
+
+@pytest.mark.parametrize("argv, dim", [
+    ("homology --m 5 --k 1,2 --n 2 --window 0:3", 0),
+    ("homology --m 4 --k 1,3 --n 2", 1),
+])
+def test_homology_accepts_mixed_exponent_classes(capsys, argv, dim):
+    # both once exited 2: "requires all twist exponents congruent"
+    data = run_json(capsys, *argv.split())["data"]
+    assert data["all_match"] is True
+    assert {e["dim_quotient"] for e in data["degrees"]} == {dim}
+
+
+def test_complex_follows_the_model(capsys, tmp_path):
+    # on a = (1, 1.3) coordinate 2 closes up at pi/2.6, before coordinate 1
+    # at pi/2, so its circle comes first in degrees 4-7
+    path = write_model(tmp_path, 2, (1, 1), {"type": "ellipsoid", "coefficients": [1.0, 1.3]})
+    gens = run_json(capsys, "complex", "--model", path, "--window", "0:2")["data"]["generators"]
+    assert [gens[str(d)][0] for d in range(4, 8)] == [
+        "k1.c2.h0.s0", "k1.c2.h1.s0", "k1.c1.h0.s0", "k1.c1.h1.s0"]
+
+
+def test_sweep_follows_the_model(capsys, tmp_path):
+    # a = (1, 2) closes coordinate 2 up twice as often: more degrees than the sphere
+    a = [1.0, 2.0]
+    path = write_model(tmp_path, 2, (1, 1), {"type": "ellipsoid", "coefficients": a})
+    argv = ["sweep", "--m-range", "2:3", "--n-list", "2", "--window", "0:2"]
+    data = run_json(capsys, *argv, "--model", path)["data"]
+    assert data["all_match"] is True
+    for entry in data["sweep"]:
+        spec = PearlComplexSpec(n=2, twist=RotationTwist(entry["m"], (1, 1)), window=(0, 2),
+                                coefficients=a)
+        assert entry["degrees"] == compare_with_oracle(spec).to_json_dict()["degrees"]
+    sphere = run_json(capsys, *argv)["data"]["sweep"]
+    assert [len(e["degrees"]) for e in data["sweep"]] == [12, 12]
+    assert [len(e["degrees"]) for e in sphere] == [10, 10]
+    code, out, err = run(capsys, "sweep", "--model", path, "--n-list", "2,3")
+    assert code == 2 and out == "" and "n-list" in err
 
 
 def test_cz_index_at_a_huge_branch(capsys):

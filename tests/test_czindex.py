@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reebtwist.czindex import cz_index_unitary, grading, relative_index
+from reebtwist.czindex import cz_index_unitary, relative_index
 
 from oracles import rotation_index
 
@@ -57,12 +57,6 @@ def test_degenerate_endpoint_boundary_term():
     assert cz_index_unitary([2 * math.pi]) == 2 == rotation_index(2 * math.pi)
     assert cz_index_unitary([-2 * math.pi]) == -2 == rotation_index(-2 * math.pi)
     assert cz_index_unitary(orbit_rates(math.pi, 2)) == 4
-
-
-def test_grading_examples():
-    assert grading(k=1, morse_index=0, n=2) == 4
-    assert grading(k=0, morse_index=3, n=2) == 3
-    assert grading(k=0, morse_index=0, n=2) == 0
 
 
 def test_relative_index_consecutive_pearls():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from reebtwist.geometry import (
-    CollarHamiltonian,
     ConstantProfile,
     EllipsoidProfile,
     IntegrationDriftError,
@@ -111,10 +110,9 @@ def test_flow_equivariance_under_twist():
 
 def test_energy_conservation_along_numeric_flow():
     radial = RadialProfile(2, EllipsoidProfile((1.0, 1.3)))
-    ham = CollarHamiltonian(radial)
     z = radial.point_on_surface(unit_points(2, 1, seed=7)[0])
     out = reeb_flow(z, 1.2, radial)
-    assert abs(ham.value(out) - ham.value(z)) < 1e-8
+    assert abs(radial.defining_function(out) - radial.defining_function(z)) < 1e-8
 
 
 def test_ellipsoid_reeb_periods():
@@ -274,58 +272,6 @@ def test_twist_congruence_classes():
     assert twist.congruence_classes() == {1: (1,), 3: (2,)}
     same = RotationTwist(4, (1, 5))
     assert same.congruence_classes() == {1: (1, 2)}
-
-
-# -- defining Hamiltonians ----------------------------------------------------------
-
-def test_sphere_hamiltonian_zero_set_and_plateaus():
-    # the sphere's defining Hamiltonian clamps log |z|^2 to [-1/4, 1/4]
-    ham = CollarHamiltonian(RoundSphere(2))
-    for z in unit_points(2, 5, seed=11):
-        assert ham.value(z) == pytest.approx(0.0, abs=1e-14)
-    assert ham.value([0.1 + 0j, 0j]) == pytest.approx(-0.25)
-    assert ham.value([3.0 + 0j, 0j]) == pytest.approx(0.25)
-    assert ham.value([1.05 + 0j, 0j]) == pytest.approx(math.log(1.05 ** 2))
-    # dH vanishes on both plateaus
-    assert np.all(ham.field([0.1 + 0j, 0j]) == 0)
-    assert np.all(ham.field([3.0 + 0j, 0j]) == 0)
-
-
-def test_sphere_hamiltonian_field_is_reeb_on_surface():
-    ham = CollarHamiltonian(RoundSphere(3))
-    for z in unit_points(3, 5, seed=12):
-        np.testing.assert_allclose(ham.field(z), reeb_field(z), atol=1e-14)
-
-
-def test_sphere_hamiltonian_twist_invariance():
-    # H depends on |z|^2 only; rotation changes it at the rounding level
-    ham = CollarHamiltonian(RoundSphere(2))
-    twist = RotationTwist(3, (1, 2))
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert ham.value(twist.apply(z)) == pytest.approx(ham.value(z), abs=1e-14)
-
-
-def test_collar_hamiltonian_matches_reeb_on_surface():
-    for model in (RoundSphere(2), RadialProfile(2, EllipsoidProfile((1.0, 1.2)))):
-        ham = CollarHamiltonian(model)
-        z = model.point_on_surface(unit_points(2, 1, seed=14)[0])
-        assert ham.value(z) == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(ham.field(z), model.reeb_field(z), atol=1e-9)
-
-
-def test_defining_hamiltonian_convex_blends_share_zero_set():
-    h0 = CollarHamiltonian(RoundSphere(2), width=1.0, eps=0.1)
-    h1 = CollarHamiltonian(RoundSphere(2))
-    pts = unit_points(2, 6, seed=15)
-    for sigma in (0.0, 0.25, 0.5, 0.75, 1.0):
-        for z in pts:
-            blend = (1 - sigma) * h0.value(z) + sigma * h1.value(z)
-            assert abs(blend) < 1e-12
-            inside = (1 - sigma) * h0.value(0.9 * z) + sigma * h1.value(0.9 * z)
-            outside = (1 - sigma) * h0.value(1.1 * z) + sigma * h1.value(1.1 * z)
-            assert inside < 0 < outside
 
 
 # -- model files -------------------------------------------------------------------

@@ -9,6 +9,9 @@ nine files lost only those five keys, and the floats of ``orbit``,
 6.4e-12, except the sphere orbit's stopping noise in z0 (about 2.5e-9 off
 the exact orbit before, below 1e-18 after).  The commands are the README
 examples plus off-axis seeds, higher pearls and mixed exponent classes.
+``homology_mixed`` was added when the pearl complex began to take its
+generators from the spectrum and so accepted mixed exponent classes; no
+existing file changed then.
 """
 
 import json
@@ -27,6 +30,7 @@ CASES = {
     "cz_index": "cz-index --m 2 --k 1,1 --n 2 --window=-1:2",
     "complex": "complex --m 3 --n 2 --window 0:2",
     "homology": "homology --m 4 --n 2 --window 0:3",
+    "homology_mixed": "homology --m 5 --k 1,2 --n 2 --window 0:3",
     "tate": "tate --m 4 --degrees 0:9",
     "certify": "certify --m 2 --k 1,1 --n 2",
     "sweep": "sweep --m-range 2:8 --n-list 2,3 --window 0:3",

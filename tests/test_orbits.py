@@ -14,19 +14,17 @@ from reebtwist.geometry import (
 from reebtwist.orbits import (
     ConvergenceError,
     SolverSettings,
-    TwistBoundaryError,
     TwistedOrbit,
     _shooting_jacobian,
     _shooting_residual,
     action,
     analytic_spectrum,
-    gradient_residual,
     loop_action,
     monodromy,
     orbit_multiplier,
-    orbit_samples,
     shoot_orbit,
     twist_return_differential,
+    twisted_index,
 )
 
 from oracles import brute_spectrum_grid, fd_jacobian, rotation_index
@@ -131,6 +129,27 @@ def test_spectrum_merges_equal_multipliers():
     assert table.taus() == pytest.approx([math.pi / 6, math.pi / 2])
     assert [row.support for row in table.rows] == [(2,), (1, 2)]
     assert table.rows[1].dim == 3
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_twisted_index_on_the_congruent_sphere(m):
+    # every line closes up at branch l and ends on 2 pi l: mu_tw = 2 l n
+    for n in (1, 2, 3):
+        twist = RotationTwist(m, (1 + m,) * n)
+        rows = analytic_spectrum(twist, n, (-2, 3)).rows
+        assert [twisted_index(r, [1.0] * n, twist) for r in rows] == [
+            2 * branch * n for branch in range(-2, 4)]
+
+
+def test_twisted_index_takes_degenerate_lines_from_the_support():
+    # a_2 = 1 + 5e-10 joins line 2 to the rows at tau = +-pi/2 although
+    # theta_2 misses 2 pi l by more than 1e-9; each row starts where the
+    # previous one ends (mu_tw - s + n = 0, 4, 8, 10)
+    twist = RotationTwist(2, (1, 1))
+    a = (1.0, 1.0 + 5e-10)
+    rows = analytic_spectrum(twist, 2, (0, 2), a).rows
+    assert [(r.support, twisted_index(r, a, twist)) for r in rows] == [
+        ((1, 2), 0), ((1, 2), 4), ((2,), 7), ((1,), 9)]
 
 
 def test_spectrum_errors():
@@ -327,32 +346,3 @@ def test_monodromy_untwisted_closed_orbit_identity():
     report = monodromy(orbit, SPHERE2, twist)
     assert report.tangent_deviation <= 1e-12
     assert report.kernel_dim_tangent == 3
-
-
-# -- gradient residual ------------------------------------------------------------
-
-def test_gradient_residual_vanishes_on_orbit():
-    twist = RotationTwist(2, (1, 1))
-    orbit = make_orbit(twist, 2, 1, direction=[0.6, 0.8j])
-    loop = orbit_samples(orbit, SPHERE2, 500)
-    assert gradient_residual(loop, orbit.tau, SPHERE2, twist) <= 1e-4
-
-
-def test_gradient_residual_boundary_violation():
-    twist = RotationTwist(2, (1, 1))
-    z = np.array([1.0 + 0j, 0j])
-    constant = np.repeat(z[None, :], 11, axis=0)
-    with pytest.raises(TwistBoundaryError):
-        gradient_residual(constant, 0.3, SPHERE2, twist)
-
-
-def test_gradient_residual_linear_in_multiplier_perturbation():
-    twist = RotationTwist(2, (1, 1))
-    orbit = make_orbit(twist, 2, 1, direction=[0.8, 0.6])
-    loop = orbit_samples(orbit, SPHERE2, 400)
-    deltas = [0.005, 0.01, 0.02]
-    values = [gradient_residual(loop, orbit.tau + d, SPHERE2, twist) for d in deltas]
-    slope = np.polyfit(np.log(deltas), np.log(values), 1)[0]
-    assert slope == pytest.approx(1.0, abs=0.1)
-    # the leading coefficient is the field magnitude: residual ~ 2 delta
-    assert values[-1] == pytest.approx(2 * deltas[-1], rel=0.05)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebtwist.complexes import homology, quotient_by_action, validate
 from reebtwist.geometry import RotationTwist
+from reebtwist.orbits import analytic_spectrum, orbit_multiplier, twisted_index
 from reebtwist.pearls import (
     PearlComplexSpec,
     build_pearl_complex,
@@ -10,6 +13,8 @@ from reebtwist.pearls import (
     connecting_boundary,
     tate_homology,
 )
+
+from test_cli import twisted_pearls
 
 
 def all_ones_twist(m, n):
@@ -99,10 +104,87 @@ def test_window_too_small_rejected():
         build_pearl_complex(spec(2, 2, (1, 1)))
 
 
-def test_mixed_exponents_rejected():
-    s = PearlComplexSpec(n=2, twist=RotationTwist(4, (1, 3)), window=(0, 2))
-    with pytest.raises(ValueError, match="congruent"):
-        build_pearl_complex(s)
+def test_coefficient_count_checked():
+    with pytest.raises(ValueError, match="coefficient count"):
+        PearlComplexSpec(n=2, twist=all_ones_twist(2, 2), window=(0, 1), coefficients=(1.0,))
+
+
+def expected_cells(spec):
+    """Degree -> first generator label, placed from the spectrum rows alone.
+
+    Rows lie between the lowest branch-LO and the highest branch-HI
+    multiplier; the row with support s fills mu_tw - s + n + morse, and its
+    i-th circle c the two levels at morse 2i and 2i + 1.  With a in [0.5, 2]
+    and branches in -1..4, branches -40..40 hold every such row.
+    """
+    twist, n, a = spec.twist, spec.n, spec.coefficients
+    lo, hi = spec.window
+
+    def mult(j, branch):
+        return orbit_multiplier(twist.m, twist.residue(j), branch) / a[j]
+
+    tau_lo = min(mult(j, lo) for j in range(n))
+    tau_hi = max(mult(j, hi) for j in range(n))
+    cells = {}
+    for row in analytic_spectrum(twist, n, (-40, 40), a).rows:
+        if not tau_lo - 1e-9 <= row.tau <= tau_hi + 1e-9:
+            continue
+        d = twisted_index(row, a, twist) - len(row.support) + n
+        for c in row.support:
+            branch = next(b for b in range(-40, 41) if abs(mult(c - 1, b) - row.tau) <= 1e-9)
+            for level in (0, 1):
+                assert d not in cells, (row, d)
+                cells[d] = f"k{branch}.c{c}.h{level}.s0"
+                d += 1
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(twisted_pearls(), st.integers(1, 2), st.one_of(
+    st.just([1.0] * 3),                                               # sphere
+    st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=3, max_size=3),  # resonant
+    st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3)))          # generic
+def test_pearl_complex_from_the_spectrum(case, width, coeffs):
+    # any exponent classes on any ellipsoid: a free, valid complex, acyclic
+    # before the quotient and equal to the cyclic-group oracle after it
+    m, k, lo = case
+    spec = PearlComplexSpec(n=len(k), twist=RotationTwist(m, tuple(k)),
+                            window=(lo, lo + width), coefficients=coeffs[:len(k)])
+    c = build_pearl_complex(spec)
+    assert validate(c).ok
+    assert all(perm[i] != i for perm in c.action.perms.values() for i in range(m))
+    assert all(v == 0 for v in homology(c).interior_dims().values())
+    quotient = homology(quotient_by_action(c))
+    oracle = tate_homology(m, (c.d_min, c.d_max))
+    assert all(quotient.dims[d] == oracle.dims[d] for d in c.interior_degrees())
+    cells = expected_cells(spec)
+    assert sorted(cells) == list(range(min(cells), max(cells) + 1))
+    assert {d: gens[0] for d, gens in c.generators.items()} == cells
+
+
+def test_near_resonant_rows_stay_contiguous():
+    # a_2 = 1 + 5e-10: at tau = +-pi/2 both lines close up within the row
+    # tolerance, yet theta_2 misses a multiple of 2 pi by about 1.6e-9; a
+    # 1e-9 test on theta_2 took line 2 for nondegenerate and shifted the row
+    spec = PearlComplexSpec(n=2, twist=all_ones_twist(2, 2), window=(0, 2),
+                            coefficients=(1.0, 1.0 + 5e-10))
+    c = build_pearl_complex(spec)
+    assert validate(c).ok
+    assert [c.generators[d][0] for d in c.degrees()] == [
+        f"k{branch}.c{circle}.h{level}.s0"
+        for branch, circle in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (2, 1)]
+        for level in (0, 1)]
+    assert compare_with_oracle(spec).all_match
+
+
+def test_rows_sharing_a_line_rejected():
+    # three multipliers about 0.94e-9 apart chain across the 1e-9 row
+    # tolerance: line 2 joins both rows at tau = -pi/2, and its circle would
+    # overwrite a degree of the other row
+    spec = PearlComplexSpec(n=3, twist=all_ones_twist(2, 3), window=(0, 2),
+                            coefficients=(1.0, 1.0 - 6e-10, 1.0 - 1.2e-9))
+    with pytest.raises(ValueError, match="gap or overlap at degree 2"):
+        build_pearl_complex(spec)
 
 
 def test_grading_periodicity():
