@@ -33,13 +33,28 @@ class CyclicAction:
     order: int
     perms: Mapping[int, tuple[int, ...]]
 
-    def orbit(self, degree: int, idx: int) -> tuple[int, ...]:
-        seen = [idx]
-        cur = self.perms[degree][idx]
-        while cur != idx:
-            seen.append(cur)
-            cur = self.perms[degree][cur]
-        return tuple(seen)
+    def cycles(self, degree: int) -> list[tuple[int, ...]]:
+        """The cycles of degree ``degree``'s permutation in O(dim).
+
+        Cycles come in order of their lowest index, each starting there and
+        listing its members as the generator visits them.  The permutation
+        must be valid (a bijection of range(dim)).
+        """
+        perm = self.perms[degree]
+        seen = [False] * len(perm)
+        out = []
+        for start in range(len(perm)):
+            if seen[start]:
+                continue
+            cycle = [start]
+            seen[start] = True
+            cur = perm[start]
+            while cur != start:
+                seen[cur] = True
+                cycle.append(cur)
+                cur = perm[cur]
+            out.append(tuple(cycle))
+        return out
 
 
 @dataclass(frozen=True)
@@ -156,7 +171,10 @@ def validate(c: GradedF2Complex) -> ValidationReport:
     """Check d.d = 0 on composable degrees plus action equivariance/freeness.
 
     The report carries the first offending degree and composite entry, so a
-    failing fixture points straight at the bad matrix.
+    failing fixture points straight at the bad matrix.  Orbit order and
+    freeness come from one cycle decomposition per degree
+    (``CyclicAction.cycles``), linear in the degree's dimension; a failure
+    names the lowest generator of the first bad cycle.
     """
     failures: list[str] = []
     for d in range(c.d_min + 2, c.d_max + 1):
@@ -195,10 +213,11 @@ def _validate_action(c: GradedF2Complex) -> list[str]:
             failures.append(f"action permutation missing or invalid at degree {d}")
             return failures
     # order check: the generator permutation must have order dividing the
-    # declared order, and the action must be free for declared order > 1
+    # declared order, and the action must be free for declared order > 1;
+    # a cycle's lowest index is the first generator of its orbit to fail
     for d in c.degrees():
-        for i in range(c.dim(d)):
-            orbit = act.orbit(d, i)
+        for orbit in act.cycles(d):
+            i = orbit[0]
             if act.order % len(orbit) != 0:
                 failures.append(
                     f"orbit of generator {i} in degree {d} has size {len(orbit)}, "
@@ -209,10 +228,9 @@ def _validate_action(c: GradedF2Complex) -> list[str]:
                     f"action not free: generator {i} in degree {d} is fixed by a "
                     f"nontrivial power (orbit size {len(orbit)})")
                 return failures
+    perm_mats = {d: _permutation_matrix(act.perms[d]) for d in c.degrees()}
     for d in range(c.d_min + 1, c.d_max + 1):
-        p_src = _permutation_matrix(act.perms[d])
-        p_dst = _permutation_matrix(act.perms[d - 1])
-        if matmul(c.boundaries[d], p_src) != matmul(p_dst, c.boundaries[d]):
+        if matmul(c.boundaries[d], perm_mats[d]) != matmul(perm_mats[d - 1], c.boundaries[d]):
             failures.append(f"action does not commute with the boundary at degree {d}")
             return failures
     return failures
@@ -257,18 +275,13 @@ def quotient_by_action(c: GradedF2Complex) -> GradedF2Complex:
     for d in c.degrees():
         assignment = [-1] * c.dim(d)
         reps: list[int] = []
-        labels: list[str] = []
-        for i in range(c.dim(d)):
-            if assignment[i] >= 0:
-                continue
-            oid = len(reps)
-            for member in act.orbit(d, i):
+        for oid, orbit in enumerate(act.cycles(d)):
+            for member in orbit:
                 assignment[member] = oid
-            reps.append(i)
-            labels.append(f"[{c.generators[d][i]}]")
+            reps.append(orbit[0])
         orbit_index[d] = assignment
         orbit_reps[d] = reps
-        new_gens[d] = tuple(labels)
+        new_gens[d] = tuple(f"[{c.generators[d][i]}]" for i in reps)
 
     new_bnds: dict[int, F2Matrix] = {}
     for d in range(c.d_min + 1, c.d_max + 1):
@@ -280,12 +293,10 @@ def quotient_by_action(c: GradedF2Complex) -> GradedF2Complex:
         for col, rep in enumerate(src_reps):
             col_bits = old.column_bits(rep)
             counts = [0] * n_dst
-            i = 0
             while col_bits:
-                if col_bits & 1:
-                    counts[dst_assign[i]] ^= 1
-                col_bits >>= 1
-                i += 1
+                low = col_bits & -col_bits
+                counts[dst_assign[low.bit_length() - 1]] ^= 1
+                col_bits ^= low
             for row_id, bit in enumerate(counts):
                 if bit:
                     rows[row_id] |= 1 << col

@@ -2,9 +2,12 @@
 Exact dense linear algebra over the two-element field.
 
 Matrices are stored bit-packed, one Python int per row, so every
-computation is exact and hashable value semantics come for free.  All
-matrices at play are small (at most a few hundred rows), hence no sparse
-format and no pivoting strategy beyond deterministic first-nonzero.
+computation is exact and hashable value semantics come for free.  Matrices
+have up to ~10^4 rows (a pearl complex's boundaries are m x m), hence no
+sparse format and no pivoting strategy beyond deterministic first-nonzero.
+A product costs one XOR of a right-hand row per set bit of each distinct
+left row: equal left rows share one result, so the all-ones stencil costs
+one row sum and a permutation or circle stencil one or two XORs per row.
 """
 
 from __future__ import annotations
@@ -100,15 +103,19 @@ def matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     if a.cols != b.rows:
         raise ValueError(
             f"dimension mismatch: ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})")
+    b_rows = b.row_bits
+    products: dict[int, int] = {}
     out = []
     for r in a.row_bits:
-        acc = 0
-        j = 0
-        while r:
-            if r & 1:
-                acc ^= b.row_bits[j]
-            r >>= 1
-            j += 1
+        acc = products.get(r)
+        if acc is None:
+            acc = 0
+            bits = r
+            while bits:
+                low = bits & -bits
+                acc ^= b_rows[low.bit_length() - 1]
+                bits ^= low
+            products[r] = acc
         out.append(acc)
     return F2Matrix(a.rows, b.cols, tuple(out))
 

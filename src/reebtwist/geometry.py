@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.integrate import solve_ivp
 
 DEFAULT_SURFACE_TOL = 1e-9
 DEFAULT_RTOL = 1e-10
@@ -142,6 +141,8 @@ def integrate(rhs, t_end: float, y0: np.ndarray, rtol: float, atol: float):
     Returns scipy's solution object; raises IntegrationDriftError when the
     step-size control fails.
     """
+    from scipy.integrate import solve_ivp  # lazily, so importing the CLI loads no scipy
+
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationDriftError(f"integration failed: {sol.message}")

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .czindex import cz_index_unitary
 from .geometry import (
@@ -156,14 +155,21 @@ def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
     def multiplier(j: int, branch: int) -> float:
         return orbit_multiplier(twist.m, twist.residue(j), branch) / a[j]
 
-    def closes_up(j: int, tau: float) -> bool:
-        return abs(multiplier(j, round(line_turns(tau, a[j], twist, j))) - tau) <= TAU_TOL
+    def closing_lines(tau: float) -> set[tuple[int, int]]:
+        """The (line, branch) pairs whose multiplier lies within TAU_TOL of tau."""
+        pairs = ((j, round(line_turns(tau, a[j], twist, j))) for j in range(n))
+        return {(j, l) for j, l in pairs if abs(multiplier(j, l) - tau) <= TAU_TOL}
 
+    # a line joins only the first row it closes up at: multipliers chained
+    # within 2 TAU_TOL would otherwise put one line into two rows
+    claimed: set[tuple[int, int]] = set()
     rows = []
     for tau in sorted({multiplier(j, l) for j in range(n) for l in range(lo, hi + 1)}):
         if rows and tau - rows[-1].tau <= TAU_TOL:
             continue
-        support = tuple(j + 1 for j in range(n) if closes_up(j, tau))
+        joining = closing_lines(tau) - claimed
+        claimed |= joining
+        support = tuple(sorted(j + 1 for j, _ in joining))
         rows.append(SpectrumRow(tau=tau, support=support, dim=2 * len(support) - 1,
                                 index=orbit_index(tau, a)))
     return SpectrumTable(rows=tuple(rows))
@@ -339,15 +345,25 @@ class MonodromyReport:
     tangent_deviation: float
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel basis (columns) from the SVD, with scipy's rank cut-off.
+
+    Singular values above max(shape) * eps * sigma_max count toward the rank.
+    """
+    _, sing, vh = np.linalg.svd(a, full_matrices=True)
+    tol = max(a.shape) * np.finfo(sing.dtype).eps * np.amax(sing, initial=0.0)
+    return vh[np.count_nonzero(sing > tol):].T.conj()
+
+
 def _tangent_frames(model, z) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (columns) of the tangent space and contact hyperplane."""
     normal = model.gradient(z)
-    tangent = null_space(normal[None, :])
+    tangent = _null_space(normal[None, :])
     re, im = np.real(z), np.imag(z)
     lam_row = np.empty(2 * z.size)
     lam_row[0::2] = im / 2.0
     lam_row[1::2] = -re / 2.0
-    contact = null_space(np.stack([normal, lam_row]))
+    contact = _null_space(np.stack([normal, lam_row]))
     return tangent, contact
 
 

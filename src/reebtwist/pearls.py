@@ -95,16 +95,16 @@ def build_pearl_complex(spec: PearlComplexSpec) -> GradedF2Complex:
             raise ValueError(f"spectrum rows leave a gap or overlap at degree {d}")
         for c in row.support:
             branch = round(line_turns(row.tau, spec.coefficients[c - 1], twist, c - 1))
+            rotation = tuple((p + twist.k[c - 1]) % m for p in range(m))
             for level in (0, 1):
                 generators[d] = tuple(f"k{branch}.c{c}.h{level}.s{p}" for p in range(m))
-                perms[d] = tuple((p + twist.k[c - 1]) % m for p in range(m))
+                perms[d] = rotation
                 d += 1
         d_max = d - 1
 
     d_min = min(generators)
-    boundaries = {
-        d: (circle_boundary(m) if d % 2 else connecting_boundary(m))
-        for d in range(d_min + 1, d_max + 1)}
+    stencils = (connecting_boundary(m), circle_boundary(m))
+    boundaries = {d: stencils[d % 2] for d in range(d_min + 1, d_max + 1)}
     action = CyclicAction(order=m, perms=perms)
     return GradedF2Complex(d_min, d_max, generators, boundaries, action)
 

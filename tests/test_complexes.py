@@ -1,5 +1,14 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import reebtwist
 
 from reebtwist.complexes import (
     ComplexValidationError,
@@ -11,6 +20,8 @@ from reebtwist.complexes import (
     validate,
 )
 from reebtwist.f2 import F2Matrix
+from reebtwist.geometry import RotationTwist
+from reebtwist.pearls import PearlComplexSpec, build_pearl_complex
 
 from oracles import brute_homology_dim, random_valid_complex
 
@@ -173,3 +184,94 @@ def test_json_round_trip_bit_exact():
 def test_homology_table_rejects_negative_dims():
     with pytest.raises(ValueError):
         HomologyTable(dims={0: -1}, reliable={0: True})
+
+
+def test_first_bad_cycle_names_its_lowest_generator():
+    # the 4-cycle is free, the 2-cycle (4 5) is the first bad one
+    gens = {0: tuple("abcdef")}
+    action = CyclicAction(order=4, perms={0: (1, 2, 3, 0, 5, 4)})
+    report = validate(GradedF2Complex(0, 0, gens, {}, action))
+    assert report.failures == (
+        "action not free: generator 4 in degree 0 is fixed by a nontrivial power "
+        "(orbit size 2)",)
+
+
+def pearl_complex(m: int, n: int = 4) -> GradedF2Complex:
+    return build_pearl_complex(PearlComplexSpec(
+        n=n, twist=RotationTwist(m, (1,) * n), window=(0, 3)))
+
+
+def with_perm(c: GradedF2Complex, d: int, perm: tuple[int, ...]) -> GradedF2Complex:
+    action = CyclicAction(order=c.action.order, perms={**c.action.perms, d: perm})
+    return dataclasses.replace(c, action=action)
+
+
+@pytest.fixture(scope="module")
+def pearl_256():
+    return pearl_complex(256)
+
+
+def test_large_pearl_complex_valid(pearl_256):
+    assert validate(pearl_256).ok
+
+
+def test_large_pearl_complex_rejects_a_flipped_entry(pearl_256):
+    # out of odd degree 9 the circle stencil; the all-ones stencil below it
+    # turns the flip at (3, 7) into composite column 7, first nonzero in row 0
+    old = pearl_256.boundaries[9]
+    flipped = F2Matrix(old.rows, old.cols,
+                       tuple(r ^ (1 << 7) if i == 3 else r for i, r in enumerate(old.row_bits)))
+    c = dataclasses.replace(pearl_256, boundaries={**pearl_256.boundaries, 9: flipped})
+    assert validate(c).failures == (
+        "d.d != 0 entering degree 7: composite entry (0,7) = 1",
+        "action does not commute with the boundary at degree 9")
+    with pytest.raises(ComplexValidationError, match="entering degree 7"):
+        quotient_by_action(c)
+
+
+def test_large_pearl_complex_rejects_a_non_free_permutation(pearl_256):
+    c = with_perm(pearl_256, 5, tuple(i ^ 1 for i in range(256)))
+    assert validate(c).failures == (
+        "action not free: generator 0 in degree 5 is fixed by a nontrivial power "
+        "(orbit size 2)",)
+    with pytest.raises(ComplexValidationError, match="not free"):
+        quotient_by_action(c)
+
+
+def test_large_pearl_complex_rejects_a_wrong_order_permutation(pearl_256):
+    # generator 7 fixed, the other 255 in one cycle: 255 does not divide 256
+    rest = [i for i in range(256) if i != 7]
+    perm = list(range(256))
+    for src, dst in zip(rest, rest[1:] + rest[:1]):
+        perm[src] = dst
+    c = with_perm(pearl_256, 12, tuple(perm))
+    assert validate(c).failures == (
+        "orbit of generator 0 in degree 12 has size 255, not dividing group order 256",)
+    with pytest.raises(ComplexValidationError, match="not dividing"):
+        quotient_by_action(c)
+
+
+def test_quotient_decomposes_each_degree_once_per_pass(monkeypatch):
+    # one cycle decomposition per degree in validation, one in the quotient
+    c = pearl_complex(64)
+    calls = Counter()
+    cycles = CyclicAction.cycles
+
+    def spy(self, degree):
+        calls[degree] += 1
+        return cycles(self, degree)
+
+    monkeypatch.setattr(CyclicAction, "cycles", spy)
+    quotient_by_action(c)
+    assert calls == {d: 2 for d in c.degrees()}
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(reebtwist.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, reebtwist.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from reebtwist.f2 import F2Matrix, matmul, nullspace_dim, rank
 
-from oracles import brute_kernel, brute_rank
+from oracles import brute_kernel, brute_rank, matmul_lists
 
 
 def ladder_rung(m: int) -> F2Matrix:
@@ -102,3 +102,28 @@ def test_rank_equals_rank_of_transpose(m):
 @given(f2_matrices(max_rows=8, max_cols=8))
 def test_rank_nullity(m):
     assert rank(m) + nullspace_dim(m) == m.cols
+
+
+@st.composite
+def pooled_factors(draw, max_dim=12):
+    """A product up to 12 x 12 whose left rows repeat from a small pool.
+
+    The pool holds the zero row, the top-bit row and the all-ones row of
+    the inner dimension plus a few random rows, so equal left rows share one
+    memoized result.
+    """
+    inner = draw(st.integers(1, max_dim))
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    top = 1 << (inner - 1)
+    pool = [0, top, 2 * top - 1, *draw(st.lists(st.integers(0, 2 * top - 1), max_size=3))]
+    left = F2Matrix(rows, inner, tuple(draw(st.sampled_from(pool)) for _ in range(rows)))
+    right = F2Matrix(inner, cols, tuple(draw(st.integers(0, (1 << cols) - 1))
+                                        for _ in range(inner)))
+    return left, right
+
+
+@given(pooled_factors())
+@settings(max_examples=300)
+def test_matmul_matches_list_product(factors):
+    a, b = factors
+    assert matmul(a, b).to_rows() == matmul_lists(a.to_rows(), b.to_rows())

@@ -67,7 +67,7 @@ def _refuse_integration(*_args, **_kwargs):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_commands_never_integrate(capsys, monkeypatch, name):
-    monkeypatch.setattr("reebtwist.geometry.solve_ivp", _refuse_integration)
+    monkeypatch.setattr("scipy.integrate.solve_ivp", _refuse_integration)
     assert main(CASES[name].split()) == 0
 
 
@@ -80,5 +80,5 @@ def test_model_commands_never_integrate(capsys, monkeypatch, tmp_path, profile, 
     path.write_text(json.dumps({"kind": "radial_profile", "n": 2,
                                 "twist": {"m": 2, "k": [1, 1]},
                                 "profile": MODELS[profile]}))
-    monkeypatch.setattr("reebtwist.geometry.solve_ivp", _refuse_integration)
+    monkeypatch.setattr("scipy.integrate.solve_ivp", _refuse_integration)
     assert main([*MODEL_CASES[case].split(), "--model", str(path)]) == 0

@@ -15,6 +15,7 @@ from reebtwist.orbits import (
     ConvergenceError,
     SolverSettings,
     TwistedOrbit,
+    _null_space,
     _shooting_jacobian,
     _shooting_residual,
     action,
@@ -285,6 +286,18 @@ def test_loop_action_on_explicit_circle():
 
 
 # -- monodromy -------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows,cols,rank", [(1, 4, 1), (2, 6, 2), (2, 6, 1), (3, 3, 0)])
+def test_null_space_matches_scipy(rows, cols, rank):
+    from scipy.linalg import null_space
+
+    rng = np.random.default_rng(rows * cols + rank)
+    a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    ours, ref = _null_space(a), null_space(a)
+    assert ours.shape == ref.shape == (cols, cols - rank)
+    assert np.allclose(ours.T @ ours, np.eye(cols - rank), atol=1e-12)
+    assert np.allclose(ours @ ours.T, ref @ ref.T, atol=1e-12)
+
 
 def test_monodromy_identity_on_spectrum():
     twist = RotationTwist(2, (1, 1))

@@ -177,14 +177,20 @@ def test_near_resonant_rows_stay_contiguous():
     assert compare_with_oracle(spec).all_match
 
 
-def test_rows_sharing_a_line_rejected():
+def test_chained_multipliers_give_each_line_one_row():
     # three multipliers about 0.94e-9 apart chain across the 1e-9 row
-    # tolerance: line 2 joins both rows at tau = -pi/2, and its circle would
-    # overwrite a degree of the other row
-    spec = PearlComplexSpec(n=3, twist=all_ones_twist(2, 3), window=(0, 2),
-                            coefficients=(1.0, 1.0 - 6e-10, 1.0 - 1.2e-9))
-    with pytest.raises(ValueError, match="gap or overlap at degree 2"):
-        build_pearl_complex(spec)
+    # tolerance: line 2 closes up at both rows near tau = -pi/2 and joins
+    # only the first, so no circle overwrites a degree of the other row
+    a = (1.0, 1.0 - 6e-10, 1.0 - 1.2e-9)
+    rows = analytic_spectrum(all_ones_twist(2, 3), 3, (0, 0), a).rows
+    assert [row.support for row in rows] == [(2, 3), (1,)]
+    spec = PearlComplexSpec(n=3, twist=all_ones_twist(2, 3), window=(0, 2), coefficients=a)
+    c = build_pearl_complex(spec)
+    assert validate(c).ok
+    circles = [c.generators[d][0].rsplit(".", 2)[0] for d in c.degrees()]
+    assert sorted(circles) == sorted(f"k{branch}.c{circle}" for branch in range(3)
+                                     for circle in (1, 2, 3) for _ in (0, 1))
+    assert compare_with_oracle(spec).all_match
 
 
 def test_grading_periodicity():
