@@ -563,3 +563,14 @@ def test_entry_point_subprocess():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "d,dim,reliable"
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(reebtwist.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, reebtwist.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

@@ -1,14 +1,8 @@
 import dataclasses
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-import reebtwist
 
 from reebtwist.complexes import (
     ComplexValidationError,
@@ -196,9 +190,10 @@ def test_first_bad_cycle_names_its_lowest_generator():
         "(orbit size 2)",)
 
 
-def pearl_complex(m: int, n: int = 4) -> GradedF2Complex:
+def pearl_complex(m: int) -> GradedF2Complex:
+    """The pearl complex at n = 4, window 0:3."""
     return build_pearl_complex(PearlComplexSpec(
-        n=n, twist=RotationTwist(m, (1,) * n), window=(0, 3)))
+        n=4, twist=RotationTwist(m, (1,) * 4), window=(0, 3)))
 
 
 def with_perm(c: GradedF2Complex, d: int, perm: tuple[int, ...]) -> GradedF2Complex:
@@ -264,14 +259,3 @@ def test_quotient_decomposes_each_degree_once_per_pass(monkeypatch):
     monkeypatch.setattr(CyclicAction, "cycles", spy)
     quotient_by_action(c)
     assert calls == {d: 2 for d in c.degrees()}
-
-
-def test_cli_import_loads_no_scipy():
-    src = Path(reebtwist.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, reebtwist.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
