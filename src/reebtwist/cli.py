@@ -25,14 +25,20 @@ from .geometry import (
     RoundSphere,
     load_model,
 )
-from .lifting import AmbiguousLiftError, QuotientLoop, classify_orbit_loop, lift_loop
+from .lifting import (
+    LIFT_MATCH_TOL,
+    AmbiguousLiftError,
+    QuotientLoop,
+    classify_orbit_loop,
+    lift_loop,
+)
 from .orbits import (
     ConvergenceError,
     SolverSettings,
     action,
     analytic_spectrum,
+    line_multiplier,
     orbit_index,
-    orbit_multiplier,
     shoot_orbit,
 )
 from .pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle, tate_homology
@@ -66,12 +72,18 @@ def _round_floats(obj):
 
 # -- argument handling ----------------------------------------------------------
 
-def _sample_count(text: str) -> int:
-    # one sample step is a single chord, too coarse to integrate over or lift
-    count = int(text)
-    if count < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {count}")
-    return count
+def _count_at_least(low: int, what: str):
+    """Parser of an integer flag that rejects values below ``low``."""
+    def parse(text: str) -> int:
+        count = int(text)
+        if count < low:
+            raise argparse.ArgumentTypeError(f"need at least {low} {what}, got {count}")
+        return count
+    return parse
+
+
+# one sample step is a single chord, too coarse to integrate over or lift
+_sample_count = _count_at_least(2, "samples")
 
 
 def _finite_float(text: str) -> float:
@@ -94,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     geometry_flags = {
         "m": dict(type=int, help="rotation order"),
         "k": dict(type=str, help="comma-separated rotation exponents"),
-        "n": dict(type=int, help="complex dimension"),
+        "n": dict(type=_count_at_least(1, "complex coordinate"), help="complex dimension"),
         "model": dict(type=str, help="model description JSON file"),
     }
 
@@ -229,7 +241,7 @@ def _solver_settings(tols: dict[str, float]) -> SolverSettings:
 
 def _effective_tolerances(settings: SolverSettings, tols: dict) -> dict:
     eff = {name: getattr(settings, field) for name, field in _SETTINGS_KEYS.items()}
-    eff["lift_match"] = tols.get("lift_match", 1e-6)
+    eff["lift_match"] = tols.get("lift_match", LIFT_MATCH_TOL)
     return eff
 
 
@@ -322,7 +334,7 @@ def cmd_cz_index(args, tols):
     a = model.coefficients()
     rows = []
     for k in range(window[0], window[1] + 1):
-        tau = orbit_multiplier(twist.m, twist.residue(0), k) / a[0]
+        tau = line_multiplier(twist, a[0], 0, k)
         rows.append({"k": k, "tau": tau, "index": orbit_index(tau, a)})
     return {"rows": rows}, rows, EXIT_OK
 
@@ -349,7 +361,6 @@ def cmd_homology(args, tols):
         return data, rows, EXIT_OK
     report = compare_with_oracle(spec)
     data = report.to_json_dict()
-    data["all_match"] = report.all_match
     rows = data["degrees"]
     return data, rows, (EXIT_OK if report.all_match else EXIT_MISMATCH)
 
@@ -368,10 +379,10 @@ def cmd_lift(args, tols):
     try:
         with open(args.input) as fh:
             loop = QuotientLoop.from_json_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read loop file: {exc}") from exc
     result = lift_loop(loop, basepoint_choice=args.basepoint,
-                       match_tol=tols.get("lift_match", 1e-6))
+                       match_tol=tols.get("lift_match", LIFT_MATCH_TOL))
     return result.certificate(), None, EXIT_OK
 
 
@@ -379,8 +390,8 @@ def cmd_certify(args, tols):
     model, twist, n = _resolve_geometry(args)
     settings = _solver_settings(tols)
     a = model.coefficients()
-    tau_seed = orbit_multiplier(twist.m, twist.residue(0), args.pearl) / a[0]
-    seed = _parse_seed_point(getattr(args, "z", None), n)
+    tau_seed = line_multiplier(twist, a[0], 0, args.pearl)
+    seed = _parse_seed_point(None, n)
     orbit = shoot_orbit(model, twist, seed, tau_seed, settings=settings)
     value = action(orbit, model, settings=settings)
     index = orbit_index(orbit.tau, a)
@@ -406,18 +417,10 @@ def cmd_sweep(args, tols):
     coefficients = _read_model(args.model)[0].coefficients() if args.model else None
     if coefficients is not None and set(n_list) != {len(coefficients)}:
         raise ConfigError(f"--n-list must hold only the model's n = {len(coefficients)}")
-    grid = [(m, n) for m in range(m_lo, m_hi + 1) for n in n_list]
-
-    def run(point):
-        m, n = point
-        twist = RotationTwist(m, tuple([1] * n))
-        report = compare_with_oracle(PearlComplexSpec(n=n, twist=twist, window=window,
-                                                      coefficients=coefficients))
-        data = report.to_json_dict()
-        data["all_match"] = report.all_match
-        return data
-
-    results = [run(point) for point in grid]
+    specs = [PearlComplexSpec(n=n, twist=RotationTwist(m, tuple([1] * n)), window=window,
+                              coefficients=coefficients)
+             for m in range(m_lo, m_hi + 1) for n in n_list]
+    results = [compare_with_oracle(spec).to_json_dict() for spec in specs]
     ok = all(r["all_match"] for r in results)
     return {"sweep": results, "all_match": ok}, None, (
         EXIT_OK if ok else EXIT_MISMATCH)

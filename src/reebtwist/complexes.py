@@ -151,11 +151,6 @@ class HomologyTable:
     def interior_dims(self) -> dict[int, int]:
         return {d: v for d, v in self.dims.items() if self.reliable[d]}
 
-    def to_json_dict(self) -> dict:
-        return {"degrees": [
-            {"degree": d, "dim": self.dims[d], "reliable": self.reliable[d]}
-            for d in sorted(self.dims)]}
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -19,29 +19,34 @@ endpoints only, so no path is sampled.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
+WINDING_TOL = 1e-9   # end angles this close to a multiple of 2 pi close up
 
 
-def _odd_winding(theta: float, tol: float = 1e-9) -> int:
+def winding(turns: float, closed: bool) -> int:
+    """w(2 pi turns): 2 round(turns) for an end on the identity, else 2 floor(turns) + 1."""
+    return 2 * round(turns) if closed else 2 * math.floor(turns) + 1
+
+
+def _odd_winding(theta: float) -> int:
     """The track invariant w: odd on regular values, even on multiples of 2 pi."""
-    nearest = round(theta / _TWO_PI)
-    if abs(theta - nearest * _TWO_PI) <= tol:
-        return 2 * int(nearest)
-    return 2 * int(np.floor(theta / _TWO_PI)) + 1
+    turns = theta / _TWO_PI
+    return winding(turns, abs(theta - round(turns) * _TWO_PI) <= WINDING_TOL)
 
 
-def cz_index_unitary(rates, tol: float = 1e-9) -> int:
+def cz_index_unitary(rates) -> int:
     """Index of the rotation path with the given rates: sum_j w(rate_j).
 
     Nondegenerate ends contribute 2 floor(rate/2 pi) + 1; ends on the
     identity contribute the even boundary value, and zero rates nothing.
     """
-    return sum(_odd_winding(float(rate), tol) for rate in np.atleast_1d(rates))
+    return sum(_odd_winding(float(rate)) for rate in np.atleast_1d(rates))
 
 
-def relative_index(a, b, tol: float = 1e-9) -> int:
+def relative_index(a, b) -> int:
     """Index difference between two rotation paths, given by their rates."""
-    return cz_index_unitary(a, tol) - cz_index_unitary(b, tol)
-
+    return cz_index_unitary(a) - cz_index_unitary(b)

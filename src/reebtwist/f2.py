@@ -54,9 +54,9 @@ class F2Matrix:
         return cls(rows, cols, (full,) * rows)
 
     @classmethod
-    def cyclic_shift(cls, n: int, step: int = 1) -> "F2Matrix":
-        """Permutation matrix sending basis vector e_j to e_{j+step mod n}."""
-        return cls(n, n, tuple(1 << ((i - step) % n) for i in range(n)))
+    def cyclic_shift(cls, n: int) -> "F2Matrix":
+        """Permutation matrix sending basis vector e_j to e_{j+1 mod n}."""
+        return cls(n, n, tuple(1 << ((i - 1) % n) for i in range(n)))
 
     @classmethod
     def from_rows(cls, data: Iterable[Iterable[int]], cols: int | None = None) -> "F2Matrix":

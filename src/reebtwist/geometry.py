@@ -57,17 +57,18 @@ def to_complex(y: np.ndarray) -> np.ndarray:
 
 # -- the Liouville primitive and friends --------------------------------------
 
-def liouville_form_eval(z, v) -> float:
+def liouville_form_eval(z, v):
     """Value of the primitive one-form at z on the tangent vector v.
 
-    In complex notation lambda_z(v) = -(1/2) Im sum_j conj(z^j) v^j.
-    Bilinear in v; raises on a dimension mismatch.
+    In complex notation lambda_z(v) = -(1/2) Im sum_j conj(z^j) v^j, summed
+    over the last axis: stacked points and vectors give one value each.
+    Bilinear in v; raises on a shape mismatch.
     """
-    z = as_complex_vector(z)
+    z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if v.shape != z.shape:
+    if z.ndim == 0 or v.shape != z.shape:
         raise ValueError(f"dimension mismatch: point {z.shape}, vector {v.shape}")
-    return -0.5 * float(np.imag(np.sum(np.conj(z) * v)))
+    return -0.5 * np.imag(np.sum(np.conj(z) * v, axis=-1))
 
 
 def normalize_to_sphere(x) -> tuple[np.ndarray, float]:
@@ -124,13 +125,6 @@ class RotationTwist:
     def residue(self, j: int) -> int:
         """Exponent class of coordinate j (0-based) normalized into 1..m."""
         return (self.k[j] - 1) % self.m + 1
-
-    def congruence_classes(self) -> dict[int, tuple[int, ...]]:
-        """Coordinates grouped by exponent residue; keys in 1..m, values 1-based."""
-        classes: dict[int, list[int]] = {}
-        for j in range(self.n):
-            classes.setdefault(self.residue(j), []).append(j + 1)
-        return {r: tuple(v) for r, v in sorted(classes.items())}
 
 
 # -- the integrator ---------------------------------------------------------------
@@ -245,7 +239,6 @@ class RoundSphere(StarShapedModel):
     """The unit sphere G = |z|^2, with Reeb flow e^{-2it} z."""
 
     n: int
-    kind: str = "round_sphere"
 
     reeb_field = StarShapedModel.reeb_field
 
@@ -262,7 +255,6 @@ class RadialProfile(StarShapedModel):
 
     n: int
     profile: ConstantProfile | EllipsoidProfile
-    kind: str = "radial_profile"
 
     reeb_field = StarShapedModel.reeb_field
 
@@ -272,13 +264,14 @@ class RadialProfile(StarShapedModel):
 
 # -- Reeb flow ------------------------------------------------------------------
 
-def reeb_field(z, surface_tol: float = DEFAULT_SURFACE_TOL) -> np.ndarray:
+def reeb_field(z) -> np.ndarray:
     """Reeb field -2i z of the round sphere; errors off the hypersurface."""
     z = as_complex_vector(z)
     sphere = RoundSphere(z.size)
     err = sphere.surface_error(z)
-    if err > surface_tol:
-        raise OffSurfaceError(f"|z| - 1 = {err:.3e} exceeds tolerance {surface_tol:.3e}")
+    if err > DEFAULT_SURFACE_TOL:
+        raise OffSurfaceError(
+            f"|z| - 1 = {err:.3e} exceeds tolerance {DEFAULT_SURFACE_TOL:.3e}")
     return sphere.reeb_field(z)
 
 
@@ -316,7 +309,8 @@ def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
     """Build (model, twist) from a JSON model description dict.
 
     A profile must make G positive definite: a constant value or exactly n
-    finite positive ellipsoid coefficients.  Missing keys raise ValueError.
+    finite positive ellipsoid coefficients.  Missing keys and values of the
+    wrong JSON type raise ValueError.
     """
     try:
         kind = spec.get("kind")
@@ -346,3 +340,5 @@ def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
         raise ValueError(f"unknown model kind {kind!r}")
     except KeyError as exc:
         raise ValueError(f"model description lacks the key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed model description: {exc}") from None

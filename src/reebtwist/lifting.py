@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RotationTwist
+from .orbits import orbit_samples
 
 LIFT_MATCH_TOL = 1e-6
 
@@ -77,14 +78,6 @@ class QuotientLoop:
         if np.max(np.abs(norms - 1.0)) > 1e-6:
             raise ValueError("samples must lie on the unit sphere")
         self.samples = pts
-
-    @property
-    def closed(self) -> bool:
-        """True when the final sample projects to the starting quotient point."""
-        last, first = self.samples[-1], self.samples[0]
-        dists = [np.linalg.norm(last - self.twist.apply(first, power=j))
-                 for j in range(self.twist.m)]
-        return bool(min(dists) <= LIFT_MATCH_TOL)
 
     def to_json_dict(self) -> dict:
         flat = self.samples.view(np.float64).reshape(self.samples.shape[0], -1)
@@ -167,17 +160,14 @@ def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,
                       margin=bound - worst_step)
 
 
-def classify_orbit_loop(orbit, twist: RotationTwist, model, samples: int = 128,
-                        basepoint_choice: int = 0) -> LiftResult:
+def classify_orbit_loop(orbit, twist: RotationTwist, model, samples: int = 128) -> LiftResult:
     """Deck element of the projected orbit over one twisted period.
 
     Samples the orbit, projects to the quotient, lifts back from the orbit
     start, and returns the matching rotation power.  A nonzero power
     certifies that the projected loop is noncontractible in the quotient.
     """
-    from .orbits import orbit_samples
-
     pts = orbit_samples(orbit, model, samples)
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     loop = QuotientLoop(samples=pts, twist=twist)
-    return lift_loop(loop, basepoint_choice=basepoint_choice)
+    return lift_loop(loop)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czindex import cz_index_unitary
+from .czindex import cz_index_unitary, winding
 from .geometry import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -27,6 +27,7 @@ from .geometry import (
     StarShapedModel,
     as_complex_vector,
     integrate,
+    liouville_form_eval,
     reeb_flow,
     reeb_flow_samples,
     to_complex,
@@ -35,6 +36,8 @@ from .geometry import (
 
 SUPPORT_TOL = 1e-8
 TAU_TOL = 1e-9       # multipliers closer than this are one
+MAX_ITERATIONS = 50
+MAX_DAMPING_HALVINGS = 8
 
 
 class ConvergenceError(Exception):
@@ -49,8 +52,6 @@ class ConvergenceError(Exception):
 @dataclass(frozen=True)
 class SolverSettings:
     residual_tol: float = 1e-8
-    max_iterations: int = 50
-    max_damping_halvings: int = 8
     tau_travel_limit: float = 0.5   # certified orbit must stay near the seed
     flow_surface_tol: float = 1e-3  # surface check of certified and sampled orbit points
 
@@ -65,10 +66,6 @@ class TwistedOrbit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z0", as_complex_vector(self.z0))
-
-    @property
-    def n(self) -> int:
-        return self.z0.size
 
 
 @dataclass(frozen=True)
@@ -104,6 +101,11 @@ def orbit_multiplier(m: int, residue: int, branch: int) -> float:
     return math.pi * (m * branch - residue) / m
 
 
+def line_multiplier(twist: RotationTwist, a_j: float, j: int, branch: int) -> float:
+    """pi (m l - r_j) / (m a_j): line j, rotating at rate 2 a_j, closes up on branch l."""
+    return orbit_multiplier(twist.m, twist.residue(j), branch) / a_j
+
+
 def monodromy_unitary_path(tau: float, n: int) -> np.ndarray:
     """Rotation rates of a sphere orbit's linearized flow: 2 tau on every line."""
     return np.full(n, 2.0 * tau)
@@ -122,15 +124,11 @@ def line_turns(tau: float, a_j: float, twist: RotationTwist, j: int) -> float:
 def twisted_index(row: SpectrumRow, coefficients, twist: RotationTwist) -> int:
     """Index of a row's linearized flow followed by the twist's rotation path.
 
-    A line in the row's support ends on the identity and contributes the
-    even 2 round(theta_j / 2 pi), any other line the odd
-    2 floor(theta_j / 2 pi) + 1: the support, not a tolerance, decides.
+    A line in the row's support ends on the identity: the support, not a
+    tolerance, decides which lines take the closed winding.
     """
-    total = 0
-    for j, a_j in enumerate(coefficients):
-        turns = line_turns(row.tau, a_j, twist, j)
-        total += 2 * round(turns) if j + 1 in row.support else 2 * math.floor(turns) + 1
-    return total
+    return sum(winding(line_turns(row.tau, a_j, twist, j), j + 1 in row.support)
+               for j, a_j in enumerate(coefficients))
 
 
 def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
@@ -152,19 +150,17 @@ def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
         raise ValueError("empty branch window")
     a = [1.0] * n if coefficients is None else [float(c) for c in coefficients]
 
-    def multiplier(j: int, branch: int) -> float:
-        return orbit_multiplier(twist.m, twist.residue(j), branch) / a[j]
-
     def closing_lines(tau: float) -> set[tuple[int, int]]:
         """The (line, branch) pairs whose multiplier lies within TAU_TOL of tau."""
         pairs = ((j, round(line_turns(tau, a[j], twist, j))) for j in range(n))
-        return {(j, l) for j, l in pairs if abs(multiplier(j, l) - tau) <= TAU_TOL}
+        return {(j, l) for j, l in pairs if abs(line_multiplier(twist, a[j], j, l) - tau) <= TAU_TOL}
 
     # a line joins only the first row it closes up at: multipliers chained
     # within 2 TAU_TOL would otherwise put one line into two rows
     claimed: set[tuple[int, int]] = set()
     rows = []
-    for tau in sorted({multiplier(j, l) for j in range(n) for l in range(lo, hi + 1)}):
+    for tau in sorted({line_multiplier(twist, a[j], j, l)
+                       for j in range(n) for l in range(lo, hi + 1)}):
         if rows and tau - rows[-1].tau <= TAU_TOL:
             continue
         joining = closing_lines(tau) - claimed
@@ -177,14 +173,12 @@ def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
 
 # -- shooting ----------------------------------------------------------------------
 
-def _component_id(twist: RotationTwist, support: tuple[int, ...], tau: float) -> str:
-    classes = twist.congruence_classes()
+def _component_id(twist: RotationTwist, coefficients, support: tuple[int, ...],
+                  tau: float) -> str:
+    """supp(...)|l=<branch> when every support line closes up on one branch, else mixed."""
     supp = ",".join(str(j) for j in support)
-    for residue, members in classes.items():
-        if set(support) <= set(members):
-            branch = round((tau * twist.m / math.pi + residue) / twist.m)
-            return f"supp({supp})|l={branch}"
-    return f"supp({supp})|mixed"
+    branches = {round(line_turns(tau, coefficients[j - 1], twist, j - 1)) for j in support}
+    return f"supp({supp})|l={branches.pop()}" if len(branches) == 1 else f"supp({supp})|mixed"
 
 
 def _complex_to_real_matrix(mc: np.ndarray) -> np.ndarray:
@@ -254,13 +248,13 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
     u = np.concatenate([to_real(z_seed), [float(seed_tau)]])
     r = residual_vec(u)
     history = [float(np.linalg.norm(r))]
-    for iteration in range(settings.max_iterations):
+    for iteration in range(MAX_ITERATIONS):
         if float(np.max(np.abs(r))) <= settings.residual_tol:
             return _certify(model, twist, u, settings)
         jac = _shooting_jacobian(model, twist, section, u)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
-        for _ in range(settings.max_damping_halvings + 1):
+        for _ in range(MAX_DAMPING_HALVINGS + 1):
             trial = u + alpha * step
             try:
                 r_trial = residual_vec(trial)
@@ -283,7 +277,7 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
     if float(np.max(np.abs(r))) <= settings.residual_tol:
         return _certify(model, twist, u, settings)
     raise ConvergenceError("maximum iterations reached", {
-        "iterations": settings.max_iterations, "residual": history[-1],
+        "iterations": MAX_ITERATIONS, "residual": history[-1],
         "history": history[-5:]})
 
 
@@ -295,7 +289,8 @@ def _certify(model, twist, u: np.ndarray, settings: SolverSettings) -> TwistedOr
     residual = float(np.linalg.norm(flow - twist.apply(z)))
     support = tuple(j + 1 for j in range(z.size) if abs(z[j]) > SUPPORT_TOL)
     return TwistedOrbit(z0=z, tau=tau, support=support, residual=residual,
-                        component_id=_component_id(twist, support, tau))
+                        component_id=_component_id(twist, model.coefficients(), support,
+                                                   tau))
 
 
 # -- linearized flows ----------------------------------------------------------------
@@ -339,7 +334,6 @@ def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
 
 @dataclass(frozen=True)
 class MonodromyReport:
-    matrix: np.ndarray
     kernel_dim_tangent: int
     kernel_dim_contact: int
     tangent_deviation: float
@@ -389,7 +383,7 @@ def monodromy(orbit: TwistedOrbit, model: StarShapedModel, twist: RotationTwist,
     tangent, contact = _tangent_frames(model, orbit.z0)
     dim_t, dev = _restricted_kernel_dim(gap, tangent, kernel_tol)
     dim_c, _ = _restricted_kernel_dim(gap, contact, kernel_tol)
-    return MonodromyReport(matrix=mat, kernel_dim_tangent=dim_t,
+    return MonodromyReport(kernel_dim_tangent=dim_t,
                            kernel_dim_contact=dim_c, tangent_deviation=dev)
 
 
@@ -404,12 +398,14 @@ def orbit_samples(orbit: TwistedOrbit, model: StarShapedModel, count: int,
 
 
 def loop_action(samples: np.ndarray) -> float:
-    """Chord-trapezoid quadrature of the Liouville line integral."""
+    """Chord-trapezoid quadrature of the Liouville line integral.
+
+    Each chord contributes the mean of lambda at its two ends applied to it.
+    """
     pts = np.asarray(samples, dtype=complex)
     chords = pts[1:] - pts[:-1]
-    pairing = np.imag(np.sum(np.conj(pts[:-1]) * chords, axis=1)
-                      + np.sum(np.conj(pts[1:]) * chords, axis=1))
-    return float(np.sum(-0.25 * pairing))
+    ends = liouville_form_eval(pts[:-1], chords) + liouville_form_eval(pts[1:], chords)
+    return float(np.sum(0.5 * ends))
 
 
 def action(orbit: TwistedOrbit, model: StarShapedModel, quadrature_n: int = 1000,

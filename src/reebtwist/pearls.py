@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, quotient_by_action
 from .f2 import F2Matrix
 from .geometry import RotationTwist
-from .orbits import TAU_TOL, SpectrumRow, analytic_spectrum, line_turns, orbit_multiplier, twisted_index
+from .orbits import TAU_TOL, SpectrumRow, analytic_spectrum, line_multiplier, line_turns, twisted_index
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ def _window_rows(spec: PearlComplexSpec) -> tuple[SpectrumRow, ...]:
     """Spectrum rows between the lowest branch-LO and the highest branch-HI multiplier."""
     twist, n, a = spec.twist, spec.n, spec.coefficients
     lo, hi = spec.window
-    tau_lo = min(orbit_multiplier(twist.m, twist.residue(j), lo) / a[j] for j in range(n))
-    tau_hi = max(orbit_multiplier(twist.m, twist.residue(j), hi) / a[j] for j in range(n))
+    tau_lo = min(line_multiplier(twist, a[j], j, lo) for j in range(n))
+    tau_hi = max(line_multiplier(twist, a[j], j, hi) for j in range(n))
     branches = (min(math.floor(line_turns(tau_lo, a[j], twist, j)) for j in range(n)),
                 max(math.ceil(line_turns(tau_hi, a[j], twist, j)) for j in range(n)))
     rows = analytic_spectrum(twist, n, branches, a).rows
@@ -71,7 +71,7 @@ def _window_rows(spec: PearlComplexSpec) -> tuple[SpectrumRow, ...]:
 def circle_boundary(m: int) -> F2Matrix:
     """Each circle maximum flows down to its two neighbouring minima."""
     eye = F2Matrix.identity(m)
-    shift = F2Matrix.cyclic_shift(m, 1)
+    shift = F2Matrix.cyclic_shift(m)
     return F2Matrix(m, m, tuple(a ^ b for a, b in zip(eye.row_bits, shift.row_bits)))
 
 
@@ -156,6 +156,7 @@ class OracleComparison:
             "degrees": [{"d": e.degree, "dim_quotient": e.dim_quotient,
                          "dim_tate": e.dim_tate, "match": e.match}
                         for e in self.degrees],
+            "all_match": self.all_match,
         }
 
 

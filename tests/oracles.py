@@ -156,6 +156,32 @@ def random_valid_complex(rng: np.random.Generator, n_degrees: int,
     return dims, boundaries
 
 
+def orbit_class_quotient(perms: dict[int, list[int]],
+                         boundaries: dict[int, list[list[int]]]) -> dict[int, list[list[int]]]:
+    """Boundaries of the quotient by a free cyclic action, from orbit classes.
+
+    ``perms[d][i]`` is the image of generator i of degree d, ``boundaries[d]``
+    the list-of-rows matrix from degree d to d - 1.  Each degree's orbits are
+    walked generator by generator and listed by their lowest member; an
+    orbit class's boundary counts, mod 2, the entries of its lowest member's
+    boundary column that fall in each orbit one degree down.
+    """
+    def orbits(perm):
+        found = {}
+        for start in range(len(perm)):
+            members, cur = {start}, perm[start]
+            while cur != start:
+                members.add(cur)
+                cur = perm[cur]
+            found[min(members)] = members
+        return [found[low] for low in sorted(found)]
+
+    classes = {d: orbits(perm) for d, perm in perms.items()}
+    return {d: [[sum(mat[i][min(col)] for i in row) % 2 for col in classes[d]]
+                for row in classes[d - 1]]
+            for d, mat in boundaries.items()}
+
+
 def f2_inverse(mat: list[list[int]]) -> list[list[int]]:
     """Inverse of an invertible GF(2) matrix by Gauss-Jordan on an augmented block."""
     n = len(mat)

@@ -193,6 +193,15 @@ def test_lift_undersampled_exit_code(capsys, tmp_path):
     assert "lifting" in err
 
 
+def test_malformed_loop_file_rejected(capsys, tmp_path):
+    # once a TypeError traceback with exit 1
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"twist": [1], "samples": [[1.0, 0.0, 0.0, 0.0]] * 2}))
+    code, out, err = run(capsys, "lift", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read loop file") and err.count("\n") == 1
+
+
 def test_sweep_command(capsys):
     payload = run_json(capsys, "sweep", "--m-range", "2:4", "--n-list", "2",
                        "--window", "0:3")
@@ -286,19 +295,30 @@ def test_resonant_seeds_converge(capsys, tmp_path, m, n, branch, log_eps, sign):
     assert data["orbit"]["tau"] * a[0] == pytest.approx(seed, abs=1e-6)
 
 
-@pytest.mark.parametrize("profile", [
-    {"type": "constant", "value": 0},
-    {"type": "constant", "value": -0.7},
-    {"type": "ellipsoid", "coefficients": [1, -1]},
-    {"type": "ellipsoid", "coefficients": [1, 0]},
-    {"type": "ellipsoid", "coefficients": [1]},
-    {"type": "ellipsoid", "coefficients": [1, "inf"]},
-], ids=["value0", "value-0.7", "coeffs1,-1", "coeffs1,0", "coeffs1", "coeffs1,inf"])
+def radial_model(profile, twist=None):
+    return {"kind": "radial_profile", "n": 2, "twist": twist or {"m": 2, "k": [1, 1]},
+            "profile": profile}
+
+
+@pytest.mark.parametrize("model", [
+    radial_model({"type": "constant", "value": 0}),
+    radial_model({"type": "constant", "value": -0.7}),
+    radial_model({"type": "ellipsoid", "coefficients": [1, -1]}),
+    radial_model({"type": "ellipsoid", "coefficients": [1, 0]}),
+    radial_model({"type": "ellipsoid", "coefficients": [1]}),
+    radial_model({"type": "ellipsoid", "coefficients": [1, "inf"]}),
+    [radial_model({"type": "constant"})],
+    radial_model({"type": "constant"}, twist={"m": 2, "k": 5}),
+    radial_model({"type": "ellipsoid", "coefficients": 1.0}),
+    radial_model("x"),
+], ids=["value0", "value-0.7", "coeffs1,-1", "coeffs1,0", "coeffs1", "coeffs1,inf",
+        "list", "k5", "coeffs1.0", "profile-x"])
 @pytest.mark.parametrize("command", ["certify", "spectrum", "cz-index"])
-def test_malformed_model_file_rejected(capsys, tmp_path, profile, command):
+def test_malformed_model_file_rejected(capsys, tmp_path, model, command):
     # each once crashed with a traceback or printed a result
-    path = write_model(tmp_path, 2, (1, 1), profile)
-    code, out, err = run(capsys, command, "--model", path)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, command, "--model", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -408,6 +428,14 @@ def test_certify_seeds_at_the_models_multiplier(capsys, tmp_path, profile, a):
     data = run_json(capsys, "certify", "--model", path)["data"]
     assert data["orbit"]["tau"] == pytest.approx(math.pi / (2 * a), abs=1e-9)
     assert data["index"] == 2 * rotation_index(math.pi)
+
+
+@pytest.mark.parametrize("pearl", [1, 2, 3])
+def test_certify_labels_the_component_by_its_closing_branch(capsys, tmp_path, pearl):
+    # the round sphere's branch formula once labelled these l=2, l=4 and l=7
+    path = write_model(tmp_path, 3, (1, 2), {"type": "ellipsoid", "coefficients": [0.4, 1.3]})
+    data = run_json(capsys, "certify", "--model", path, "--pearl", str(pearl))["data"]
+    assert data["orbit"]["component"] == f"supp(1)|l={pearl}"
 
 
 def test_spectrum_and_cz_index_follow_the_model(capsys, tmp_path):
@@ -544,15 +572,19 @@ def test_ellipsoid_certify_cz_index_and_spectrum_agree(capsys, tmp_path, case, c
                for row in rows)
 
 
-@pytest.mark.parametrize("argv", [
-    ["certify", "--m", "2", "--k", "1,1", "--n", "2", "--samples", "1"],
-    ["action", "--m", "2", "--k", "1,1", "--n", "2", "--tau", "1.5", "--samples", "0"],
-], ids=["certify", "action"])
-def test_too_few_samples_rejected_at_parse_time(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--m", "2", "--k", "1,1", "--n", "2", "--samples", "1"], "2 samples"),
+    (["action", "--m", "2", "--k", "1,1", "--n", "2", "--tau", "1.5", "--samples", "0"],
+     "2 samples"),
+    (["spectrum", "--m", "2", "--n", "0", "--k", "1,1"], "1 complex coordinate"),
+    (["spectrum", "--m", "2", "--n", "-1"], "1 complex coordinate"),
+], ids=["certify", "action", "n0", "n-1"])
+def test_too_few_samples_rejected_at_parse_time(capsys, argv, message):
+    # --n 0 was once read as "no --n" and replaced by the twist's n
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "need at least 2 samples" in capsys.readouterr().err
+    assert f"need at least {message}" in capsys.readouterr().err
 
 
 def test_entry_point_subprocess():

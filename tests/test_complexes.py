@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebtwist.complexes import (
     ComplexValidationError,
@@ -17,12 +19,12 @@ from reebtwist.f2 import F2Matrix
 from reebtwist.geometry import RotationTwist
 from reebtwist.pearls import PearlComplexSpec, build_pearl_complex
 
-from oracles import brute_homology_dim, random_valid_complex
+from oracles import brute_homology_dim, orbit_class_quotient, random_valid_complex
 
 
 def rung(m: int) -> F2Matrix:
     eye = F2Matrix.identity(m)
-    shift = F2Matrix.cyclic_shift(m, 1)
+    shift = F2Matrix.cyclic_shift(m)
     return F2Matrix(m, m, tuple(a ^ b for a, b in zip(eye.row_bits, shift.row_bits)))
 
 
@@ -110,6 +112,39 @@ def test_quotient_odd_order_alternates():
         assert q.boundaries[d].is_zero == expected_zero, d
     table = homology(q)
     assert all(v == 0 for v in table.interior_dims().values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_quotient_with_several_orbits_per_degree(m, seed):
+    # a random complex tensored with the regular Z_m representation: generator
+    # (i, g) of degree d sits at index place[d][i m + g], the group sends g to
+    # g + 1, and the boundary keeps g.  The uniform placement both permutes the
+    # orbits and rotates each one, so any member can be an orbit's lowest index.
+    rng = np.random.default_rng(seed)
+    dims, bnds = random_valid_complex(rng, n_degrees=4, max_gens=3)
+    place = {d: [int(p) for p in rng.permutation(dims[d] * m)] for d in dims}
+    perms, tensored = {}, {}
+    for d in dims:
+        perms[d] = [0] * (dims[d] * m)
+        for i in range(dims[d]):
+            for g in range(m):
+                perms[d][place[d][i * m + g]] = place[d][i * m + (g + 1) % m]
+    for d, mat in bnds.items():
+        tensored[d] = [[0] * (dims[d] * m) for _ in range(dims[d - 1] * m)]
+        for i, j in np.argwhere(np.array(mat, dtype=int)):
+            for g in range(m):
+                tensored[d][place[d - 1][i * m + g]][place[d][j * m + g]] = 1
+    base = GradedF2Complex(0, 3, {d: ("x",) * dims[d] for d in dims},
+                           {d: F2Matrix.from_rows(mat, cols=dims[d]) for d, mat in bnds.items()})
+    big = GradedF2Complex(0, 3, {d: tuple(map(str, range(dims[d] * m))) for d in dims},
+                          {d: F2Matrix.from_rows(mat, cols=dims[d] * m)
+                           for d, mat in tensored.items()},
+                          CyclicAction(order=m, perms={d: tuple(p) for d, p in perms.items()}))
+    quotient = quotient_by_action(big)
+    assert homology(quotient).dims == homology(base).dims
+    expected = orbit_class_quotient(perms, tensored)
+    assert {d: quotient.boundaries[d].to_rows() for d in expected} == expected
 
 
 def test_quotient_trivial_group_is_identity():

@@ -10,7 +10,7 @@ from oracles import brute_kernel, brute_rank, matmul_lists
 def ladder_rung(m: int) -> F2Matrix:
     """Identity plus one-step cyclic shift (each column has two ones)."""
     eye = F2Matrix.identity(m)
-    shift = F2Matrix.cyclic_shift(m, 1)
+    shift = F2Matrix.cyclic_shift(m)
     return F2Matrix(m, m, tuple(a ^ b for a, b in zip(eye.row_bits, shift.row_bits)))
 
 

@@ -50,6 +50,14 @@ def test_liouville_form_on_reeb_field_is_one():
 def test_liouville_form_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         liouville_form_eval([1, 0], [1j])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        liouville_form_eval(unit_points(2, 3), unit_points(2, 2))
+
+
+def test_liouville_form_broadcasts_over_stacked_points():
+    z, v = unit_points(3, 6, seed=2), unit_points(3, 6, seed=3)
+    expected = [liouville_form_eval(zi, vi) for zi, vi in zip(z, v)]
+    np.testing.assert_array_equal(liouville_form_eval(z, v), expected)
 
 
 # -- Reeb field and flow ---------------------------------------------------------
@@ -265,13 +273,6 @@ def test_twist_order_and_freeness():
     for p in pows:
         assert np.max(np.abs(p - z)) > 0.1
     np.testing.assert_allclose(twist.apply(z, power=5), z, atol=1e-12)
-
-
-def test_twist_congruence_classes():
-    twist = RotationTwist(4, (1, 3))
-    assert twist.congruence_classes() == {1: (1,), 3: (2,)}
-    same = RotationTwist(4, (1, 5))
-    assert same.congruence_classes() == {1: (1, 2)}
 
 
 # -- model files -------------------------------------------------------------------

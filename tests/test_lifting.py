@@ -171,7 +171,6 @@ def test_loop_json_round_trip():
     back = QuotientLoop.from_json_dict(loop.to_json_dict())
     assert back.twist == loop.twist
     np.testing.assert_allclose(back.samples, loop.samples)
-    assert back.closed == loop.closed
 
 
 def test_loop_validation():

@@ -20,6 +20,7 @@ from reebtwist.orbits import (
     _shooting_residual,
     action,
     analytic_spectrum,
+    line_multiplier,
     loop_action,
     monodromy,
     orbit_multiplier,
@@ -171,6 +172,18 @@ def test_shoot_round_sphere_first_branch():
     assert orbit.residual <= 1e-8
     assert orbit.support == (1,)
     assert orbit.component_id == "supp(1)|l=1"
+
+
+def test_component_label_names_the_closing_branch():
+    # on a = (1, 3), m = 2 both lines close up at tau = pi/2, line 1 on
+    # branch 1 and line 2 on branch 2
+    twist = RotationTwist(2, (1, 1))
+    model = RadialProfile(2, EllipsoidProfile((1.0, 3.0)))
+    assert line_multiplier(twist, 1.0, 0, 1) == line_multiplier(twist, 3.0, 1, 2) == math.pi / 2
+    along_line = shoot_orbit(model, twist, [1, 0], math.pi / 2)
+    assert along_line.component_id == "supp(1)|l=1"
+    both = shoot_orbit(model, twist, [0.6, 0.8], math.pi / 2)
+    assert both.support == (1, 2) and both.component_id == "supp(1,2)|mixed"
 
 
 def test_shoot_radial_unit_profile_matches_analytic():
