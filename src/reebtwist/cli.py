@@ -25,13 +25,7 @@ from .geometry import (
     RoundSphere,
     load_model,
 )
-from .lifting import (
-    LIFT_MATCH_TOL,
-    AmbiguousLiftError,
-    QuotientLoop,
-    classify_orbit_loop,
-    lift_loop,
-)
+from .lifting import AmbiguousLiftError, QuotientLoop, classify_orbit_loop, lift_loop
 from .orbits import (
     ConvergenceError,
     SolverSettings,
@@ -71,11 +65,22 @@ def _round_floats(obj):
 
 
 # -- argument handling ----------------------------------------------------------
+#
+# Every flag's parser ``type`` returns the value its command uses, so a bad
+# value stops the parse with exit 2 before any command runs, and a config
+# file's keys, parsed as flags, are checked the same way.
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+
 
 def _count_at_least(low: int, what: str):
     """Parser of an integer flag that rejects values below ``low``."""
     def parse(text: str) -> int:
-        count = int(text)
+        count = _integer(text)
         if count < low:
             raise argparse.ArgumentTypeError(f"need at least {low} {what}, got {count}")
         return count
@@ -84,6 +89,7 @@ def _count_at_least(low: int, what: str):
 
 # one sample step is a single chord, too coarse to integrate over or lift
 _sample_count = _count_at_least(2, "samples")
+_dimension = _count_at_least(1, "complex coordinate")
 
 
 def _finite_float(text: str) -> float:
@@ -97,6 +103,38 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _comma_separated(item):
+    """Parser of a comma-separated flag into the tuple of its ``item`` values."""
+    return lambda text: tuple(item(x) for x in text.split(","))
+
+
+def _window(what: str):
+    """Parser of an inclusive integer window ``LO:HI`` into ``(lo, hi)``."""
+    def parse(text: str) -> tuple[int, int]:
+        try:
+            lo, hi = (int(x) for x in text.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}, expected LO:HI") from None
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty {what} {text!r}: LO exceeds HI")
+        return lo, hi
+    return parse
+
+
+def _tolerance(text: str) -> tuple[str, float]:
+    """``NAME=VALUE`` into a ``SolverSettings`` field name and a finite positive value."""
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"bad tolerance override {text!r}, expected NAME=VALUE")
+    name = name.strip()
+    if name not in {f.name for f in dataclasses.fields(SolverSettings)}:
+        raise argparse.ArgumentTypeError(f"unknown tolerance name {name!r}")
+    number = _finite_float(value)
+    if number <= 0:
+        raise argparse.ArgumentTypeError(f"need a positive tolerance, got {text!r}")
+    return name, number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reebtwist",
@@ -104,53 +142,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     geometry_flags = {
-        "m": dict(type=int, help="rotation order"),
-        "k": dict(type=str, help="comma-separated rotation exponents"),
-        "n": dict(type=_count_at_least(1, "complex coordinate"), help="complex dimension"),
+        "m": dict(type=_count_at_least(1, "group element"), help="rotation order"),
+        "k": dict(type=_comma_separated(_integer), help="comma-separated rotation exponents"),
+        "n": dict(type=_dimension, help="complex dimension"),
         "model": dict(type=str, help="model description JSON file"),
     }
 
-    def common(p, geometry=tuple(geometry_flags), window=False):
+    def common(p, geometry=tuple(geometry_flags), window=None):
         for name in geometry:
             p.add_argument(f"--{name}", default=None, **geometry_flags[name])
         p.add_argument("--config", type=str, default=None,
                        help="JSON config mirroring the flags; flags win")
-        p.add_argument("--tol", action="append", default=[],
+        p.add_argument("--tol", type=_tolerance, action="append", default=[],
                        metavar="NAME=VALUE", help="tolerance override")
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default=None)
         p.add_argument("--out", type=str, default=None, help="output path")
-        if window:
-            p.add_argument("--window", type=str, default=None,
+        if window is not None:
+            p.add_argument("--window", type=_window("window"), default=window,
                            help="inclusive integer window LO:HI")
 
     p = sub.add_parser("spectrum", help="closed-form twisted spectrum table")
-    common(p, window=True)
+    common(p, window=(0, 3))
 
     p = sub.add_parser("orbit", help="shoot and certify a twisted orbit")
     common(p)
     p.add_argument("--tau", type=_finite_float, required=True, help="multiplier seed")
-    p.add_argument("--z", type=str, default=None,
+    p.add_argument("--z", type=_comma_separated(_finite_float), default=None,
                    help="seed point, comma-separated interleaved reals")
 
     p = sub.add_parser("action", help="Liouville action of a certified orbit")
     common(p)
     p.add_argument("--tau", type=_finite_float, required=True)
-    p.add_argument("--z", type=str, default=None)
+    p.add_argument("--z", type=_comma_separated(_finite_float), default=None)
     p.add_argument("--samples", type=_sample_count, default=1000)
 
     p = sub.add_parser("cz-index", help="index of orbit linearization paths")
-    common(p, window=True)
+    common(p, window=(0, 3))
 
     p = sub.add_parser("complex", help="build the pearl chain complex")
-    common(p, window=True)
+    common(p, window=(0, 2))
 
     p = sub.add_parser("homology", help="quotient homology with oracle check")
-    common(p, window=True)
+    common(p, window=(0, 3))
 
     p = sub.add_parser("tate", help="cyclic-group homology oracle table")
     common(p, geometry=("m",))
-    p.add_argument("--degrees", type=str, default="0:9", help="degree window LO:HI")
+    p.add_argument("--degrees", type=_window("degrees"), default=(0, 9),
+                   help="degree window LO:HI")
 
     p = sub.add_parser("lift", help="lift a quotient loop and classify it")
     common(p, geometry=())
@@ -163,23 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_sample_count, default=256)
 
     p = sub.add_parser("sweep", help="homology comparison over a parameter grid")
-    common(p, geometry=("model",), window=True)
-    p.add_argument("--m-range", type=str, default="2:6", help="LO:HI in m")
-    p.add_argument("--n-list", type=str, default="2", help="comma-separated n")
+    common(p, geometry=("model",), window=(0, 3))
+    p.add_argument("--m-range", type=_window("m range"), default=(2, 6), help="LO:HI in m")
+    p.add_argument("--n-list", type=_comma_separated(_dimension), default=(2,),
+                   help="comma-separated n")
 
     for p in sub.choices.values():
         p.allow_abbrev = False  # else sweep would read a dropped --n as --n-list
     return parser
-
-
-def _parse_window(text: str, what: str = "window") -> tuple[int, int]:
-    try:
-        lo, hi = (int(x) for x in text.split(":"))
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} {text!r}, expected LO:HI") from exc
-    if lo > hi:
-        raise ConfigError(f"empty {what} {text!r}: LO exceeds HI")
-    return lo, hi
 
 
 def _config_tokens(args: argparse.Namespace) -> list[str]:
@@ -209,42 +239,6 @@ def _config_tokens(args: argparse.Namespace) -> list[str]:
     return tokens
 
 
-def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"bad tolerance override {pair!r}, expected NAME=VALUE")
-        name, value = pair.split("=", 1)
-        try:
-            out[name.strip()] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value in {pair!r}") from exc
-    return out
-
-
-_SETTINGS_KEYS = {
-    "residual": "residual_tol",
-    "tau_travel": "tau_travel_limit",
-    "surface": "flow_surface_tol",
-}
-
-
-def _solver_settings(tols: dict[str, float]) -> SolverSettings:
-    kwargs = {}
-    for name, value in tols.items():
-        if name in _SETTINGS_KEYS:
-            kwargs[_SETTINGS_KEYS[name]] = value
-        elif name != "lift_match":
-            raise ConfigError(f"unknown tolerance name {name!r}")
-    return dataclasses.replace(SolverSettings(), **kwargs)
-
-
-def _effective_tolerances(settings: SolverSettings, tols: dict) -> dict:
-    eff = {name: getattr(settings, field) for name, field in _SETTINGS_KEYS.items()}
-    eff["lift_match"] = tols.get("lift_match", LIFT_MATCH_TOL)
-    return eff
-
-
 def _read_model(path: str):
     try:
         with open(path) as fh:
@@ -254,8 +248,8 @@ def _read_model(path: str):
     return load_model(spec)
 
 
-def _resolve_geometry(args) -> tuple[object, RotationTwist, int]:
-    """Model, twist and dimension from --model / --m / --k / --n."""
+def _resolve_geometry(args) -> tuple[object, RotationTwist]:
+    """Model and twist from --model / --m / --k / --n."""
     model = twist = None
     if args.model:
         model, twist = _read_model(args.model)
@@ -264,26 +258,24 @@ def _resolve_geometry(args) -> tuple[object, RotationTwist, int]:
             n = args.n or (model.n if model else None)
             if n is None:
                 raise ConfigError("need --k or --n alongside --m")
-            k = tuple([1] * n)
+            k = (1,) * n
         else:
-            k = tuple(int(x) for x in str(args.k).split(","))
+            k = args.k
         twist = RotationTwist(m=args.m, k=k)
     if twist is None:
         raise ConfigError("no twist given: pass --m/--k or a model file with one")
-    n = args.n or twist.n
     if model is None:
-        model = RoundSphere(n)
+        model = RoundSphere(twist.n)
     if model.n != twist.n or (args.n and args.n != twist.n):
         raise ConfigError("dimension mismatch between model, twist and --n")
-    return model, twist, n
+    return model, twist
 
 
-def _parse_seed_point(text: str | None, n: int) -> np.ndarray:
-    if text is None:
+def _seed_point(values: tuple[float, ...] | None, n: int) -> np.ndarray:
+    if values is None:
         z = np.zeros(n, dtype=complex)
         z[0] = 1.0
         return z
-    values = [float(x) for x in text.split(",")]
     if len(values) != 2 * n:
         raise ConfigError(f"seed point needs {2 * n} interleaved reals")
     return np.asarray(values, dtype=float).view(np.complex128)
@@ -301,57 +293,50 @@ def _orbit_payload(orbit) -> dict:
 
 # -- commands ---------------------------------------------------------------------
 
-def cmd_spectrum(args, tols):
-    model, twist, n = _resolve_geometry(args)
-    window = _parse_window(args.window or "0:3")
-    table = analytic_spectrum(twist, n, window, model.coefficients())
+def cmd_spectrum(args, settings):
+    model, twist = _resolve_geometry(args)
+    table = analytic_spectrum(twist, twist.n, args.window, model.coefficients())
     rows = table.to_json_rows()
-    return {"rows": rows, "window": list(window)}, rows, EXIT_OK
+    return {"rows": rows, "window": list(args.window)}, rows, EXIT_OK
 
 
-def cmd_orbit(args, tols):
-    model, twist, n = _resolve_geometry(args)
-    settings = _solver_settings(tols)
-    seed = _parse_seed_point(args.z, n)
-    orbit = shoot_orbit(model, twist, seed, args.tau, settings=settings)
+def cmd_orbit(args, settings):
+    model, twist = _resolve_geometry(args)
+    orbit = shoot_orbit(model, twist, _seed_point(args.z, twist.n), args.tau, settings=settings)
     return {"orbit": _orbit_payload(orbit)}, None, EXIT_OK
 
 
-def cmd_action(args, tols):
-    model, twist, n = _resolve_geometry(args)
-    settings = _solver_settings(tols)
-    seed = _parse_seed_point(args.z, n)
-    orbit = shoot_orbit(model, twist, seed, args.tau, settings=settings)
+def cmd_action(args, settings):
+    model, twist = _resolve_geometry(args)
+    orbit = shoot_orbit(model, twist, _seed_point(args.z, twist.n), args.tau, settings=settings)
     value = action(orbit, model, quadrature_n=args.samples, settings=settings)
     data = {"tau": orbit.tau, "action": value,
             "difference": abs(value - orbit.tau), "samples": args.samples}
     return data, None, EXIT_OK
 
 
-def cmd_cz_index(args, tols):
-    model, twist, _ = _resolve_geometry(args)
-    window = _parse_window(args.window or "0:3")
+def cmd_cz_index(args, settings):
+    model, twist = _resolve_geometry(args)
     a = model.coefficients()
     rows = []
-    for k in range(window[0], window[1] + 1):
+    for k in range(args.window[0], args.window[1] + 1):
         tau = line_multiplier(twist, a[0], 0, k)
         rows.append({"k": k, "tau": tau, "index": orbit_index(tau, a)})
     return {"rows": rows}, rows, EXIT_OK
 
 
-def _pearl_spec(args, window: str) -> PearlComplexSpec:
-    model, twist, n = _resolve_geometry(args)
-    return PearlComplexSpec(n=n, twist=twist, window=_parse_window(args.window or window),
+def _pearl_spec(args) -> PearlComplexSpec:
+    model, twist = _resolve_geometry(args)
+    return PearlComplexSpec(n=twist.n, twist=twist, window=args.window,
                             coefficients=model.coefficients())
 
 
-def cmd_complex(args, tols):
-    complex_ = build_pearl_complex(_pearl_spec(args, "0:2"))
-    return complex_.to_json_dict(), None, EXIT_OK
+def cmd_complex(args, settings):
+    return build_pearl_complex(_pearl_spec(args)).to_json_dict(), None, EXIT_OK
 
 
-def cmd_homology(args, tols):
-    spec = _pearl_spec(args, "0:3")
+def cmd_homology(args, settings):
+    spec = _pearl_spec(args)
     if spec.twist.m == 1:
         table = homology(quotient_by_action(build_pearl_complex(spec)))
         rows = [{"d": d, "dim": v} for d, v in sorted(table.interior_dims().items())]
@@ -365,37 +350,33 @@ def cmd_homology(args, tols):
     return data, rows, (EXIT_OK if report.all_match else EXIT_MISMATCH)
 
 
-def cmd_tate(args, tols):
+def cmd_tate(args, settings):
     if args.m is None:
         raise ConfigError("tate needs --m")
-    degrees = _parse_window(args.degrees, "degrees")
-    table = tate_homology(args.m, degrees)
+    table = tate_homology(args.m, args.degrees)
     rows = [{"d": d, "dim": table.dims[d], "reliable": table.reliable[d]}
             for d in sorted(table.dims)]
     return {"m": args.m, "degrees": rows}, rows, EXIT_OK
 
 
-def cmd_lift(args, tols):
+def cmd_lift(args, settings):
     try:
         with open(args.input) as fh:
             loop = QuotientLoop.from_json_dict(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read loop file: {exc}") from exc
-    result = lift_loop(loop, basepoint_choice=args.basepoint,
-                       match_tol=tols.get("lift_match", LIFT_MATCH_TOL))
+    result = lift_loop(loop, basepoint_choice=args.basepoint, match_tol=settings.lift_match)
     return result.certificate(), None, EXIT_OK
 
 
-def cmd_certify(args, tols):
-    model, twist, n = _resolve_geometry(args)
-    settings = _solver_settings(tols)
+def cmd_certify(args, settings):
+    model, twist = _resolve_geometry(args)
     a = model.coefficients()
     tau_seed = line_multiplier(twist, a[0], 0, args.pearl)
-    seed = _parse_seed_point(None, n)
-    orbit = shoot_orbit(model, twist, seed, tau_seed, settings=settings)
+    orbit = shoot_orbit(model, twist, _seed_point(None, twist.n), tau_seed, settings=settings)
     value = action(orbit, model, settings=settings)
     index = orbit_index(orbit.tau, a)
-    result = classify_orbit_loop(orbit, twist, model, samples=args.samples)
+    result = classify_orbit_loop(orbit, twist, model, samples=args.samples, settings=settings)
     data = {
         "orbit": _orbit_payload(orbit),
         "action": value,
@@ -408,18 +389,16 @@ def cmd_certify(args, tols):
     return data, None, EXIT_OK
 
 
-def cmd_sweep(args, tols):
-    m_lo, m_hi = _parse_window(args.m_range, "m range")
+def cmd_sweep(args, settings):
+    m_lo, m_hi = args.m_range
     if m_lo < 2:
         raise ConfigError("sweep requires m >= 2 (no quotient for m = 1)")
-    n_list = [int(x) for x in args.n_list.split(",")]
-    window = _parse_window(args.window or "0:3")
     coefficients = _read_model(args.model)[0].coefficients() if args.model else None
-    if coefficients is not None and set(n_list) != {len(coefficients)}:
+    if coefficients is not None and set(args.n_list) != {len(coefficients)}:
         raise ConfigError(f"--n-list must hold only the model's n = {len(coefficients)}")
-    specs = [PearlComplexSpec(n=n, twist=RotationTwist(m, tuple([1] * n)), window=window,
+    specs = [PearlComplexSpec(n=n, twist=RotationTwist(m, (1,) * n), window=args.window,
                               coefficients=coefficients)
-             for m in range(m_lo, m_hi + 1) for n in n_list]
+             for m in range(m_lo, m_hi + 1) for n in args.n_list]
     results = [compare_with_oracle(spec).to_json_dict() for spec in specs]
     ok = all(r["all_match"] for r in results)
     return {"sweep": results, "all_match": ok}, None, (
@@ -441,6 +420,9 @@ COMMANDS = {
 
 
 # -- output -------------------------------------------------------------------------
+#
+# ``main`` rounds every float to 12 significant digits once; the renderers
+# only format.
 
 def _render_csv(rows: list[dict]) -> str:
     if not rows:
@@ -452,7 +434,7 @@ def _render_csv(rows: list[dict]) -> str:
         for key in header:
             value = row[key]
             if isinstance(value, float):
-                cells.append(f"{round12(value):.12g}")
+                cells.append(f"{value:.12g}")
             elif isinstance(value, list):
                 cells.append(";".join(str(v) for v in value))
             else:
@@ -467,13 +449,24 @@ def _render_table(rows: list[dict]) -> str:
     header = list(rows[0].keys())
     grid = [header]
     for row in rows:
-        grid.append([
-            f"{round12(v):.12g}" if isinstance(v, float) else str(v)
-            for v in (row[k] for k in header)])
+        grid.append([f"{v:.12g}" if isinstance(v, float) else str(v)
+                     for v in (row[k] for k in header)])
     widths = [max(len(r[i]) for r in grid) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
              for r in grid]
     return "\n".join(lines) + "\n"
+
+
+def _flatten(data, prefix=""):
+    flat = {}
+    if isinstance(data, dict):
+        for k, v in data.items():
+            flat.update(_flatten(v, f"{prefix}{k}."))
+    elif isinstance(data, list):
+        flat[prefix.rstrip(".")] = json.dumps(data)
+    else:
+        flat[prefix.rstrip(".")] = data
+    return flat
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -497,59 +490,40 @@ def main(argv=None) -> int:
             # the subcommand comes first: no option precedes it
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
-        tols = _parse_tolerances(args.tol)
-        settings = _solver_settings(tols)
-        data, rows, code = COMMANDS[args.command](args, tols)
+        settings = dataclasses.replace(SolverSettings(), **dict(args.tol))
+        data, rows, code = COMMANDS[args.command](args, settings)
     except (ConfigError, ComplexValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"solver error: {exc.reason}", file=sys.stderr)
         return EXIT_SOLVER
-    except (AmbiguousLiftError,) as exc:
+    except AmbiguousLiftError as exc:
         print(f"lifting error: {exc}", file=sys.stderr)
         return EXIT_LIFT
     except OffSurfaceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
+    data, rows = _round_floats(data), _round_floats(rows)
     fmt = args.format or "json"
     if fmt == "json":
         payload = {
-            "meta": {
-                "command": args.command,
-                "tolerances": _effective_tolerances(settings, tols),
-            },
-            "data": _round_floats(data),
+            "meta": {"command": args.command, "tolerances": dataclasses.asdict(settings)},
+            "data": data,
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         if rows is None:
             print("error: no tabular view for this command", file=sys.stderr)
             return EXIT_CONFIG
-        text = _render_csv(_round_floats(rows))
+        text = _render_csv(rows)
     else:
         if rows is None:
-            rows_view = [{"key": k, "value": v}
-                         for k, v in sorted(_flatten(data).items())]
-        else:
-            rows_view = _round_floats(rows)
-        text = _render_table(rows_view)
+            rows = [{"key": k, "value": v} for k, v in sorted(_flatten(data).items())]
+        text = _render_table(rows)
     _write(text, args.out)
     return code
-
-
-def _flatten(data, prefix=""):
-    flat = {}
-    if isinstance(data, dict):
-        for k, v in data.items():
-            flat.update(_flatten(v, f"{prefix}{k}."))
-    elif isinstance(data, (list, tuple)):
-        flat[prefix.rstrip(".")] = json.dumps(_round_floats(data))
-    else:
-        value = round12(data) if isinstance(data, float) else data
-        flat[prefix.rstrip(".")] = value
-    return flat
 
 
 if __name__ == "__main__":

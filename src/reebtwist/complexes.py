@@ -10,7 +10,6 @@ and are flagged unreliable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -107,9 +106,6 @@ class GradedF2Complex:
             }
         return out
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedF2Complex":
         d_min, d_max = data["degrees"]
@@ -125,15 +121,6 @@ class GradedF2Complex:
                 perms={int(d): tuple(v)
                        for d, v in data["action"]["permutations"].items()})
         return cls(d_min, d_max, gens, bnds, action)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GradedF2Complex":
-        return cls.from_json_dict(json.loads(text))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedF2Complex):
-            return NotImplemented
-        return self.to_json_dict() == other.to_json_dict()
 
 
 @dataclass(frozen=True)

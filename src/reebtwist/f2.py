@@ -94,9 +94,6 @@ class F2Matrix:
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
 
-    def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
-        return matmul(self, other)
-
 
 def matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     """Matrix product mod 2.  Raises ``ValueError`` on a dimension mismatch."""

@@ -22,21 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RotationTwist
-from .orbits import orbit_samples
-
-LIFT_MATCH_TOL = 1e-6
+from .orbits import SolverSettings, orbit_samples
 
 
 class AmbiguousLiftError(Exception):
-    """Sampling too coarse for the nearest-representative rule."""
-
-    def __init__(self, step_index: int, step: float, bound: float):
-        super().__init__(
-            f"step {step_index} has length {step:.3e}, not below the "
-            f"half-separation bound {bound:.3e}")
-        self.step_index = step_index
-        self.step = step
-        self.bound = bound
+    """Sampling too coarse for the nearest-representative rule, or a lift
+    whose endpoint lies on no rotation of its start."""
 
 
 @dataclass(frozen=True)
@@ -50,11 +41,6 @@ class DeckElement:
         if self.order < 1:
             raise ValueError("order must be positive")
         object.__setattr__(self, "exponent", self.exponent % self.order)
-
-    def __add__(self, other: "DeckElement") -> "DeckElement":
-        if other.order != self.order:
-            raise ValueError("mismatched deck group orders")
-        return DeckElement(self.exponent + other.exponent, self.order)
 
     @property
     def is_identity(self) -> bool:
@@ -122,12 +108,14 @@ def orbit_separation(twist: RotationTwist, points: np.ndarray) -> float:
 
 
 def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,
-              match_tol: float = LIFT_MATCH_TOL) -> LiftResult:
+              match_tol: float = SolverSettings.lift_match) -> LiftResult:
     """Unique continuous lift with prescribed start, plus its deck element.
 
     The lift starts at the ``basepoint_choice``-th rotation of the first
-    representative.  Raises ``AmbiguousLiftError`` when a step violates the
-    half-separation bound, reporting the offending step and the bound.
+    representative, and its deck element is the rotation of the start
+    nearest its endpoint.  Raises ``AmbiguousLiftError`` when a step violates
+    the half-separation bound, or when that nearest rotation is farther than
+    ``match_tol`` from the endpoint.
     """
     twist = loop.twist
     pts = loop.samples
@@ -142,32 +130,31 @@ def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,
         dists = [float(np.linalg.norm(c - current)) for c in candidates]
         best = int(np.argmin(dists))
         if dists[best] >= bound:
-            raise AmbiguousLiftError(i, dists[best], bound)
+            raise AmbiguousLiftError(f"step {i} has length {dists[best]:.3e}, not below "
+                                     f"the half-separation bound {bound:.3e}")
         worst_step = max(worst_step, dists[best])
         current = candidates[best]
         lifted.append(current)
 
-    start, end = lifted[0], lifted[-1]
-    exponent = None
-    for j in range(twist.m):
-        if float(np.linalg.norm(end - twist.apply(start, power=j))) <= match_tol:
-            exponent = j
-            break
-    if exponent is None:
-        raise AmbiguousLiftError(pts.shape[0] - 1,
-                                 float(np.linalg.norm(end - start)), match_tol)
+    gaps = [float(np.linalg.norm(lifted[-1] - phase * lifted[0])) for phase in powers]
+    exponent = int(np.argmin(gaps))
+    if gaps[exponent] > match_tol:
+        raise AmbiguousLiftError(f"lift ends {gaps[exponent]:.3e} from the nearest rotation "
+                                 f"of its start, beyond lift_match {match_tol:.3e}")
     return LiftResult(path=np.asarray(lifted), deck=DeckElement(exponent, twist.m),
                       margin=bound - worst_step)
 
 
-def classify_orbit_loop(orbit, twist: RotationTwist, model, samples: int = 128) -> LiftResult:
+def classify_orbit_loop(orbit, twist: RotationTwist, model, samples: int = 128,
+                        settings: SolverSettings = SolverSettings()) -> LiftResult:
     """Deck element of the projected orbit over one twisted period.
 
-    Samples the orbit, projects to the quotient, lifts back from the orbit
-    start, and returns the matching rotation power.  A nonzero power
+    Samples the orbit (surface check ``settings.surface``), projects to the
+    quotient, lifts back from the orbit start, and returns the rotation
+    power matching within ``settings.lift_match``.  A nonzero power
     certifies that the projected loop is noncontractible in the quotient.
     """
-    pts = orbit_samples(orbit, model, samples)
+    pts = orbit_samples(orbit, model, samples, settings)
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     loop = QuotientLoop(samples=pts, twist=twist)
-    return lift_loop(loop)
+    return lift_loop(loop, match_tol=settings.lift_match)

@@ -51,9 +51,12 @@ class ConvergenceError(Exception):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    residual_tol: float = 1e-8
-    tau_travel_limit: float = 0.5   # certified orbit must stay near the seed
-    flow_surface_tol: float = 1e-3  # surface check of certified and sampled orbit points
+    """Every tolerance a command reads; the field names are the ``--tol`` names."""
+
+    residual: float = 1e-8
+    tau_travel: float = 0.5   # certified orbit must stay near the seed
+    surface: float = 1e-3     # surface check of certified and sampled orbit points
+    lift_match: float = 1e-6  # lifted endpoint to the nearest rotation of its start
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,7 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
     and a transversal section through the seed along the orbit direction.
     The solver certifies the orbit nearest the seed: steps are rejected when
     the residual fails to decrease under damping, and multipliers wandering
-    beyond ``tau_travel_limit`` from the seed abort with a diagnostic
+    beyond ``tau_travel`` from the seed abort with a diagnostic
     instead of certifying a different branch.  The Newton Jacobian is the
     closed form of ``_shooting_jacobian``, so a step costs one flow.
     """
@@ -249,7 +252,7 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
     r = residual_vec(u)
     history = [float(np.linalg.norm(r))]
     for iteration in range(MAX_ITERATIONS):
-        if float(np.max(np.abs(r))) <= settings.residual_tol:
+        if float(np.max(np.abs(r))) <= settings.residual:
             return _certify(model, twist, u, settings)
         jac = _shooting_jacobian(model, twist, section, u)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -270,11 +273,11 @@ def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: 
                 "history": history[-5:]})
         u, r = trial, r_trial
         history.append(float(np.linalg.norm(r)))
-        if abs(float(u[n2]) - float(seed_tau)) > settings.tau_travel_limit:
+        if abs(float(u[n2]) - float(seed_tau)) > settings.tau_travel:
             raise ConvergenceError("left the seed's multiplier trust interval", {
                 "iterations": iteration + 1, "tau": float(u[n2]),
                 "seed_tau": float(seed_tau), "history": history[-5:]})
-    if float(np.max(np.abs(r))) <= settings.residual_tol:
+    if float(np.max(np.abs(r))) <= settings.residual:
         return _certify(model, twist, u, settings)
     raise ConvergenceError("maximum iterations reached", {
         "iterations": MAX_ITERATIONS, "residual": history[-1],
@@ -285,7 +288,7 @@ def _certify(model, twist, u: np.ndarray, settings: SolverSettings) -> TwistedOr
     n2 = u.size - 1
     z = to_complex(u[:n2])
     tau = float(u[n2])
-    flow = reeb_flow(z, tau, model, surface_tol=settings.flow_surface_tol)
+    flow = reeb_flow(z, tau, model, surface_tol=settings.surface)
     residual = float(np.linalg.norm(flow - twist.apply(z)))
     support = tuple(j + 1 for j in range(z.size) if abs(z[j]) > SUPPORT_TOL)
     return TwistedOrbit(z0=z, tau=tau, support=support, residual=residual,
@@ -323,11 +326,13 @@ def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
 
     At a certified orbit point this is the linearized return map whose
     fixed vectors span the critical directions.  Returns the real 2n x 2n
-    matrix.  ``method``: "auto" or "analytic" take the model's closed form;
-    "variational" integrates the variational equation of the Reeb field.
+    matrix.  ``method``: "auto" takes the model's closed form, "variational"
+    integrates the variational equation of the Reeb field.
     """
-    if method != "variational":
+    if method == "auto":
         return _complex_to_real_matrix(model.return_map(twist, tau))
+    if method != "variational":
+        raise ValueError(f"unknown return-map method {method!r}")
     back_map = _variational_flow(model, twist.apply(z), -tau)
     return back_map @ _complex_to_real_matrix(np.diag(twist.phases()))
 
@@ -371,14 +376,14 @@ def _restricted_kernel_dim(mat: np.ndarray, basis: np.ndarray,
 
 
 def monodromy(orbit: TwistedOrbit, model: StarShapedModel, twist: RotationTwist,
-              method: str = "auto", kernel_tol: float = 1e-6) -> MonodromyReport:
+              kernel_tol: float = 1e-6) -> MonodromyReport:
     """Linearized return map at the orbit base point with kernel dimensions.
 
     Reports dim ker(M - I) restricted to the full tangent space and to the
     contact hyperplane, plus the operator norm of (M - I) on the tangent
     space (zero for fully degenerate critical components).
     """
-    mat = twist_return_differential(model, twist, orbit.z0, orbit.tau, method=method)
+    mat = twist_return_differential(model, twist, orbit.z0, orbit.tau)
     gap = mat - np.eye(mat.shape[0])
     tangent, contact = _tangent_frames(model, orbit.z0)
     dim_t, dev = _restricted_kernel_dim(gap, tangent, kernel_tol)
@@ -394,7 +399,7 @@ def orbit_samples(orbit: TwistedOrbit, model: StarShapedModel, count: int,
     """count+1 points along one twisted period, endpoints included."""
     times = orbit.tau * np.linspace(0.0, 1.0, count + 1)
     return reeb_flow_samples(orbit.z0, times, model,
-                             surface_tol=settings.flow_surface_tol)
+                             surface_tol=settings.surface)
 
 
 def loop_action(samples: np.ndarray) -> float:

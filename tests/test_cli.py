@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,9 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reebtwist
-from reebtwist.cli import main
+from reebtwist.cli import COMMANDS, main
 from reebtwist.geometry import RotationTwist
 from reebtwist.lifting import QuotientLoop
+from reebtwist.orbits import SolverSettings
 from reebtwist.pearls import PearlComplexSpec, compare_with_oracle
 
 from oracles import rotation_index
@@ -29,6 +31,15 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def parse_error(capsys, *argv):
+    """The parser's message for argv, which must stop it with exit 2 and no output."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    return out.err
 
 
 def test_spectrum_values_and_round_trip(capsys):
@@ -213,12 +224,9 @@ def test_sweep_command(capsys):
 def test_config_error_exit_codes(capsys):
     code, _, err = run(capsys, "spectrum", "--m", "4", "--k", "2,1", "--n", "2")
     assert code == 2 and "error" in err
-    code, _, err = run(capsys, "spectrum", "--m", "2", "--k", "1,1", "--n", "2",
-                       "--window", "5:1")
-    assert code == 2
-    code, _, err = run(capsys, "spectrum", "--m", "2", "--k", "1,1", "--n", "2",
-                       "--tol", "bogus=1")
-    assert code == 2
+    flags = ("spectrum", "--m", "2", "--k", "1,1", "--n", "2")
+    assert "LO exceeds HI" in parse_error(capsys, *flags, "--window", "5:1")
+    assert "unknown tolerance name 'bogus'" in parse_error(capsys, *flags, "--tol", "bogus=1")
 
 
 def test_model_file_radial(capsys, tmp_path):
@@ -412,10 +420,79 @@ def test_cz_index_at_a_huge_branch(capsys):
 
 @pytest.mark.parametrize("name", ["rtol", "atol", "fd_step", "dedup", "kernel"])
 def test_removed_tolerance_names_rejected(capsys, name):
-    code, out, err = run(capsys, "spectrum", "--m", "2", "--k", "1,1", "--n", "2",
-                         "--tol", f"{name}=1e-6")
-    assert code == 2 and out == ""
+    err = parse_error(capsys, "spectrum", "--m", "2", "--k", "1,1", "--n", "2",
+                      "--tol", f"{name}=1e-6")
     assert f"unknown tolerance name {name!r}" in err
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("residual=nan", "need a finite number, got 'nan'"),
+    ("surface=-1", "need a positive tolerance, got 'surface=-1'"),
+    ("tau_travel=0", "need a positive tolerance, got 'tau_travel=0'"),
+    ("lift_match=inf", "need a finite number, got 'inf'"),
+    ("residual", "bad tolerance override 'residual', expected NAME=VALUE"),
+])
+def test_bad_tolerance_values_rejected_at_parse_time(capsys, tmp_path, pair, message):
+    # these once exited 3 or 0, or certify printed a wrong deck
+    flags = ("certify", "--m", "2", "--k", "1,1", "--n", "2")
+    assert message in parse_error(capsys, *flags, "--tol", pair)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol": ["residual=1e-9", pair]}))
+    assert message in parse_error(capsys, *flags, "--config", str(cfg))
+
+
+def test_certify_lifts_with_lift_match(capsys):
+    # certify once echoed lift_match in its metadata and lifted with the default
+    code, out, err = run(capsys, "certify", "--m", "2", "--k", "1,1", "--n", "2",
+                         "--tol", "lift_match=1e-300")
+    assert code == 5 and out == ""
+    assert err.startswith("lifting error: lift ends ") and "lift_match 1.000e-300" in err
+
+
+def half_turn_loop(tmp_path):
+    """Loop file of the half turn from e_1 to its rotation -e_1 under m = 2."""
+    arc = np.stack([np.exp(1j * math.pi * s) * np.array([1.0 + 0j, 0j])
+                    for s in np.linspace(0.0, 1.0, 64)])
+    path = tmp_path / "loop.json"
+    loop = QuotientLoop(samples=arc, twist=RotationTwist(2, (1, 1)))
+    path.write_text(json.dumps(loop.to_json_dict()))
+    return str(path)
+
+
+def test_lift_reports_the_nearest_rotation(capsys, tmp_path):
+    # the arc ends on the rotated start, 2 from the start: the first power
+    # within lift_match = 5 once gave deck 0
+    data = run_json(capsys, "lift", "--input", half_turn_loop(tmp_path),
+                    "--tol", "lift_match=5")["data"]
+    assert data["deck"] == 1 and data["noncontractible"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("spectrum --m 2 --n 2 --k 1,x", "need an integer, got 'x'"),
+    ("sweep --n-list 2,0", "need at least 1 complex coordinate, got 0"),
+    ("spectrum --m 2 --k 1,1 --window 0:x", "bad window '0:x', expected LO:HI"),
+    ("tate --m 2 --degrees 3", "bad degrees '3', expected LO:HI"),
+    ("orbit --m 2 --n 2 --tau 1.5 --z 1,0,x,0", "need a finite number, got 'x'"),
+])
+def test_malformed_lists_and_windows_rejected_at_parse_time(capsys, argv, message):
+    assert message in parse_error(capsys, *argv.split())
+
+
+def test_tolerance_metadata_names_the_settings_fields(capsys, tmp_path):
+    sphere = "--m 2 --k 1,1 --n 2"
+    cases = {
+        "spectrum": sphere, "orbit": f"{sphere} --tau 1.5",
+        "action": f"{sphere} --tau 1.5 --samples 20", "cz-index": sphere,
+        "complex": "--m 3 --n 2 --window 0:1", "homology": "--m 2 --n 2 --window 0:1",
+        "tate": "--m 2", "lift": f"--input {half_turn_loop(tmp_path)}", "certify": sphere,
+        "sweep": "--m-range 2:2 --window 0:1",
+    }
+    assert set(cases) == set(COMMANDS)
+    fields = {f.name for f in dataclasses.fields(SolverSettings)}
+    assert fields == {"residual", "tau_travel", "surface", "lift_match"}
+    for command, flags in cases.items():
+        meta = run_json(capsys, command, *flags.split(), "--tol", "surface=0.01")["meta"]
+        assert meta["tolerances"] == {**dataclasses.asdict(SolverSettings()), "surface": 0.01}
 
 
 @pytest.mark.parametrize("profile, a", [
@@ -467,9 +544,7 @@ def test_rotation_paths_at_any_branch(capsys, argv, index):
     "tate --m 2 --degrees 3:1",
 ])
 def test_reversed_windows_rejected(capsys, argv):
-    code, out, err = run(capsys, *argv.split())
-    assert code == 2 and out == ""
-    assert "LO exceeds HI" in err
+    assert "LO exceeds HI" in parse_error(capsys, *argv.split())
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
@@ -578,9 +653,13 @@ def test_ellipsoid_certify_cz_index_and_spectrum_agree(capsys, tmp_path, case, c
      "2 samples"),
     (["spectrum", "--m", "2", "--n", "0", "--k", "1,1"], "1 complex coordinate"),
     (["spectrum", "--m", "2", "--n", "-1"], "1 complex coordinate"),
-], ids=["certify", "action", "n0", "n-1"])
+    (["tate", "--m", "0"], "1 group element"),
+    (["tate", "--m", "-2"], "1 group element"),
+    (["spectrum", "--m", "-3", "--k", "1,1"], "1 group element"),
+], ids=["certify", "action", "n0", "n-1", "m0-tate", "m-2-tate", "m-3-spectrum"])
 def test_too_few_samples_rejected_at_parse_time(capsys, argv, message):
-    # --n 0 was once read as "no --n" and replaced by the twist's n
+    # --n 0 was once read as "no --n" and replaced by the twist's n; --m 0
+    # and below once got past the parser to RotationTwist or tate_homology
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

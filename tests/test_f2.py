@@ -49,7 +49,7 @@ def test_empty_matrix_is_valid():
 def test_matmul_identity():
     m = F2Matrix.from_rows([[1, 0, 1], [0, 1, 0]])
     assert matmul(F2Matrix.identity(2), m) == m
-    assert m @ F2Matrix.identity(3) == m
+    assert matmul(m, F2Matrix.identity(3)) == m
 
 
 def test_matmul_ones_squared_vanishes():

@@ -130,7 +130,7 @@ def test_concatenation_is_homomorphism():
     d1 = lift_loop(make_loop(arc1, twist)).deck
     d2 = lift_loop(make_loop(arc2, twist)).deck
     joined = lift_loop(make_loop(join(arc1, arc2, twist, 1), twist)).deck
-    assert joined == d1 + d2
+    assert joined == DeckElement(d1.exponent + d2.exponent, twist.m)
 
 
 def test_refinement_stability():
@@ -143,10 +143,28 @@ def test_refinement_stability():
 def test_undersampled_loop_rejected():
     twist = RotationTwist(2, (1, 1))
     arc = reeb_arc(twist, samples=3)  # steps of length about sqrt(2)
-    with pytest.raises(AmbiguousLiftError) as err:
+    with pytest.raises(AmbiguousLiftError, match="not below the half-separation bound"):
         lift_loop(make_loop(arc, twist))
-    assert err.value.step_index >= 1
-    assert err.value.step >= err.value.bound
+
+
+def test_deck_is_the_nearest_rotation():
+    # the end lies on the rotated start, 2 from the start itself: with a
+    # tolerance above 2 the first power within it once gave deck 0
+    twist = RotationTwist(2, (1, 1))
+    loop = make_loop(reeb_arc(twist), twist)
+    assert lift_loop(loop, match_tol=5.0).deck == DeckElement(1, 2)
+
+
+def test_unclosed_lift_names_the_nearest_distance():
+    # a sixth of the flow circle: 1 from the start, sqrt(3) from its rotation;
+    # the failure once read as a step-bound violation
+    twist = RotationTwist(2, (1, 1))
+    arc = np.stack([np.exp(1j * math.pi / 3 * s) * np.array([1.0 + 0j, 0j])
+                    for s in np.linspace(0.0, 1.0, 32)])
+    with pytest.raises(AmbiguousLiftError,
+                       match=r"^lift ends 1\.000e\+00 from the nearest rotation of its start, "
+                             r"beyond lift_match 1\.000e-06$"):
+        lift_loop(make_loop(arc, twist))
 
 
 def test_orbit_separation_value():
@@ -158,11 +176,11 @@ def test_orbit_separation_value():
 
 
 def test_deck_group_law():
-    a = DeckElement(3, 4)
-    b = DeckElement(2, 4)
-    assert (a + b) == DeckElement(1, 4)
+    # exponents are taken mod the group order
+    assert DeckElement(3 + 2, 4) == DeckElement(1, 4)
+    assert DeckElement(-1, 4) == DeckElement(3, 4)
     with pytest.raises(ValueError):
-        a + DeckElement(1, 5)
+        DeckElement(1, 0)
 
 
 def test_loop_json_round_trip():

@@ -324,11 +324,12 @@ def test_monodromy_identity_on_spectrum():
 def test_monodromy_variational_matches_analytic():
     twist = RotationTwist(3, (1, 1))
     orbit = make_orbit(twist, 2, 1, direction=[0.5, 0.5j])
-    exact = twist_return_differential(SPHERE2, twist, orbit.z0, orbit.tau,
-                                      method="analytic")
+    exact = twist_return_differential(SPHERE2, twist, orbit.z0, orbit.tau)
     numeric = twist_return_differential(SPHERE2, twist, orbit.z0, orbit.tau,
                                         method="variational")
     assert np.max(np.abs(exact - numeric)) < 1e-8
+    with pytest.raises(ValueError, match="unknown return-map method"):
+        twist_return_differential(SPHERE2, twist, orbit.z0, orbit.tau, method="analytic")
 
 
 def test_monodromy_off_spectrum_kernel_empty():
