@@ -14,11 +14,12 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
-from .complexes import ComplexValidationError, homology, quotient_by_action
+from .complexes import ComplexValidationError
 from .geometry import (
     OffSurfaceError,
     RotationTwist,
@@ -55,8 +56,10 @@ def round12(x: float) -> float:
 
 
 def _round_floats(obj):
+    """Floats at 12 significant digits; an unbounded one (the trivial group's
+    lift margin) becomes None, so the JSON output stays standard."""
     if isinstance(obj, float):
-        return round12(obj)
+        return None if math.isinf(obj) else round12(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -167,13 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="shoot and certify a twisted orbit")
     common(p)
-    p.add_argument("--tau", type=_finite_float, required=True, help="multiplier seed")
+    p.add_argument("--tau", type=_finite_float, default=None, help="multiplier seed")
     p.add_argument("--z", type=_comma_separated(_finite_float), default=None,
                    help="seed point, comma-separated interleaved reals")
 
     p = sub.add_parser("action", help="Liouville action of a certified orbit")
     common(p)
-    p.add_argument("--tau", type=_finite_float, required=True)
+    p.add_argument("--tau", type=_finite_float, default=None)
     p.add_argument("--z", type=_comma_separated(_finite_float), default=None)
     p.add_argument("--samples", type=_sample_count, default=1000)
 
@@ -193,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="lift a quotient loop and classify it")
     common(p, geometry=())
-    p.add_argument("--input", type=str, required=True, help="loop JSON file")
+    p.add_argument("--input", type=str, default=None, help="loop JSON file")
     p.add_argument("--basepoint", type=int, default=0)
 
     p = sub.add_parser("certify", help="orbit + noncontractibility certificate")
@@ -210,6 +213,23 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.allow_abbrev = False  # else sweep would read a dropped --n as --n-list
     return parser
+
+
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1:2`` into ``--flag=-1:2``.
+
+    argparse reads a token that starts with a minus sign as an option unless
+    it is a plain number, so ``--window -1:2`` and ``--z -0.6,0,0.8,0`` would
+    stop the parse; no option starts with a minus sign and a digit, so such a
+    token is the value of the flag before it.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and re.fullmatch(r"--[\w-]+", out[-1]) and re.match(r"-\.?\d", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _config_tokens(args: argparse.Namespace) -> list[str]:
@@ -237,6 +257,14 @@ def _config_tokens(args: argparse.Namespace) -> list[str]:
             items = [",".join(map(str, value)) if isinstance(value, list) else value]
         tokens.extend(f"--{attr.replace('_', '-')}={item}" for item in items)
     return tokens
+
+
+def _needed(args, flag: str):
+    """A flag the command needs, checked when it runs so a config file may supply it."""
+    value = getattr(args, flag)
+    if value is None:
+        raise ConfigError(f"{args.command} needs --{flag}")
+    return value
 
 
 def _read_model(path: str):
@@ -302,13 +330,15 @@ def cmd_spectrum(args, settings):
 
 def cmd_orbit(args, settings):
     model, twist = _resolve_geometry(args)
-    orbit = shoot_orbit(model, twist, _seed_point(args.z, twist.n), args.tau, settings=settings)
+    orbit = shoot_orbit(model, twist, _seed_point(args.z, twist.n), _needed(args, "tau"),
+                        settings=settings)
     return {"orbit": _orbit_payload(orbit)}, None, EXIT_OK
 
 
 def cmd_action(args, settings):
     model, twist = _resolve_geometry(args)
-    orbit = shoot_orbit(model, twist, _seed_point(args.z, twist.n), args.tau, settings=settings)
+    orbit = shoot_orbit(model, twist, _seed_point(args.z, twist.n), _needed(args, "tau"),
+                        settings=settings)
     value = action(orbit, model, quadrature_n=args.samples, settings=settings)
     data = {"tau": orbit.tau, "action": value,
             "difference": abs(value - orbit.tau), "samples": args.samples}
@@ -336,24 +366,14 @@ def cmd_complex(args, settings):
 
 
 def cmd_homology(args, settings):
-    spec = _pearl_spec(args)
-    if spec.twist.m == 1:
-        table = homology(quotient_by_action(build_pearl_complex(spec)))
-        rows = [{"d": d, "dim": v} for d, v in sorted(table.interior_dims().items())]
-        data = {"note": "trivial rotation: nothing to divide out, "
-                        "reporting the untwisted homology table",
-                "degrees": rows, "m": 1, "n": spec.n, "window": list(spec.window)}
-        return data, rows, EXIT_OK
-    report = compare_with_oracle(spec)
+    report = compare_with_oracle(_pearl_spec(args))
     data = report.to_json_dict()
     rows = data["degrees"]
     return data, rows, (EXIT_OK if report.all_match else EXIT_MISMATCH)
 
 
 def cmd_tate(args, settings):
-    if args.m is None:
-        raise ConfigError("tate needs --m")
-    table = tate_homology(args.m, args.degrees)
+    table = tate_homology(_needed(args, "m"), args.degrees)
     rows = [{"d": d, "dim": table.dims[d], "reliable": table.reliable[d]}
             for d in sorted(table.dims)]
     return {"m": args.m, "degrees": rows}, rows, EXIT_OK
@@ -361,7 +381,7 @@ def cmd_tate(args, settings):
 
 def cmd_lift(args, settings):
     try:
-        with open(args.input) as fh:
+        with open(_needed(args, "input")) as fh:
             loop = QuotientLoop.from_json_dict(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read loop file: {exc}") from exc
@@ -391,8 +411,6 @@ def cmd_certify(args, settings):
 
 def cmd_sweep(args, settings):
     m_lo, m_hi = args.m_range
-    if m_lo < 2:
-        raise ConfigError("sweep requires m >= 2 (no quotient for m = 1)")
     coefficients = _read_model(args.model)[0].coefficients() if args.model else None
     if coefficients is not None and set(args.n_list) != {len(coefficients)}:
         raise ConfigError(f"--n-list must hold only the model's n = {len(coefficients)}")
@@ -472,6 +490,7 @@ def _flatten(data, prefix=""):
 def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a full disk or closed pipe shows here, not at exit
         return
     if not os.path.isabs(out_path):
         base = os.environ.get(OUTPUT_DIR_ENV)
@@ -483,7 +502,7 @@ def _write(text: str, out_path: str | None) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _bind_negative_values(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     try:
         if args.config:
@@ -512,7 +531,7 @@ def main(argv=None) -> int:
             "meta": {"command": args.command, "tolerances": dataclasses.asdict(settings)},
             "data": data,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
         if rows is None:
             print("error: no tabular view for this command", file=sys.stderr)
@@ -522,7 +541,11 @@ def main(argv=None) -> int:
         if rows is None:
             rows = [{"key": k, "value": v} for k, v in sorted(_flatten(data).items())]
         text = _render_table(rows)
-    _write(text, args.out)
+    try:
+        _write(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

@@ -195,7 +195,7 @@ def _validate_action(c: GradedF2Complex) -> list[str]:
             failures.append(f"action permutation missing or invalid at degree {d}")
             return failures
     # order check: the generator permutation must have order dividing the
-    # declared order, and the action must be free for declared order > 1;
+    # declared order, and the action must be free (every orbit of full size);
     # a cycle's lowest index is the first generator of its orbit to fail
     for d in c.degrees():
         for orbit in act.cycles(d):
@@ -205,7 +205,7 @@ def _validate_action(c: GradedF2Complex) -> list[str]:
                     f"orbit of generator {i} in degree {d} has size {len(orbit)}, "
                     f"not dividing group order {act.order}")
                 return failures
-            if act.order > 1 and len(orbit) != act.order:
+            if len(orbit) != act.order:
                 failures.append(
                     f"action not free: generator {i} in degree {d} is fixed by a "
                     f"nontrivial power (orbit size {len(orbit)})")
@@ -238,50 +238,29 @@ def homology(c: GradedF2Complex) -> HomologyTable:
 def quotient_by_action(c: GradedF2Complex) -> GradedF2Complex:
     """Divide out a free cyclic action on generators.
 
-    Generators of the quotient are orbits; the boundary of an orbit class is
-    the class of the boundary of any representative, coefficients mod 2.
-    Rejects non-free or non-equivariant actions.  A declared order of 1
-    (identity action) returns the complex unchanged, without the action.
+    Generators of the quotient are orbits, each labelled by its lowest
+    member, the representative; the boundary of an orbit class is the class
+    of the boundary of its representative, coefficients mod 2.  So entry
+    (o', o) is bit rep(o) of the XOR of the boundary rows of orbit o'.  Rejects
+    non-free or non-equivariant actions.  The trivial group (order 1) gives
+    each generator its own orbit: the same complex, relabelled, without the
+    action.
     """
     if c.action is None:
         raise ComplexValidationError("no action attached to the complex")
-    report = validate(c)
-    report.raise_if_invalid()
-    act = c.action
-    if act.order == 1:
-        return GradedF2Complex(c.d_min, c.d_max, c.generators, c.boundaries, None)
-
-    orbit_index: dict[int, list[int]] = {}    # degree -> generator idx -> orbit id
-    orbit_reps: dict[int, list[int]] = {}     # degree -> orbit id -> representative idx
-    new_gens: dict[int, tuple[str, ...]] = {}
-    for d in c.degrees():
-        assignment = [-1] * c.dim(d)
-        reps: list[int] = []
-        for oid, orbit in enumerate(act.cycles(d)):
-            for member in orbit:
-                assignment[member] = oid
-            reps.append(orbit[0])
-        orbit_index[d] = assignment
-        orbit_reps[d] = reps
-        new_gens[d] = tuple(f"[{c.generators[d][i]}]" for i in reps)
-
+    validate(c).raise_if_invalid()
+    orbits = {d: c.action.cycles(d) for d in c.degrees()}
+    new_gens = {d: tuple(f"[{c.generators[d][orbit[0]]}]" for orbit in orbits[d])
+                for d in c.degrees()}
     new_bnds: dict[int, F2Matrix] = {}
     for d in range(c.d_min + 1, c.d_max + 1):
-        src_reps = orbit_reps[d]
-        dst_assign = orbit_index[d - 1]
-        n_dst = len(orbit_reps[d - 1])
-        old = c.boundaries[d]
-        rows = [0] * n_dst
-        for col, rep in enumerate(src_reps):
-            col_bits = old.column_bits(rep)
-            counts = [0] * n_dst
-            while col_bits:
-                low = col_bits & -col_bits
-                counts[dst_assign[low.bit_length() - 1]] ^= 1
-                col_bits ^= low
-            for row_id, bit in enumerate(counts):
-                if bit:
-                    rows[row_id] |= 1 << col
-        new_bnds[d] = F2Matrix(n_dst, len(src_reps), tuple(rows))
-
+        old = c.boundaries[d].row_bits
+        reps = [orbit[0] for orbit in orbits[d]]
+        rows = []
+        for orbit in orbits[d - 1]:
+            total = 0
+            for i in orbit:
+                total ^= old[i]
+            rows.append(sum(((total >> rep) & 1) << o for o, rep in enumerate(reps)))
+        new_bnds[d] = F2Matrix(len(rows), len(reps), tuple(rows))
     return GradedF2Complex(c.d_min, c.d_max, new_gens, new_bnds, None)

@@ -83,13 +83,6 @@ class F2Matrix:
     def to_rows(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.row_bits]
 
-    def column_bits(self, j: int) -> int:
-        """Column ``j`` packed into an int (bit i = entry in row i)."""
-        out = 0
-        for i, r in enumerate(self.row_bits):
-            out |= ((r >> j) & 1) << i
-        return out
-
     @property
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)

@@ -96,9 +96,10 @@ class LiftResult:
 
 
 def orbit_separation(twist: RotationTwist, points: np.ndarray) -> float:
-    """Minimal distance between a path point and its nontrivial rotations."""
-    if twist.m == 1:
-        return np.inf
+    """Minimal distance between a path point and its nontrivial rotations.
+
+    The trivial group has none, so its separation is infinite.
+    """
     pts = np.asarray(points, dtype=complex)
     sep = np.inf
     for j in range(1, twist.m):

@@ -1,7 +1,10 @@
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,11 +102,23 @@ def test_homology_even_odd(capsys):
     assert all(e["dim_quotient"] == 0 for e in odd["data"]["degrees"])
 
 
-def test_homology_untwisted_note(capsys):
-    payload = run_json(capsys, "homology", "--m", "1", "--n", "2",
-                       "--window", "0:3")
-    assert "note" in payload["data"]
-    assert all(row["dim"] == 0 for row in payload["data"]["degrees"])
+def test_homology_untwisted_is_an_ordinary_quotient(capsys):
+    # m = 1 once printed a separate untwisted table with a note instead of
+    # the oracle comparison
+    data = run_json(capsys, "homology", "--m", "1", "--n", "2",
+                    "--window", "0:3")["data"]
+    twisted = run_json(capsys, "homology", "--m", "2", "--n", "2",
+                       "--window", "0:3")["data"]
+    assert data.keys() == twisted.keys()
+    assert data["m"] == 1 and data["all_match"] is True and data["degrees"]
+    assert all(e["dim_quotient"] == e["dim_tate"] == 0 for e in data["degrees"])
+
+
+def test_sweep_from_the_trivial_group(capsys):
+    # the command once refused m = 1
+    data = run_json(capsys, "sweep", "--m-range", "1:3", "--n-list", "2")["data"]
+    assert [r["m"] for r in data["sweep"]] == [1, 2, 3]
+    assert data["all_match"] is True
 
 
 def test_tolerance_override_recorded(capsys):
@@ -554,6 +569,85 @@ def test_non_finite_tau_rejected_at_parse_time(capsys, tau):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "need a finite number" in err and "DLASCL" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --m 2 --k 1,1 --n 2 --window -1:2",
+    "tate --m 2 --degrees -2:3",
+    "spectrum --m 2 --k -1,1 --n 2",
+    "orbit --m 2 --k 1,1 --n 2 --tau 1.5 --z -0.6,0,0.8,0",
+    "orbit --m 2 --k 1,1 --n 2 --tau -1.5",
+], ids=["window", "degrees", "k", "z", "tau"])
+def test_negative_value_binds_to_its_flag(capsys, argv):
+    # all but --tau once stopped with "expected one argument"
+    joined = re.sub(r" (-\d)", r"=\1", argv)
+    assert joined != argv
+    assert run(capsys, *argv.split()) == run(capsys, *joined.split())
+    assert run(capsys, *argv.split())[0] == 0
+
+
+def test_flag_followed_by_a_flag_still_rejected(capsys):
+    err = parse_error(capsys, "spectrum", "--m", "2", "--k", "1,1", "--window", "--n", "2")
+    assert "argument --window: expected one argument" in err
+
+
+def test_config_supplies_tau_and_input(capsys, tmp_path):
+    # both once exited 2: the parse that checked them ran before the config
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"m": 2, "k": [1, 1], "n": 2, "tau": 1.5}))
+    data = run_json(capsys, "orbit", "--config", str(cfg))["data"]
+    assert data["orbit"]["tau"] == pytest.approx(math.pi / 2, abs=1e-8)
+    cfg.write_text(json.dumps({"input": half_turn_loop(tmp_path)}))
+    assert run_json(capsys, "lift", "--config", str(cfg))["data"]["deck"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("orbit --m 2 --k 1,1 --n 2", "error: orbit needs --tau\n"),
+    ("action --m 2 --k 1,1 --n 2", "error: action needs --tau\n"),
+    ("lift", "error: lift needs --input\n"),
+    ("tate", "error: tate needs --m\n"),
+], ids=["orbit", "action", "lift", "tate"])
+def test_missing_needed_flag_is_one_error_line(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", message)
+
+
+def test_missing_output_directory_is_one_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, "tate", "--m", "2", "--out", str(tmp_path / "none" / "x.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def test_full_stdout_is_one_error_line(capsys, monkeypatch):
+    # writing to /dev/full once ended in a traceback with exit 1
+    class FullDevice(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    code = main(["tate", "--m", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_untwisted_margin_is_standard_json(capsys, tmp_path):
+    # the trivial group's unbounded margin was once printed as Infinity
+    code, out, _ = run(capsys, "certify", "--m", "1", "--k", "1,1", "--n", "2")
+    assert code == 0 and strict_json(out)["data"]["margin"] is None
+    arc = np.stack([np.exp(2j * math.pi * s) * np.array([1.0 + 0j, 0j])
+                    for s in np.linspace(0.0, 1.0, 64)])
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(QuotientLoop(samples=arc, twist=RotationTwist(1, (1, 1)))
+                               .to_json_dict()))
+    code, out, _ = run(capsys, "lift", "--input", str(path))
+    data = strict_json(out)["data"]
+    assert code == 0 and data["margin"] is None and data["deck"] == 0
 
 
 def test_config_keys_apply_over_defaults(capsys, tmp_path):

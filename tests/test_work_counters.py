@@ -1,0 +1,50 @@
+"""Deterministic work counters of fixed CLI runs, pinned exactly.
+
+Wall time is noisy; call counts of the layers that do the work are not, so
+a change that makes a command do more work shows here.  Each counter is a
+spy on a package function, installed at every module attribute that holds
+it, because the modules import names directly.
+"""
+
+from collections import Counter
+
+import pytest
+
+from reebtwist import complexes, f2, geometry, orbits
+from reebtwist.cli import main
+from reebtwist.complexes import CyclicAction
+
+
+def count_calls(monkeypatch, counts, name, owners, attr):
+    """Count calls of ``attr`` under ``name``, patched in each of ``owners``."""
+    original = getattr(owners[0], attr)
+
+    def spy(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        assert getattr(owner, attr) is original
+        monkeypatch.setattr(owner, attr, spy)
+
+
+SPIES = {
+    "matmul": ((f2, complexes), "matmul"),
+    "cycles": ((CyclicAction,), "cycles"),
+    "flows": ((geometry, orbits), "reeb_flow_samples"),
+    "newton_steps": ((orbits,), "_shooting_jacobian"),
+}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("homology --m 64 --n 4 --window=0:3", {"matmul": 152, "cycles": 64}),
+    ("certify --m 2 --k 1,1 --n 2", {"flows": 4}),
+    ("orbit --m 2 --k 1,1 --n 2 --tau 1.5", {"flows": 5, "newton_steps": 3}),
+], ids=["homology", "certify", "orbit"])
+def test_work_counters(capsys, monkeypatch, argv, expected):
+    counts = Counter()
+    for name in expected:
+        owners, attr = SPIES[name]
+        count_calls(monkeypatch, counts, name, owners, attr)
+    assert main(argv.split()) == 0, capsys.readouterr().err
+    assert dict(counts) == expected
