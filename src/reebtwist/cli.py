@@ -278,6 +278,8 @@ def _read_model(path: str):
 
 def _resolve_geometry(args) -> tuple[object, RotationTwist]:
     """Model and twist from --model / --m / --k / --n."""
+    if args.k is not None and args.m is None:
+        raise ConfigError("--k needs --m")
     model = twist = None
     if args.model:
         model, twist = _read_model(args.model)

@@ -10,7 +10,7 @@ and are flagged unreliable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .f2 import F2Matrix, matmul, nullspace_dim, rank
@@ -88,7 +88,7 @@ class GradedF2Complex:
     def interior_degrees(self) -> range:
         return range(self.d_min + 1, self.d_max)
 
-    # -- serialization ------------------------------------------------------
+    # -- JSON output --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         out = {
@@ -105,22 +105,6 @@ class GradedF2Complex:
                                  for d in self.degrees()},
             }
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GradedF2Complex":
-        d_min, d_max = data["degrees"]
-        gens = {int(d): tuple(v) for d, v in data["generators"].items()}
-        bnds = {}
-        for d, rows in data["boundaries"].items():
-            d = int(d)
-            bnds[d] = F2Matrix.from_rows(rows, cols=len(gens[d]))
-        action = None
-        if data.get("action"):
-            action = CyclicAction(
-                order=data["action"]["order"],
-                perms={int(d): tuple(v)
-                       for d, v in data["action"]["permutations"].items()})
-        return cls(d_min, d_max, gens, bnds, action)
 
 
 @dataclass(frozen=True)
@@ -139,36 +123,23 @@ class HomologyTable:
         return {d: v for d, v in self.dims.items() if self.reliable[d]}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple[str, ...] = field(default_factory=tuple)
+def validate(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
+    """Check d.d = 0 on composable degrees, then action freeness/equivariance.
 
-    def raise_if_invalid(self) -> None:
-        if not self.ok:
-            raise ComplexValidationError("; ".join(self.failures))
-
-
-def validate(c: GradedF2Complex) -> ValidationReport:
-    """Check d.d = 0 on composable degrees plus action equivariance/freeness.
-
-    The report carries the first offending degree and composite entry, so a
-    failing fixture points straight at the bad matrix.  Orbit order and
-    freeness come from one cycle decomposition per degree
-    (``CyclicAction.cycles``), linear in the degree's dimension; a failure
-    names the lowest generator of the first bad cycle.
+    Raises ``ComplexValidationError`` at the first broken axiom, naming the
+    first offending degree and composite entry, or the lowest generator of
+    the first bad cycle.  Returns the action's orbits per degree, one linear
+    ``CyclicAction.cycles`` pass each, or ``{}`` without an action.
     """
-    failures: list[str] = []
     for d in range(c.d_min + 2, c.d_max + 1):
         comp = matmul(c.boundaries[d - 1], c.boundaries[d])
         if not comp.is_zero:
             i, j = _first_nonzero(comp)
-            failures.append(
+            raise ComplexValidationError(
                 f"d.d != 0 entering degree {d - 2}: composite entry ({i},{j}) = 1")
-            break
-    if c.action is not None:
-        failures.extend(_validate_action(c))
-    return ValidationReport(ok=not failures, failures=tuple(failures))
+    if c.action is None:
+        return {}
+    return _validate_action(c)
 
 
 def _first_nonzero(m: F2Matrix) -> tuple[int, int]:
@@ -186,36 +157,34 @@ def _permutation_matrix(perm: tuple[int, ...]) -> F2Matrix:
     return F2Matrix(n, n, tuple(rows))
 
 
-def _validate_action(c: GradedF2Complex) -> list[str]:
+def _validate_action(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
     act = c.action
-    failures = []
     for d in c.degrees():
         perm = act.perms.get(d)
         if perm is None or sorted(perm) != list(range(c.dim(d))):
-            failures.append(f"action permutation missing or invalid at degree {d}")
-            return failures
+            raise ComplexValidationError(
+                f"action permutation missing or invalid at degree {d}")
     # order check: the generator permutation must have order dividing the
     # declared order, and the action must be free (every orbit of full size);
     # a cycle's lowest index is the first generator of its orbit to fail
-    for d in c.degrees():
-        for orbit in act.cycles(d):
+    orbits = {d: act.cycles(d) for d in c.degrees()}
+    for d, cycles in orbits.items():
+        for orbit in cycles:
             i = orbit[0]
             if act.order % len(orbit) != 0:
-                failures.append(
+                raise ComplexValidationError(
                     f"orbit of generator {i} in degree {d} has size {len(orbit)}, "
                     f"not dividing group order {act.order}")
-                return failures
             if len(orbit) != act.order:
-                failures.append(
+                raise ComplexValidationError(
                     f"action not free: generator {i} in degree {d} is fixed by a "
                     f"nontrivial power (orbit size {len(orbit)})")
-                return failures
     perm_mats = {d: _permutation_matrix(act.perms[d]) for d in c.degrees()}
     for d in range(c.d_min + 1, c.d_max + 1):
         if matmul(c.boundaries[d], perm_mats[d]) != matmul(perm_mats[d - 1], c.boundaries[d]):
-            failures.append(f"action does not commute with the boundary at degree {d}")
-            return failures
-    return failures
+            raise ComplexValidationError(
+                f"action does not commute with the boundary at degree {d}")
+    return orbits
 
 
 def homology(c: GradedF2Complex) -> HomologyTable:
@@ -223,7 +192,7 @@ def homology(c: GradedF2Complex) -> HomologyTable:
 
     Requires a valid complex (raises ``ComplexValidationError`` otherwise).
     """
-    validate(c).raise_if_invalid()
+    validate(c)
     dims: dict[int, int] = {}
     reliable: dict[int, bool] = {}
     for d in c.degrees():
@@ -241,15 +210,14 @@ def quotient_by_action(c: GradedF2Complex) -> GradedF2Complex:
     Generators of the quotient are orbits, each labelled by its lowest
     member, the representative; the boundary of an orbit class is the class
     of the boundary of its representative, coefficients mod 2.  So entry
-    (o', o) is bit rep(o) of the XOR of the boundary rows of orbit o'.  Rejects
-    non-free or non-equivariant actions.  The trivial group (order 1) gives
-    each generator its own orbit: the same complex, relabelled, without the
-    action.
+    (o', o) is bit rep(o) of the XOR of the boundary rows of orbit o'.  The
+    orbits come from ``validate``, which rejects non-free or non-equivariant
+    actions.  The trivial group (order 1) gives each generator its own orbit:
+    the same complex, relabelled, without the action.
     """
     if c.action is None:
         raise ComplexValidationError("no action attached to the complex")
-    validate(c).raise_if_invalid()
-    orbits = {d: c.action.cycles(d) for d in c.degrees()}
+    orbits = validate(c)
     new_gens = {d: tuple(f"[{c.generators[d][orbit[0]]}]" for orbit in orbits[d])
                 for d in c.degrees()}
     new_bnds: dict[int, F2Matrix] = {}

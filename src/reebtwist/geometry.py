@@ -20,6 +20,7 @@ numeric check of the closed-form return map.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 import numpy as np
 
@@ -87,6 +88,16 @@ def normalize_to_sphere(x) -> tuple[np.ndarray, float]:
 
 # -- rotation twists -----------------------------------------------------------
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is one (a bool is not): no truncation."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RotationTwist:
     """Coordinatewise rotation by primitive m-th roots of unity.
@@ -100,9 +111,10 @@ class RotationTwist:
     k: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _integer(self.m, "modulus"))
         if self.m < 1:
             raise ValueError("modulus must be a positive integer")
-        object.__setattr__(self, "k", tuple(int(x) for x in self.k))
+        object.__setattr__(self, "k", tuple(_integer(x, "exponent") for x in self.k))
         if not self.k:
             raise ValueError("need at least one exponent")
         for kj in self.k:
@@ -114,7 +126,7 @@ class RotationTwist:
         return len(self.k)
 
     def phases(self, power: int = 1) -> np.ndarray:
-        return np.exp(2j * np.pi * np.array(self.k) * power / self.m)
+        return np.exp(2j * np.pi * np.array(self.k) * (power % self.m) / self.m)
 
     def apply(self, z, power: int = 1) -> np.ndarray:
         z = as_complex_vector(z)
@@ -314,11 +326,10 @@ def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
     """
     try:
         kind = spec.get("kind")
-        n = int(spec["n"])
+        n = _integer(spec["n"], "dimension n")
         twist = None
         if "twist" in spec and spec["twist"] is not None:
-            twist = RotationTwist(m=int(spec["twist"]["m"]),
-                                  k=tuple(spec["twist"]["k"]))
+            twist = RotationTwist(m=spec["twist"]["m"], k=tuple(spec["twist"]["k"]))
             if twist.n != n:
                 raise ValueError("twist exponent count does not match dimension n")
         if kind == "round_sphere":

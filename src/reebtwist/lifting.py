@@ -72,8 +72,7 @@ class QuotientLoop:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuotientLoop":
-        twist = RotationTwist(m=int(data["twist"]["m"]),
-                              k=tuple(data["twist"]["k"]))
+        twist = RotationTwist(m=data["twist"]["m"], k=tuple(data["twist"]["k"]))
         flat = np.asarray(data["samples"], dtype=float)
         return cls(samples=flat.view(np.complex128), twist=twist)
 

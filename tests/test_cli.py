@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import reebtwist
 from reebtwist.cli import COMMANDS, main
+from reebtwist.complexes import validate
 from reebtwist.geometry import RotationTwist
 from reebtwist.lifting import QuotientLoop
 from reebtwist.orbits import SolverSettings
-from reebtwist.pearls import PearlComplexSpec, compare_with_oracle
+from reebtwist.pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle
 
 from oracles import rotation_index
 
@@ -169,10 +170,10 @@ def test_cz_index_command(capsys):
 def test_complex_command_round_trip(capsys):
     payload = run_json(capsys, "complex", "--m", "3", "--n", "2",
                        "--window", "0:1")
-    from reebtwist.complexes import GradedF2Complex, validate
-
-    complex_ = GradedF2Complex.from_json_dict(payload["data"])
-    assert validate(complex_).ok
+    complex_ = build_pearl_complex(PearlComplexSpec(n=2, twist=RotationTwist(3, (1, 1)),
+                                                    window=(0, 1)))
+    assert payload["data"] == complex_.to_json_dict()
+    validate(complex_)
     assert complex_.dim(complex_.d_min) == 3
 
 
@@ -360,6 +361,54 @@ def test_model_file_missing_key_rejected(capsys, tmp_path, key, model):
     code, out, err = run(capsys, "spectrum", "--model", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize("model, message", [
+    ({**radial_model({"type": "ellipsoid", "coefficients": [1.0, 1.3]},
+                     twist={"m": 2.9, "k": [1.5, 1]}), "n": 2.7},
+     "dimension n must be an integer, got 2.7"),
+    ({**radial_model({"type": "constant"}, twist={"m": 3, "k": [1]}), "n": True},
+     "dimension n must be an integer, got True"),
+    ({**radial_model({"type": "constant"}), "n": "2"},
+     "dimension n must be an integer, got '2'"),
+    (radial_model({"type": "constant"}, twist={"m": 2.9, "k": [1, 1]}),
+     "modulus must be an integer, got 2.9"),
+    (radial_model({"type": "constant"}, twist={"m": True, "k": [1, 1]}),
+     "modulus must be an integer, got True"),
+    (radial_model({"type": "constant"}, twist={"m": 3, "k": [1.5, 1]}),
+     "exponent must be an integer, got 1.5"),
+    (radial_model({"type": "constant"}, twist={"m": 3, "k": [1, True]}),
+     "exponent must be an integer, got True"),
+], ids=["n2.7", "n-true", "n-string", "m2.9", "m-true", "k1.5", "k-true"])
+def test_model_file_integers_are_not_truncated(capsys, tmp_path, model, message):
+    # each once ran on the truncated value and exited 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "spectrum", "--model", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("twist, message", [
+    ({"m": 3.7, "k": [1.2, 1]}, "modulus must be an integer, got 3.7"),
+    ({"m": 3, "k": [1.2, 1]}, "exponent must be an integer, got 1.2"),
+    ({"m": True, "k": [1, 1]}, "modulus must be an integer, got True"),
+], ids=["m3.7", "k1.2", "m-true"])
+def test_loop_file_integers_are_not_truncated(capsys, tmp_path, twist, message):
+    # m = 3.7 once lifted as m = 3 and exited 0
+    path = tmp_path / "loop.json"
+    data = json.loads(Path(half_turn_loop(tmp_path)).read_text())
+    path.write_text(json.dumps({**data, "twist": twist}))
+    code, out, err = run(capsys, "lift", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_k_without_m_rejected(capsys, tmp_path):
+    # --k was once dropped in favour of the model's exponents, with exit 0
+    path = write_model(tmp_path, 3, (1, 1), {"type": "ellipsoid", "coefficients": [1.0, 1.3]})
+    code, out, err = run(capsys, "spectrum", "--model", path, "--k", "2,2", "--window", "0:0")
+    assert (code, out, err) == (2, "", "error: --k needs --m\n")
 
 
 @pytest.mark.parametrize("argv, flag, value", [

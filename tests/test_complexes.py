@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from collections import Counter
 
 import numpy as np
@@ -44,23 +43,22 @@ def ladder(m: int, d_min: int, d_max: int, shift: int = 1,
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_ladder_valid_for_every_order(m):
-    # both products of the two rung matrices have even entries, so d.d = 0
-    report = validate(ladder(m, 0, 7))
-    assert report.ok, report.failures
+    # both products of the two rung matrices have even entries, so d.d = 0;
+    # the shift by one is a single cycle from generator 0 in every degree
+    assert validate(ladder(m, 0, 7)) == {d: [tuple(range(m))] for d in range(8)}
 
 
 def test_zero_boundaries_valid():
     gens = {d: ("a", "b") for d in range(4)}
     bnds = {d: F2Matrix.zeros(2, 2) for d in range(1, 4)}
-    assert validate(GradedF2Complex(0, 3, gens, bnds)).ok
+    assert validate(GradedF2Complex(0, 3, gens, bnds)) == {}
 
 
 def test_identity_boundaries_invalid():
     gens = {d: ("a",) for d in range(3)}
     bnds = {d: F2Matrix.identity(1) for d in range(1, 3)}
-    report = validate(GradedF2Complex(0, 2, gens, bnds))
-    assert not report.ok
-    assert "degree 0" in report.failures[0]
+    with pytest.raises(ComplexValidationError, match="degree 0"):
+        validate(GradedF2Complex(0, 2, gens, bnds))
     with pytest.raises(ComplexValidationError):
         homology(GradedF2Complex(0, 2, gens, bnds))
 
@@ -200,17 +198,6 @@ def test_euler_characteristic_of_quotient(m):
     assert chi == m * chi_q
 
 
-def test_json_round_trip_bit_exact():
-    c = ladder(3, -1, 4)
-    data = c.to_json_dict()
-    back = GradedF2Complex.from_json_dict(json.loads(json.dumps(data)))
-    assert back == c
-    assert back.to_json_dict() == data
-
-    plain = ladder(2, 0, 3, with_action=False)
-    assert GradedF2Complex.from_json_dict(plain.to_json_dict()) == plain
-
-
 def test_homology_table_rejects_negative_dims():
     with pytest.raises(ValueError):
         HomologyTable(dims={0: -1}, reliable={0: True})
@@ -220,10 +207,26 @@ def test_first_bad_cycle_names_its_lowest_generator():
     # the 4-cycle is free, the 2-cycle (4 5) is the first bad one
     gens = {0: tuple("abcdef")}
     action = CyclicAction(order=4, perms={0: (1, 2, 3, 0, 5, 4)})
-    report = validate(GradedF2Complex(0, 0, gens, {}, action))
-    assert report.failures == (
+    with pytest.raises(ComplexValidationError) as excinfo:
+        validate(GradedF2Complex(0, 0, gens, {}, action))
+    assert str(excinfo.value) == (
         "action not free: generator 4 in degree 0 is fixed by a nontrivial power "
-        "(orbit size 2)",)
+        "(orbit size 2)")
+
+
+@pytest.mark.parametrize("perms", [
+    {0: (1, 0)},
+    {0: (1, 0), 1: (1, 0, 2)},
+    {0: (1, 0), 1: (1, 1)},
+], ids=["missing", "wrong-length", "repeated-index"])
+@pytest.mark.parametrize("check", [validate, quotient_by_action])
+def test_invalid_permutation_names_its_degree(check, perms):
+    gens = {0: ("a", "b"), 1: ("c", "d")}
+    action = CyclicAction(order=2, perms=perms)
+    c = GradedF2Complex(0, 1, gens, {1: F2Matrix.zeros(2, 2)}, action)
+    with pytest.raises(ComplexValidationError) as excinfo:
+        check(c)
+    assert str(excinfo.value) == "action permutation missing or invalid at degree 1"
 
 
 def pearl_complex(m: int) -> GradedF2Complex:
@@ -243,7 +246,7 @@ def pearl_256():
 
 
 def test_large_pearl_complex_valid(pearl_256):
-    assert validate(pearl_256).ok
+    validate(pearl_256)
 
 
 def test_large_pearl_complex_rejects_a_flipped_entry(pearl_256):
@@ -253,18 +256,20 @@ def test_large_pearl_complex_rejects_a_flipped_entry(pearl_256):
     flipped = F2Matrix(old.rows, old.cols,
                        tuple(r ^ (1 << 7) if i == 3 else r for i, r in enumerate(old.row_bits)))
     c = dataclasses.replace(pearl_256, boundaries={**pearl_256.boundaries, 9: flipped})
-    assert validate(c).failures == (
-        "d.d != 0 entering degree 7: composite entry (0,7) = 1",
-        "action does not commute with the boundary at degree 9")
+    with pytest.raises(ComplexValidationError) as excinfo:
+        validate(c)
+    assert str(excinfo.value) == "d.d != 0 entering degree 7: composite entry (0,7) = 1"
     with pytest.raises(ComplexValidationError, match="entering degree 7"):
         quotient_by_action(c)
 
 
 def test_large_pearl_complex_rejects_a_non_free_permutation(pearl_256):
     c = with_perm(pearl_256, 5, tuple(i ^ 1 for i in range(256)))
-    assert validate(c).failures == (
+    with pytest.raises(ComplexValidationError) as excinfo:
+        validate(c)
+    assert str(excinfo.value) == (
         "action not free: generator 0 in degree 5 is fixed by a nontrivial power "
-        "(orbit size 2)",)
+        "(orbit size 2)")
     with pytest.raises(ComplexValidationError, match="not free"):
         quotient_by_action(c)
 
@@ -276,14 +281,16 @@ def test_large_pearl_complex_rejects_a_wrong_order_permutation(pearl_256):
     for src, dst in zip(rest, rest[1:] + rest[:1]):
         perm[src] = dst
     c = with_perm(pearl_256, 12, tuple(perm))
-    assert validate(c).failures == (
-        "orbit of generator 0 in degree 12 has size 255, not dividing group order 256",)
+    with pytest.raises(ComplexValidationError) as excinfo:
+        validate(c)
+    assert str(excinfo.value) == (
+        "orbit of generator 0 in degree 12 has size 255, not dividing group order 256")
     with pytest.raises(ComplexValidationError, match="not dividing"):
         quotient_by_action(c)
 
 
 def test_quotient_decomposes_each_degree_once_per_pass(monkeypatch):
-    # one cycle decomposition per degree in validation, one in the quotient
+    # one cycle decomposition per degree, in validation; the quotient reuses it
     c = pearl_complex(64)
     calls = Counter()
     cycles = CyclicAction.cycles
@@ -294,4 +301,4 @@ def test_quotient_decomposes_each_degree_once_per_pass(monkeypatch):
 
     monkeypatch.setattr(CyclicAction, "cycles", spy)
     quotient_by_action(c)
-    assert calls == {d: 2 for d in c.degrees()}
+    assert calls == {d: 1 for d in c.degrees()}

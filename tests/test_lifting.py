@@ -118,8 +118,9 @@ def test_deck_element_independent_of_basepoint():
     twist = RotationTwist(4, (1, 1))
     arc = reeb_arc(twist, samples=96)
     loop = make_loop(arc, twist)
+    # a basepoint is taken mod m, so a huge one loses no phase precision
     decks = {lift_loop(loop, basepoint_choice=j).deck.exponent
-             for j in range(twist.m)}
+             for j in (*range(twist.m), 10**15 + 1)}
     assert len(decks) == 1
 
 

@@ -37,7 +37,7 @@ SPIES = {
 
 
 @pytest.mark.parametrize("argv, expected", [
-    ("homology --m 64 --n 4 --window=0:3", {"matmul": 152, "cycles": 64}),
+    ("homology --m 64 --n 4 --window=0:3", {"matmul": 152, "cycles": 32}),
     ("certify --m 2 --k 1,1 --n 2", {"flows": 4}),
     ("orbit --m 2 --k 1,1 --n 2 --tau 1.5", {"flows": 5, "newton_steps": 3}),
 ], ids=["homology", "certify", "orbit"])
