@@ -11,7 +11,6 @@ from .geometry import (
     load_model,
     normalize_to_sphere,
     reeb_field,
-    reeb_flow,
 )
 from .lifting import DeckElement, QuotientLoop, classify_orbit_loop, lift_loop
 from .orbits import (

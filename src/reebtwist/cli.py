@@ -93,6 +93,7 @@ def _count_at_least(low: int, what: str):
 # one sample step is a single chord, too coarse to integrate over or lift
 _sample_count = _count_at_least(2, "samples")
 _dimension = _count_at_least(1, "complex coordinate")
+_modulus = _count_at_least(1, "group element")
 
 
 def _finite_float(text: str) -> float:
@@ -124,6 +125,12 @@ def _window(what: str):
     return parse
 
 
+def _m_range(text: str) -> tuple[int, int]:
+    """``--m-range LO:HI``, whose LO must be a valid ``--m``."""
+    lo, hi = _window("m range")(text)
+    return _modulus(str(lo)), hi
+
+
 def _tolerance(text: str) -> tuple[str, float]:
     """``NAME=VALUE`` into a ``SolverSettings`` field name and a finite positive value."""
     name, sep, value = text.partition("=")
@@ -145,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     geometry_flags = {
-        "m": dict(type=_count_at_least(1, "group element"), help="rotation order"),
+        "m": dict(type=_modulus, help="rotation order"),
         "k": dict(type=_comma_separated(_integer), help="comma-separated rotation exponents"),
         "n": dict(type=_dimension, help="complex dimension"),
         "model": dict(type=str, help="model description JSON file"),
@@ -206,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="homology comparison over a parameter grid")
     common(p, geometry=("model",), window=(0, 3))
-    p.add_argument("--m-range", type=_window("m range"), default=(2, 6), help="LO:HI in m")
+    p.add_argument("--m-range", type=_m_range, default=(2, 6), help="LO:HI in m")
     p.add_argument("--n-list", type=_comma_separated(_dimension), default=(2,),
                    help="comma-separated n")
 
@@ -232,6 +239,22 @@ def _bind_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _read_input(path: str, what: str, parse=lambda data: data):
+    """``parse`` of the JSON in ``path``, the one reader of input files: a bad file, a
+    missing key or a misshapen container is a ``ConfigError``; ``parse``'s ValueError passes."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ConfigError(f"{what} file lacks the key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed {what} file: {exc}") from None
+
+
 def _config_tokens(args: argparse.Namespace) -> list[str]:
     """The config file's keys as flag tokens, to be parsed before the user's flags.
 
@@ -239,11 +262,7 @@ def _config_tokens(args: argparse.Namespace) -> list[str]:
     command line's flags win; a list becomes one token per item for an
     appending flag (``tol``) and a comma-joined value otherwise.
     """
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+    cfg = _read_input(args.config, "config")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     tokens = []
@@ -267,22 +286,13 @@ def _needed(args, flag: str):
     return value
 
 
-def _read_model(path: str):
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read model file: {exc}") from exc
-    return load_model(spec)
-
-
 def _resolve_geometry(args) -> tuple[object, RotationTwist]:
     """Model and twist from --model / --m / --k / --n."""
     if args.k is not None and args.m is None:
         raise ConfigError("--k needs --m")
     model = twist = None
     if args.model:
-        model, twist = _read_model(args.model)
+        model, twist = _read_input(args.model, "model", load_model)
     if args.m is not None:
         if args.k is None:
             n = args.n or (model.n if model else None)
@@ -382,11 +392,7 @@ def cmd_tate(args, settings):
 
 
 def cmd_lift(args, settings):
-    try:
-        with open(_needed(args, "input")) as fh:
-            loop = QuotientLoop.from_json_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot read loop file: {exc}") from exc
+    loop = _read_input(_needed(args, "input"), "loop", QuotientLoop.from_json_dict)
     result = lift_loop(loop, basepoint_choice=args.basepoint, match_tol=settings.lift_match)
     return result.certificate(), None, EXIT_OK
 
@@ -413,7 +419,8 @@ def cmd_certify(args, settings):
 
 def cmd_sweep(args, settings):
     m_lo, m_hi = args.m_range
-    coefficients = _read_model(args.model)[0].coefficients() if args.model else None
+    coefficients = (_read_input(args.model, "model", load_model)[0].coefficients()
+                    if args.model else None)
     if coefficients is not None and set(args.n_list) != {len(coefficients)}:
         raise ConfigError(f"--n-list must hold only the model's n = {len(coefficients)}")
     specs = [PearlComplexSpec(n=n, twist=RotationTwist(m, (1,) * n), window=args.window,

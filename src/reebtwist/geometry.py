@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -141,15 +142,15 @@ class RotationTwist:
 
 # -- the integrator ---------------------------------------------------------------
 
-def integrate(rhs, t_end: float, y0: np.ndarray, rtol: float, atol: float):
+def integrate(rhs, t_end: float, y0: np.ndarray):
     """RK45 solution of y' = rhs(t, y) over [0, t_end]: the one numeric integrator.
 
-    Returns scipy's solution object; raises IntegrationDriftError when the
-    step-size control fails.
+    Tolerances are fixed at ``DEFAULT_RTOL`` and ``DEFAULT_ATOL``.  Returns scipy's
+    solution object; raises IntegrationDriftError when step-size control fails.
     """
     from scipy.integrate import solve_ivp  # lazily, so importing the CLI loads no scipy
 
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
     if not sol.success:
         raise IntegrationDriftError(f"integration failed: {sol.message}")
     return sol
@@ -222,10 +223,6 @@ class StarShapedModel:
     def hessian(self, z) -> np.ndarray:
         return np.diag(2.0 * np.repeat(self.coefficients(), 2))
 
-    def surface_row(self, z) -> float:
-        """G - 1, vanishing exactly on the hypersurface."""
-        return self.defining_function(z) - 1.0
-
     def reeb_field(self, z) -> np.ndarray:
         """X_G; Euler's identity gives lambda(X_G) = G = 1 on the hypersurface."""
         return hamiltonian_dual(self.gradient(z))
@@ -287,12 +284,6 @@ def reeb_field(z) -> np.ndarray:
     return sphere.reeb_field(z)
 
 
-def reeb_flow(z, t: float, model: StarShapedModel,
-              surface_tol: float = DEFAULT_SURFACE_TOL) -> np.ndarray:
-    """Time-t Reeb flow on the model hypersurface (see ``reeb_flow_samples``)."""
-    return reeb_flow_samples(z, [t], model, surface_tol=surface_tol)[-1]
-
-
 def reeb_flow_samples(z, times, model: StarShapedModel,
                       surface_tol: float = DEFAULT_SURFACE_TOL) -> np.ndarray:
     """Reeb flow evaluated at a list of times of either sign, one row per time.
@@ -310,9 +301,17 @@ def reeb_flow_samples(z, times, model: StarShapedModel,
 
 # -- model description files ------------------------------------------------------
 
+def _number(value, name: str) -> float:
+    """``value`` as a float if it is a finite JSON number (a bool or a string is not)."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):  # an int beyond it would overflow
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _positive(value, what: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
+    value = _number(value, what)
+    if value <= 0.0:
         raise ValueError(f"{what} must be finite and positive, got {value!r}")
     return value
 
@@ -320,36 +319,33 @@ def _positive(value, what: str) -> float:
 def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
     """Build (model, twist) from a JSON model description dict.
 
-    A profile must make G positive definite: a constant value or exactly n
-    finite positive ellipsoid coefficients.  Missing keys and values of the
-    wrong JSON type raise ValueError.
+    A profile must make G positive definite: a constant or a list of n finite
+    positive ellipsoid coefficients, all JSON numbers.  A missing key raises
+    KeyError, a misshapen container TypeError or AttributeError, others ValueError.
     """
-    try:
-        kind = spec.get("kind")
-        n = _integer(spec["n"], "dimension n")
-        twist = None
-        if "twist" in spec and spec["twist"] is not None:
-            twist = RotationTwist(m=spec["twist"]["m"], k=tuple(spec["twist"]["k"]))
-            if twist.n != n:
-                raise ValueError("twist exponent count does not match dimension n")
-        if kind == "round_sphere":
-            return RoundSphere(n=n), twist
-        if kind == "radial_profile":
-            pspec = spec.get("profile", {"type": "constant"})
-            ptype = pspec.get("type")
-            if ptype == "constant":
-                profile = ConstantProfile(_positive(pspec.get("value", 1.0), "profile value"))
-            elif ptype == "ellipsoid":
-                coeffs = tuple(_positive(c, "ellipsoid coefficient")
-                               for c in pspec["coefficients"])
-                if len(coeffs) != n:
-                    raise ValueError(f"need {n} ellipsoid coefficients, got {len(coeffs)}")
-                profile = EllipsoidProfile(coeffs)
-            else:
-                raise ValueError(f"unknown profile type {ptype!r}")
-            return RadialProfile(n=n, profile=profile), twist
-        raise ValueError(f"unknown model kind {kind!r}")
-    except KeyError as exc:
-        raise ValueError(f"model description lacks the key {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed model description: {exc}") from None
+    kind = spec.get("kind")
+    n = _integer(spec["n"], "dimension n")
+    twist = None
+    if "twist" in spec and spec["twist"] is not None:
+        twist = RotationTwist(m=spec["twist"]["m"], k=tuple(spec["twist"]["k"]))
+        if twist.n != n:
+            raise ValueError("twist exponent count does not match dimension n")
+    if kind == "round_sphere":
+        return RoundSphere(n=n), twist
+    if kind == "radial_profile":
+        pspec = spec.get("profile", {"type": "constant"})
+        ptype = pspec.get("type")
+        if ptype == "constant":
+            profile = ConstantProfile(_positive(pspec.get("value", 1.0), "profile value"))
+        elif ptype == "ellipsoid":
+            coeffs = pspec["coefficients"]
+            if not isinstance(coeffs, list):
+                raise ValueError(f"ellipsoid coefficients must be a list, got {coeffs!r}")
+            coeffs = tuple(_positive(c, "ellipsoid coefficient") for c in coeffs)
+            if len(coeffs) != n:
+                raise ValueError(f"need {n} ellipsoid coefficients, got {len(coeffs)}")
+            profile = EllipsoidProfile(coeffs)
+        else:
+            raise ValueError(f"unknown profile type {ptype!r}")
+        return RadialProfile(n=n, profile=profile), twist
+    raise ValueError(f"unknown model kind {kind!r}")

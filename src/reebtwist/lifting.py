@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RotationTwist
+from .geometry import RotationTwist, _number
 from .orbits import SolverSettings, orbit_samples
 
 
@@ -73,7 +73,7 @@ class QuotientLoop:
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuotientLoop":
         twist = RotationTwist(m=data["twist"]["m"], k=tuple(data["twist"]["k"]))
-        flat = np.asarray(data["samples"], dtype=float)
+        flat = np.array([[_number(x, "loop sample") for x in row] for row in data["samples"]])
         return cls(samples=flat.view(np.complex128), twist=twist)
 
 

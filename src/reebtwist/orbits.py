@@ -21,14 +21,11 @@ import numpy as np
 
 from .czindex import cz_index_unitary, winding
 from .geometry import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
     RotationTwist,
     StarShapedModel,
     as_complex_vector,
     integrate,
     liouville_form_eval,
-    reeb_flow,
     reeb_flow_samples,
     to_complex,
     to_real,
@@ -38,6 +35,7 @@ SUPPORT_TOL = 1e-8
 TAU_TOL = 1e-9       # multipliers closer than this are one
 MAX_ITERATIONS = 50
 MAX_DAMPING_HALVINGS = 8
+KERNEL_TOL = 1e-6    # singular values of M - I at most this count toward the kernel
 
 
 class ConvergenceError(Exception):
@@ -201,10 +199,10 @@ def _shooting_residual(model, twist, z_seed, section, u: np.ndarray) -> np.ndarr
     n2 = u.size - 1
     z = to_complex(u[:n2])
     # iterates may sit off the surface; the surface row pulls them back
-    flow = reeb_flow(z, float(u[n2]), model, surface_tol=np.inf)
+    flow = reeb_flow_samples(z, [float(u[n2])], model, surface_tol=np.inf)[-1]
     rv = np.empty(n2 + 2)
     rv[:n2] = to_real(flow - twist.apply(z))
-    rv[n2] = model.surface_row(z)
+    rv[n2] = model.defining_function(z) - 1.0
     rv[n2 + 1] = float(np.dot(to_real(z) - to_real(z_seed), section))
     return rv
 
@@ -288,7 +286,7 @@ def _certify(model, twist, u: np.ndarray, settings: SolverSettings) -> TwistedOr
     n2 = u.size - 1
     z = to_complex(u[:n2])
     tau = float(u[n2])
-    flow = reeb_flow(z, tau, model, surface_tol=settings.surface)
+    flow = reeb_flow_samples(z, [tau], model, surface_tol=settings.surface)[-1]
     residual = float(np.linalg.norm(flow - twist.apply(z)))
     support = tuple(j + 1 for j in range(z.size) if abs(z[j]) > SUPPORT_TOL)
     return TwistedOrbit(z0=z, tau=tau, support=support, residual=residual,
@@ -316,7 +314,7 @@ def _variational_flow(model, z, t: float) -> np.ndarray:
                                (model.field_jacobian(y) @ mat).ravel()])
 
     y0 = np.concatenate([to_real(z), np.eye(n2).ravel()])
-    sol = integrate(rhs, t, y0, DEFAULT_RTOL, DEFAULT_ATOL)
+    sol = integrate(rhs, t, y0)
     return np.ascontiguousarray(sol.y[n2:, -1]).reshape(n2, n2)
 
 
@@ -366,28 +364,27 @@ def _tangent_frames(model, z) -> tuple[np.ndarray, np.ndarray]:
     return tangent, contact
 
 
-def _restricted_kernel_dim(mat: np.ndarray, basis: np.ndarray,
-                           tol: float) -> tuple[int, float]:
+def _restricted_kernel_dim(mat: np.ndarray, basis: np.ndarray) -> tuple[int, float]:
     if basis.shape[1] == 0:
         return 0, 0.0
     restricted = mat @ basis
     sing = np.linalg.svd(restricted, compute_uv=False)
-    return int(np.sum(sing <= tol)), float(sing[0])
+    return int(np.sum(sing <= KERNEL_TOL)), float(sing[0])
 
 
-def monodromy(orbit: TwistedOrbit, model: StarShapedModel, twist: RotationTwist,
-              kernel_tol: float = 1e-6) -> MonodromyReport:
+def monodromy(orbit: TwistedOrbit, model: StarShapedModel,
+              twist: RotationTwist) -> MonodromyReport:
     """Linearized return map at the orbit base point with kernel dimensions.
 
-    Reports dim ker(M - I) restricted to the full tangent space and to the
-    contact hyperplane, plus the operator norm of (M - I) on the tangent
-    space (zero for fully degenerate critical components).
+    Reports dim ker(M - I), singular values up to ``KERNEL_TOL``, on the tangent
+    space and on the contact hyperplane, plus the operator norm of (M - I) on
+    the tangent space (zero for fully degenerate critical components).
     """
     mat = twist_return_differential(model, twist, orbit.z0, orbit.tau)
     gap = mat - np.eye(mat.shape[0])
     tangent, contact = _tangent_frames(model, orbit.z0)
-    dim_t, dev = _restricted_kernel_dim(gap, tangent, kernel_tol)
-    dim_c, _ = _restricted_kernel_dim(gap, contact, kernel_tol)
+    dim_t, dev = _restricted_kernel_dim(gap, tangent)
+    dim_c, _ = _restricted_kernel_dim(gap, contact)
     return MonodromyReport(kernel_dim_tangent=dim_t,
                            kernel_dim_contact=dim_c, tangent_deviation=dev)
 

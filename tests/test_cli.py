@@ -226,7 +226,7 @@ def test_malformed_loop_file_rejected(capsys, tmp_path):
     path.write_text(json.dumps({"twist": [1], "samples": [[1.0, 0.0, 0.0, 0.0]] * 2}))
     code, out, err = run(capsys, "lift", "--input", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error: cannot read loop file") and err.count("\n") == 1
+    assert err.startswith("error: malformed loop file") and err.count("\n") == 1
 
 
 def test_sweep_command(capsys):
@@ -359,8 +359,7 @@ def test_model_file_missing_key_rejected(capsys, tmp_path, key, model):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     code, out, err = run(capsys, "spectrum", "--model", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+    assert (code, out, err) == (2, "", f"error: model file lacks the key {key!r}\n")
 
 
 @pytest.mark.parametrize("model, message", [
@@ -402,6 +401,59 @@ def test_loop_file_integers_are_not_truncated(capsys, tmp_path, twist, message):
     code, out, err = run(capsys, "lift", "--input", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({"type": "constant", "value": "1.1"}, "profile value must be a finite number, got '1.1'"),
+    ({"type": "constant", "value": True}, "profile value must be a finite number, got True"),
+    ({"type": "constant", "value": 10 ** 400},
+     f"profile value must be a finite number, got {10 ** 400}"),
+    ({"type": "ellipsoid", "coefficients": [True, 1.3]},
+     "ellipsoid coefficient must be a finite number, got True"),
+    ({"type": "ellipsoid", "coefficients": [1, "inf"]},
+     "ellipsoid coefficient must be a finite number, got 'inf'"),
+    ({"type": "ellipsoid", "coefficients": "12"},
+     "ellipsoid coefficients must be a list, got '12'"),
+], ids=["value-string", "value-true", "value-huge", "coeffs-true", "coeffs-inf-string",
+        "coeffs-string"])
+def test_model_file_numbers_must_be_json_numbers(capsys, tmp_path, profile, message):
+    # the first, second, fourth and last once ran on rho = 1.1, rho = 1,
+    # a = (1, 1.3) and a = (1, 2); the huge integer ended in an OverflowError
+    path = write_model(tmp_path, 3, (1, 1), profile)
+    code, out, err = run(capsys, "spectrum", "--model", path, "--window", "0:0")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("sample, message", [
+    ("0.6", "loop sample must be a finite number, got '0.6'"),
+    (True, "loop sample must be a finite number, got True"),
+    (math.nan, "loop sample must be a finite number, got nan"),
+], ids=["string", "true", "nan"])
+def test_loop_file_samples_must_be_finite_json_numbers(capsys, tmp_path, sample, message):
+    # each once lifted with deck 1, the nan sample with margin null
+    path = Path(half_turn_loop(tmp_path))
+    data = json.loads(path.read_text())
+    data["samples"][5][0] = sample
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lift", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    ("spectrum --model", "[", "cannot read model file: Expecting value: line 1 column 2 (char 1)"),
+    ("spectrum --model", "[2]", "malformed model file: 'list' object has no attribute 'get'"),
+    ("spectrum --model", '{"kind": "torus", "n": 2}', "unknown model kind 'torus'"),
+    ("sweep --model", '{"kind": "round_sphere"}', "model file lacks the key 'n'"),
+    ("lift --input", '{"twist": {"m": 2, "k": [1, 1]}}', "loop file lacks the key 'samples'"),
+    ("spectrum --m 2 --n 2 --config", "[", "cannot read config file: Expecting value: "
+     "line 1 column 2 (char 1)"),
+], ids=["model-json", "model-type", "model-value", "sweep-model-key", "loop-key",
+        "config-json"])
+def test_input_files_share_one_reader(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv.split(), str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_k_without_m_rejected(capsys, tmp_path):
@@ -609,6 +661,15 @@ def test_rotation_paths_at_any_branch(capsys, argv, index):
 ])
 def test_reversed_windows_rejected(capsys, argv):
     assert "LO exceeds HI" in parse_error(capsys, *argv.split())
+
+
+@pytest.mark.parametrize("m_range, lo", [("--m-range 0:2", 0), ("--m-range=-3:-1", -3)])
+def test_m_range_below_one_rejected_at_parse_time(capsys, m_range, lo):
+    # both once stopped only at run time, on "modulus must be a positive integer"
+    err = parse_error(capsys, "sweep", *m_range.split(), "--n-list", "2")
+    assert err.endswith(f"error: argument --m-range: need at least 1 group element, got {lo}\n")
+    assert parse_error(capsys, "tate", "--m", str(lo)).endswith(
+        f"error: argument --m: need at least 1 group element, got {lo}\n")
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])

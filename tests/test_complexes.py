@@ -41,6 +41,19 @@ def ladder(m: int, d_min: int, d_max: int, shift: int = 1,
     return GradedF2Complex(d_min, d_max, gens, bnds, action)
 
 
+@pytest.mark.parametrize("d_min, d_max, generators, boundaries, message", [
+    (1, 0, {}, {}, "empty degree window"),
+    (0, 1, {0: ("a",)}, {}, "missing generator list for degree 1"),
+    (0, 1, {0: ("a",), 1: ("b",)}, {}, "missing boundary matrix for degree 1"),
+    (0, 1, {0: ("a",), 1: ("b", "c")}, {1: F2Matrix.zeros(1, 1)},
+     "boundary at degree 1 has shape 1x1, expected 1x2"),
+], ids=["empty", "generators", "boundary", "shape"])
+def test_constructor_rejects_inconsistent_data(d_min, d_max, generators, boundaries, message):
+    with pytest.raises(ValueError) as excinfo:
+        GradedF2Complex(d_min, d_max, generators, boundaries)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_ladder_valid_for_every_order(m):
     # both products of the two rung matrices have even entries, so d.d = 0;

@@ -14,6 +14,19 @@ def ladder_rung(m: int) -> F2Matrix:
     return F2Matrix(m, m, tuple(a ^ b for a, b in zip(eye.row_bits, shift.row_bits)))
 
 
+@pytest.mark.parametrize("rows, cols, row_bits, message", [
+    (-1, 2, (), "negative matrix dimensions"),
+    (1, -1, (0,), "negative matrix dimensions"),
+    (2, 2, (1,), "row count does not match packed data"),
+    (1, 2, (0b100,), "row data has bits outside the column range"),
+    (1, 2, (-1,), "row data has bits outside the column range"),
+], ids=["rows-1", "cols-1", "short", "wide-bit", "negative-bits"])
+def test_constructor_rejects_inconsistent_data(rows, cols, row_bits, message):
+    with pytest.raises(ValueError) as excinfo:
+        F2Matrix(rows, cols, row_bits)
+    assert str(excinfo.value) == message
+
+
 def test_rank_identity():
     assert rank(F2Matrix.identity(3)) == 3
 

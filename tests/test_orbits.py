@@ -13,7 +13,10 @@ from reebtwist.geometry import (
 )
 from reebtwist.orbits import (
     ConvergenceError,
+    TAU_TOL,
     SolverSettings,
+    SpectrumRow,
+    SpectrumTable,
     TwistedOrbit,
     _null_space,
     _shooting_jacobian,
@@ -234,9 +237,9 @@ def test_shot_orbits_satisfy_period_action_equality():
 def test_orbit_invariance_under_time_shift_and_twist():
     twist = RotationTwist(2, (1, 1))
     orbit = shoot_orbit(SPHERE2, twist, [1, 0], 1.5)
-    from reebtwist.geometry import reeb_flow
+    from reebtwist.geometry import reeb_flow_samples
 
-    shifted_z = reeb_flow(orbit.z0, 0.37, SPHERE2)
+    shifted_z = reeb_flow_samples(orbit.z0, [0.37], SPHERE2)[-1]
     shifted = shoot_orbit(SPHERE2, twist, shifted_z, orbit.tau)
     assert shifted.tau == pytest.approx(orbit.tau, abs=1e-9)
     assert shifted.residual <= 1e-8
@@ -348,7 +351,7 @@ def test_monodromy_radial_unit_profile():
     twist = RotationTwist(2, (1, 1))
     radial = RadialProfile(2, ConstantProfile(1.0))
     orbit = make_orbit(twist, 2, 1, direction=[0.6, 0.8])
-    report = monodromy(orbit, radial, twist, kernel_tol=1e-5)
+    report = monodromy(orbit, radial, twist)
     assert report.kernel_dim_tangent == 3
     assert report.kernel_dim_contact == 2
 
@@ -373,3 +376,12 @@ def test_monodromy_untwisted_closed_orbit_identity():
     report = monodromy(orbit, SPHERE2, twist)
     assert report.tangent_deviation <= 1e-12
     assert report.kernel_dim_tangent == 3
+
+
+@pytest.mark.parametrize("taus", [(1.0, 0.5), (1.0, 1.0), (1.0, 1.0 + TAU_TOL / 2)],
+                         ids=["unsorted", "equal", "within-tau-tol"])
+def test_spectrum_table_rejects_unsorted_or_repeated_multipliers(taus):
+    rows = tuple(SpectrumRow(tau=tau, support=(1,), dim=1, index=0) for tau in taus)
+    with pytest.raises(ValueError) as excinfo:
+        SpectrumTable(rows)
+    assert str(excinfo.value) == "multiplier values not distinct/sorted"
