@@ -80,6 +80,19 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
 
 
+def _float_sized(value: int, what: str) -> int:
+    """``value`` if it converts to a float, as every branch and degree must."""
+    try:
+        float(value)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"{what} {value} does not convert to a float") from None
+    return value
+
+
+def _branch(text: str) -> int:
+    return _float_sized(_integer(text), "branch")
+
+
 def _count_at_least(low: int, what: str):
     """Parser of an integer flag that rejects values below ``low``."""
     def parse(text: str) -> int:
@@ -121,7 +134,7 @@ def _window(what: str):
             raise argparse.ArgumentTypeError(f"bad {what} {text!r}, expected LO:HI") from None
         if lo > hi:
             raise argparse.ArgumentTypeError(f"empty {what} {text!r}: LO exceeds HI")
-        return lo, hi
+        return _float_sized(lo, what), _float_sized(hi, what)
     return parse
 
 
@@ -208,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="orbit + noncontractibility certificate")
     common(p)
-    p.add_argument("--pearl", type=int, default=1, help="spectrum branch")
+    p.add_argument("--pearl", type=_branch, default=1, help="spectrum branch")
     p.add_argument("--samples", type=_sample_count, default=256)
 
     p = sub.add_parser("sweep", help="homology comparison over a parameter grid")

@@ -11,7 +11,7 @@ and are flagged unreliable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .f2 import F2Matrix, matmul, nullspace_dim, rank
 
@@ -60,7 +60,7 @@ class CyclicAction:
 class GradedF2Complex:
     d_min: int
     d_max: int
-    generators: Mapping[int, tuple[str, ...]]
+    generators: Mapping[int, Sequence[str]]
     boundaries: Mapping[int, F2Matrix]   # key d: matrix of C_d -> C_{d-1}
     action: CyclicAction | None = None
 
@@ -128,18 +128,28 @@ def validate(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
 
     Raises ``ComplexValidationError`` at the first broken axiom, naming the
     first offending degree and composite entry, or the lowest generator of
-    the first bad cycle.  Returns the action's orbits per degree, one linear
-    ``CyclicAction.cycles`` pass each, or ``{}`` without an action.
+    the first bad cycle.  Returns the action's orbits per degree, or ``{}``
+    without an action.  Products run once per pair of operand objects, and a
+    permutation's checks, cycles and matrix once per distinct tuple; every
+    degree still compares its own results, and no state outlives the call.
     """
+    products: dict[tuple[int, int], F2Matrix] = {}
+
+    def product(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+        key = (id(a), id(b))  # c and the permutation matrices hold both operands
+        if key not in products:
+            products[key] = matmul(a, b)
+        return products[key]
+
     for d in range(c.d_min + 2, c.d_max + 1):
-        comp = matmul(c.boundaries[d - 1], c.boundaries[d])
+        comp = product(c.boundaries[d - 1], c.boundaries[d])
         if not comp.is_zero:
             i, j = _first_nonzero(comp)
             raise ComplexValidationError(
                 f"d.d != 0 entering degree {d - 2}: composite entry ({i},{j}) = 1")
     if c.action is None:
         return {}
-    return _validate_action(c)
+    return _validate_action(c, product)
 
 
 def _first_nonzero(m: F2Matrix) -> tuple[int, int]:
@@ -157,19 +167,26 @@ def _permutation_matrix(perm: tuple[int, ...]) -> F2Matrix:
     return F2Matrix(n, n, tuple(rows))
 
 
-def _validate_action(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
+def _validate_action(c: GradedF2Complex, product) -> dict[int, list[tuple[int, ...]]]:
     act = c.action
+    bijections: set[tuple[int, ...]] = set()
     for d in c.degrees():
         perm = act.perms.get(d)
-        if perm is None or sorted(perm) != list(range(c.dim(d))):
+        if perm is None or len(perm) != c.dim(d) or (
+                perm not in bijections and sorted(perm) != list(range(c.dim(d)))):
             raise ComplexValidationError(
                 f"action permutation missing or invalid at degree {d}")
-    # order check: the generator permutation must have order dividing the
-    # declared order, and the action must be free (every orbit of full size);
-    # a cycle's lowest index is the first generator of its orbit to fail
-    orbits = {d: act.cycles(d) for d in c.degrees()}
-    for d, cycles in orbits.items():
-        for orbit in cycles:
+        bijections.add(perm)
+    # order check: the permutation's order must divide the declared order, and
+    # the action must be free (every orbit of full size); a cycle's lowest index
+    # is its orbit's first generator to fail, a permutation's first degree its first
+    cycles: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for d in c.degrees():
+        perm = act.perms[d]
+        if perm in cycles:
+            continue
+        cycles[perm] = act.cycles(d)
+        for orbit in cycles[perm]:
             i = orbit[0]
             if act.order % len(orbit) != 0:
                 raise ComplexValidationError(
@@ -179,12 +196,13 @@ def _validate_action(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
                 raise ComplexValidationError(
                     f"action not free: generator {i} in degree {d} is fixed by a "
                     f"nontrivial power (orbit size {len(orbit)})")
-    perm_mats = {d: _permutation_matrix(act.perms[d]) for d in c.degrees()}
+    perm_mats = {perm: _permutation_matrix(perm) for perm in cycles}
     for d in range(c.d_min + 1, c.d_max + 1):
-        if matmul(c.boundaries[d], perm_mats[d]) != matmul(perm_mats[d - 1], c.boundaries[d]):
+        b, below, above = c.boundaries[d], perm_mats[act.perms[d - 1]], perm_mats[act.perms[d]]
+        if product(b, above) != product(below, b):
             raise ComplexValidationError(
                 f"action does not commute with the boundary at degree {d}")
-    return orbits
+    return {d: cycles[act.perms[d]] for d in c.degrees()}
 
 
 def homology(c: GradedF2Complex) -> HomologyTable:

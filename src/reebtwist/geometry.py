@@ -309,10 +309,21 @@ def _number(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def _positive(value, what: str) -> float:
+# A quadric coefficient a_j (1 / value^2 of a constant profile) must lie within
+# QUADRIC_DECADES decades of 1.  Then every multiplier pi (m l - r) / (m a_j) and
+# turn count tau a_i / pi of a branch |l| <= 1e100 is a finite float.
+QUADRIC_DECADES = 100
+
+
+def _quadric_coefficient(value, what: str, power: float = 1.0) -> float:
+    """A positive JSON number whose quadric coefficient ``value ** power`` obeys QUADRIC_DECADES."""
     value = _number(value, what)
     if value <= 0.0:
         raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    if abs(power * math.log10(value)) > QUADRIC_DECADES:
+        raise ValueError(f"{what} {value!r} puts a quadric coefficient outside "
+                         f"1e-{QUADRIC_DECADES}..1e{QUADRIC_DECADES}, where multipliers "
+                         "or turn counts overflow")
     return value
 
 
@@ -320,8 +331,9 @@ def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
     """Build (model, twist) from a JSON model description dict.
 
     A profile must make G positive definite: a constant or a list of n finite
-    positive ellipsoid coefficients, all JSON numbers.  A missing key raises
-    KeyError, a misshapen container TypeError or AttributeError, others ValueError.
+    positive ellipsoid coefficients, all JSON numbers, each quadric coefficient
+    within ``QUADRIC_DECADES`` decades of 1.  A missing key raises KeyError, a
+    misshapen container TypeError or AttributeError, others ValueError.
     """
     kind = spec.get("kind")
     n = _integer(spec["n"], "dimension n")
@@ -336,12 +348,13 @@ def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
         pspec = spec.get("profile", {"type": "constant"})
         ptype = pspec.get("type")
         if ptype == "constant":
-            profile = ConstantProfile(_positive(pspec.get("value", 1.0), "profile value"))
+            profile = ConstantProfile(
+                _quadric_coefficient(pspec.get("value", 1.0), "profile value", power=-2.0))
         elif ptype == "ellipsoid":
             coeffs = pspec["coefficients"]
             if not isinstance(coeffs, list):
                 raise ValueError(f"ellipsoid coefficients must be a list, got {coeffs!r}")
-            coeffs = tuple(_positive(c, "ellipsoid coefficient") for c in coeffs)
+            coeffs = tuple(_quadric_coefficient(c, "ellipsoid coefficient") for c in coeffs)
             if len(coeffs) != n:
                 raise ValueError(f"need {n} ellipsoid coefficients, got {len(coeffs)}")
             profile = EllipsoidProfile(coeffs)

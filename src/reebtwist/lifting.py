@@ -73,7 +73,12 @@ class QuotientLoop:
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuotientLoop":
         twist = RotationTwist(m=data["twist"]["m"], k=tuple(data["twist"]["k"]))
-        flat = np.array([[_number(x, "loop sample") for x in row] for row in data["samples"]])
+        rows = [[_number(x, "loop sample") for x in row] for row in data["samples"]]
+        for i, row in enumerate(rows):
+            if len(row) != 2 * twist.n:
+                raise ValueError(f"loop sample {i} has {len(row)} reals, "
+                                 f"needs {2 * twist.n} interleaved reals")
+        flat = np.array(rows, dtype=float).reshape(len(rows), 2 * twist.n)
         return cls(samples=flat.view(np.complex128), twist=twist)
 
 

@@ -26,6 +26,7 @@ zero.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, quotient_by_action
@@ -80,13 +81,34 @@ def connecting_boundary(m: int) -> F2Matrix:
     return F2Matrix.ones(m, m)
 
 
+class _CircleLabels(Sequence):
+    """Labels ``k{branch}.c{circle}.h{level}.s{p}`` of one degree, formatted when read."""
+
+    def __init__(self, prefix: str, m: int):
+        self._prefix, self._m = prefix, m
+
+    def __len__(self) -> int:
+        return self._m
+
+    def __getitem__(self, i):
+        p = range(self._m)[i]
+        return f"{self._prefix}{p}" if isinstance(p, int) else tuple(self[q] for q in p)
+
+    def __eq__(self, other):  # by value, also against the tuple of its labels
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _CircleLabels)) else NotImplemented
+
+
 def build_pearl_complex(spec: PearlComplexSpec) -> GradedF2Complex:
-    """String-of-pearls complex on a window of at least two pearls, with the cyclic action."""
+    """String-of-pearls complex on a window of at least two pearls, with the cyclic action.
+
+    Labels are formatted when read.  Degrees share two stencil objects, and
+    circles of equal exponent equal permutations, for ``validate`` to reuse.
+    """
     twist, n, m = spec.twist, spec.n, spec.twist.m
     if spec.window[1] - spec.window[0] + 1 < 2:
         raise ValueError("window holds fewer than two pearls")
 
-    generators: dict[int, tuple[str, ...]] = {}
+    generators: dict[int, _CircleLabels] = {}
     perms: dict[int, tuple[int, ...]] = {}
     d_max = None
     for row in _window_rows(spec):
@@ -97,7 +119,7 @@ def build_pearl_complex(spec: PearlComplexSpec) -> GradedF2Complex:
             branch = round(line_turns(row.tau, spec.coefficients[c - 1], twist, c - 1))
             rotation = tuple((p + twist.k[c - 1]) % m for p in range(m))
             for level in (0, 1):
-                generators[d] = tuple(f"k{branch}.c{c}.h{level}.s{p}" for p in range(m))
+                generators[d] = _CircleLabels(f"k{branch}.c{c}.h{level}.s", m)
                 perms[d] = rotation
                 d += 1
         d_max = d - 1

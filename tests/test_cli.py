@@ -439,6 +439,52 @@ def test_loop_file_samples_must_be_finite_json_numbers(capsys, tmp_path, sample,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("one", "loop sample 1 has 3 reals, needs 4 interleaved reals"),
+    ("all", "loop sample 0 has 3 reals, needs 4 interleaved reals"),
+], ids=["one-sample", "all-samples"])
+def test_loop_file_samples_need_2n_reals(capsys, tmp_path, bad, message):
+    # numpy's "setting an array element with a sequence" and "When changing
+    # to a larger dtype" errors once came through unexplained
+    path = Path(half_turn_loop(tmp_path))
+    data = json.loads(path.read_text())
+    if bad == "one":
+        data["samples"][1] = data["samples"][1][:3]
+    else:
+        data["samples"] = [row[:3] for row in data["samples"]]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lift", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({"type": "ellipsoid", "coefficients": [1e308, 1.0]}, "ellipsoid coefficient 1e+308"),
+    ({"type": "ellipsoid", "coefficients": [1e-320, 1.0]}, "ellipsoid coefficient 1e-320"),
+    ({"type": "constant", "value": 1e-200}, "profile value 1e-200"),
+    ({"type": "constant", "value": 1e200}, "profile value 1e+200"),
+], ids=["ellipsoid-huge", "ellipsoid-subnormal", "constant-tiny", "constant-huge"])
+@pytest.mark.parametrize("command", ["spectrum", "homology", "complex", "certify"])
+def test_extreme_quadric_coefficients_rejected(capsys, tmp_path, profile, message, command):
+    # each once ended in an OverflowError or ZeroDivisionError with exit 1, or
+    # in certify after LAPACK's own complaint on stderr
+    path = write_model(tmp_path, 3, (1, 2), profile)
+    code, out, err = run(capsys, command, "--model", path)
+    assert (code, out, err) == (2, "", f"error: {message} puts a quadric coefficient outside "
+                                       "1e-100..1e100, where multipliers or turn counts overflow\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("homology --window=0:{big}", "argument --window: window {big} does not convert to a float"),
+    ("complex --window=0:{big}", "argument --window: window {big} does not convert to a float"),
+    ("certify --pearl {big}", "argument --pearl: branch {big} does not convert to a float"),
+], ids=["homology", "complex", "certify"])
+def test_branches_must_convert_to_floats(capsys, argv, message):
+    # each once raised "OverflowError: int too large to convert to float", exit 1
+    big = "9" * 400
+    err = parse_error(capsys, *argv.format(big=big).split(), "--m", "3", "--k", "1,2")
+    assert err.endswith(f"error: {message.format(big=big)}\n")
+
+
 @pytest.mark.parametrize("argv, text, message", [
     ("spectrum --model", "[", "cannot read model file: Expecting value: line 1 column 2 (char 1)"),
     ("spectrum --model", "[2]", "malformed model file: 'list' object has no attribute 'get'"),

@@ -302,16 +302,86 @@ def test_large_pearl_complex_rejects_a_wrong_order_permutation(pearl_256):
         quotient_by_action(c)
 
 
-def test_quotient_decomposes_each_degree_once_per_pass(monkeypatch):
-    # one cycle decomposition per degree, in validation; the quotient reuses it
-    c = pearl_complex(64)
+@pytest.mark.parametrize("k, distinct", [((1, 1, 1, 1), 1), ((1, 3, 5, 7), 4)],
+                         ids=["one-exponent", "four-exponents"])
+def test_quotient_decomposes_each_distinct_permutation_once(monkeypatch, k, distinct):
+    # one cycle decomposition per distinct permutation, in validation; the
+    # quotient reuses validation's orbits, and every degree gets its orbits
+    c = build_pearl_complex(PearlComplexSpec(n=4, twist=RotationTwist(64, k), window=(0, 3)))
     calls = Counter()
     cycles = CyclicAction.cycles
 
     def spy(self, degree):
-        calls[degree] += 1
+        calls[self.perms[degree]] += 1
         return cycles(self, degree)
 
     monkeypatch.setattr(CyclicAction, "cycles", spy)
-    quotient_by_action(c)
-    assert calls == {d: 1 for d in c.degrees()}
+    q = quotient_by_action(c)
+    assert calls == {perm: 1 for perm in set(c.action.perms.values())}
+    assert len(calls) == distinct
+    assert all(q.dim(d) == 1 for d in q.degrees())
+
+
+def shared_equivariant_complex(rng: np.random.Generator, m: int) -> GradedF2Complex:
+    """A random complex tensored with the regular Z_m representation, sharing objects.
+
+    Degrees of equal dimension use one placement of the tensored generators,
+    so their permutations are one tuple object, and equal boundary matrices
+    are one F2Matrix object: validation's reuse of work is exercised.
+    """
+    dims, bnds = random_valid_complex(rng, n_degrees=5, max_gens=2)
+    place = {size: [int(p) for p in rng.permutation(size * m)] for size in set(dims.values())}
+    perms = {}
+    for size, at in place.items():
+        perm = [0] * (size * m)
+        for i in range(size):
+            for g in range(m):
+                perm[at[i * m + g]] = at[i * m + (g + 1) % m]
+        perms[size] = tuple(perm)
+    shared: dict[F2Matrix, F2Matrix] = {}
+    tensored = {}
+    for d, mat in bnds.items():
+        rows = [[0] * (dims[d] * m) for _ in range(dims[d - 1] * m)]
+        for i, j in np.argwhere(np.array(mat, dtype=int)):
+            for g in range(m):
+                rows[place[dims[d - 1]][i * m + g]][place[dims[d]][j * m + g]] = 1
+        matrix = F2Matrix.from_rows(rows, cols=dims[d] * m)
+        tensored[d] = shared.setdefault(matrix, matrix)
+    return GradedF2Complex(0, 4, {d: ("x",) * (dims[d] * m) for d in dims}, tensored,
+                           CyclicAction(order=m, perms={d: perms[dims[d]] for d in dims}))
+
+
+def validation_outcome(c: GradedF2Complex):
+    try:
+        return validate(c)
+    except ComplexValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["none", "flip", "swap"]))
+def test_validation_ignores_object_sharing(m, seed, mutation):
+    # the complex, or a copy with one flipped boundary entry or one swapped
+    # pair in one permutation, validates like a copy whose every matrix and
+    # permutation is a distinct object: same orbits or same message
+    rng = np.random.default_rng(seed)
+    c = shared_equivariant_complex(rng, m)
+    d = int(rng.integers(1, 5))
+    if mutation == "flip":
+        old = c.boundaries[d]
+        i, j = int(rng.integers(old.rows)), int(rng.integers(old.cols))
+        flipped = F2Matrix(old.rows, old.cols,
+                           tuple(r ^ (1 << j) if k == i else r for k, r in enumerate(old.row_bits)))
+        c = dataclasses.replace(c, boundaries={**c.boundaries, d: flipped})
+    elif mutation == "swap" and c.dim(d) > 1:
+        perm = list(c.action.perms[d])
+        i, j = (int(x) for x in rng.choice(len(perm), size=2, replace=False))
+        perm[i], perm[j] = perm[j], perm[i]
+        c = with_perm(c, d, tuple(perm))
+    distinct = GradedF2Complex(
+        c.d_min, c.d_max, c.generators,
+        {e: F2Matrix(b.rows, b.cols, tuple(b.row_bits)) for e, b in c.boundaries.items()},
+        CyclicAction(order=m, perms={e: tuple(list(p)) for e, p in c.action.perms.items()}))
+    assert len({id(b) for b in distinct.boundaries.values()}) == len(distinct.boundaries)
+    assert validation_outcome(c) == validation_outcome(distinct)

@@ -37,10 +37,11 @@ SPIES = {
 
 
 @pytest.mark.parametrize("argv, expected", [
-    ("homology --m 64 --n 4 --window=0:3", {"matmul": 152, "cycles": 32}),
+    ("homology --m 64 --n 4 --window=0:3", {"matmul": 38, "cycles": 1}),
+    ("homology --m 64 --k 1,3,5,7 --n 4 --window=0:3", {"matmul": 50, "cycles": 4}),
     ("certify --m 2 --k 1,1 --n 2", {"flows": 4}),
     ("orbit --m 2 --k 1,1 --n 2 --tau 1.5", {"flows": 5, "newton_steps": 3}),
-], ids=["homology", "certify", "orbit"])
+], ids=["homology", "homology_four_exponents", "certify", "orbit"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
     counts = Counter()
     for name in expected:
