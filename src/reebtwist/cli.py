@@ -348,7 +348,7 @@ def _orbit_payload(orbit) -> dict:
 
 def cmd_spectrum(args, settings):
     model, twist = _resolve_geometry(args)
-    table = analytic_spectrum(twist, twist.n, args.window, model.coefficients())
+    table = analytic_spectrum(twist, twist.n, args.window, model.a)
     rows = table.to_json_rows()
     return {"rows": rows, "window": list(args.window)}, rows, EXIT_OK
 
@@ -372,7 +372,7 @@ def cmd_action(args, settings):
 
 def cmd_cz_index(args, settings):
     model, twist = _resolve_geometry(args)
-    a = model.coefficients()
+    a = model.a
     rows = []
     for k in range(args.window[0], args.window[1] + 1):
         tau = line_multiplier(twist, a[0], 0, k)
@@ -383,7 +383,7 @@ def cmd_cz_index(args, settings):
 def _pearl_spec(args) -> PearlComplexSpec:
     model, twist = _resolve_geometry(args)
     return PearlComplexSpec(n=twist.n, twist=twist, window=args.window,
-                            coefficients=model.coefficients())
+                            coefficients=model.a)
 
 
 def cmd_complex(args, settings):
@@ -412,7 +412,7 @@ def cmd_lift(args, settings):
 
 def cmd_certify(args, settings):
     model, twist = _resolve_geometry(args)
-    a = model.coefficients()
+    a = model.a
     tau_seed = line_multiplier(twist, a[0], 0, args.pearl)
     orbit = shoot_orbit(model, twist, _seed_point(None, twist.n), tau_seed, settings=settings)
     value = action(orbit, model, settings=settings)
@@ -432,8 +432,7 @@ def cmd_certify(args, settings):
 
 def cmd_sweep(args, settings):
     m_lo, m_hi = args.m_range
-    coefficients = (_read_input(args.model, "model", load_model)[0].coefficients()
-                    if args.model else None)
+    coefficients = _read_input(args.model, "model", load_model)[0].a if args.model else None
     if coefficients is not None and set(args.n_list) != {len(coefficients)}:
         raise ConfigError(f"--n-list must hold only the model's n = {len(coefficients)}")
     specs = [PearlComplexSpec(n=n, twist=RotationTwist(m, (1,) * n), window=args.window,

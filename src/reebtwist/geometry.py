@@ -3,26 +3,25 @@ Geometry of complex n-space with its standard Liouville form.
 
 Complex coordinates z^j = x^j + i y^j carry the primitive
 lambda = (1/2) sum_j (y^j dx^j - x^j dy^j), and a rotation twist acts
-coordinatewise by roots of unity.  Every star-shaped model is the level set
-G = 1 of the diagonal quadric G = sum_j a_j |z^j|^2, given in closed form
-with its real gradient and Hessian: a = 1 for the round sphere, 1/rho^2 for
-a constant profile rho, the coefficients of an ellipsoid.  Everything else
-is derived from G once: the surface row G - 1, the Reeb field X_G (the
-symplectic dual of dG, with lambda(X_G) = G by Euler's identity), its
-Jacobian and the radial point u / sqrt(G(u)) on the hypersurface.
-X_G = -2i a z is linear, so every model's Reeb flow is z_j -> e^{-2i a_j t}
-z_j in closed form, on and off the hypersurface, and G is invariant under
-every rotation twist.  The one adaptive Runge-Kutta entry point
-``integrate`` serves only the variational equation of the Reeb field, the
-numeric check of the closed-form return map.
+coordinatewise by roots of unity.  Every star-shaped model is one record,
+``RadialProfile``, of the coefficients a of the diagonal quadric
+G = sum_j a_j |z^j|^2 whose level set G = 1 it is: a = 1 for the round
+sphere (``RoundSphere``), 1/rho^2 for a constant profile rho, the
+coefficients of an ellipsoid.  The record computes a once; G, its real
+gradient, the radial point u / sqrt(G(u)) on the hypersurface and the Reeb
+field X_G = -2i a z (lambda(X_G) = G by Euler's identity) with its constant
+Jacobian are closed-form expressions in a.  X_G is linear, so every model's
+Reeb flow is z_j -> e^{-2i a_j t} z_j in closed form, on and off the
+hypersurface, and G is invariant under every rotation twist.  The one
+adaptive Runge-Kutta entry point ``integrate`` serves only the variational
+equation of the Reeb field, the numeric check of the closed-form return map.
 """
-
 from __future__ import annotations
 
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_SURFACE_TOL = 1e-9
@@ -156,25 +155,6 @@ def integrate(rhs, t_end: float, y0: np.ndarray):
     return sol
 
 
-def hamiltonian_dual(grad_real: np.ndarray) -> np.ndarray:
-    """Symplectic dual of a real gradient: the field X with i_X dlambda = -dF.
-
-    With interleaved (x, y) coordinates the dual of (F_x, F_y) per complex
-    line is F_y - i F_x.
-    """
-    gx = grad_real[0::2]
-    gy = grad_real[1::2]
-    return gy - 1j * gx
-
-
-def _dual_rows(hess: np.ndarray) -> np.ndarray:
-    """Real Jacobian of the dual field of dF, given the Hessian of F."""
-    jac = np.empty_like(hess)
-    jac[0::2] = hess[1::2]
-    jac[1::2] = -hess[0::2]
-    return jac
-
-
 # -- star-shaped models ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -193,19 +173,32 @@ class EllipsoidProfile:
     coefficients: tuple[float, ...]
 
     def quadric(self, n: int) -> np.ndarray:
+        if len(self.coefficients) != n:
+            raise ValueError(f"need {n} ellipsoid coefficients, got {len(self.coefficients)}")
         return np.asarray(self.coefficients, dtype=float)
 
 
-class StarShapedModel:
+@dataclass(frozen=True)
+class RadialProfile:
     """The hypersurface G = 1 of the diagonal quadric G = sum_j a_j |z^j|^2.
 
-    A model supplies a = ``coefficients()``.  G (``defining_function``), its
-    real gradient and Hessian, the radial surface point, the Reeb field, its
-    flow and the twisted return map are all closed-form expressions in a.
+    The one model record: the constant or ellipsoid ``profile`` fixes the
+    coefficients ``a`` once, kept read-only, and G, its real gradient, the
+    radial surface point, the Reeb field -2i a z, its Jacobian, its flow and
+    the twisted return map are closed-form expressions in a.
     """
 
+    n: int
+    profile: ConstantProfile | EllipsoidProfile
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        a = self.profile.quadric(self.n)
+        a.flags.writeable = False
+        object.__setattr__(self, "a", a)
+
     def defining_function(self, z) -> float:
-        return float(np.sum(self.coefficients() * np.abs(z) ** 2))
+        return float(np.sum(self.a * np.abs(z) ** 2))
 
     def point_on_surface(self, direction) -> np.ndarray:
         """The hypersurface point u / sqrt(G(u)) on the ray of u = direction / |direction|."""
@@ -218,57 +211,33 @@ class StarShapedModel:
         return abs(norm - norm / math.sqrt(self.defining_function(z)))
 
     def gradient(self, z) -> np.ndarray:
-        return 2.0 * np.repeat(self.coefficients(), 2) * to_real(z)
-
-    def hessian(self, z) -> np.ndarray:
-        return np.diag(2.0 * np.repeat(self.coefficients(), 2))
+        return 2.0 * np.repeat(self.a, 2) * to_real(z)
 
     def reeb_field(self, z) -> np.ndarray:
-        """X_G; Euler's identity gives lambda(X_G) = G = 1 on the hypersurface."""
-        return hamiltonian_dual(self.gradient(z))
+        """X_G = -2i a z, with i_X dlambda = -dG; Euler's identity gives lambda(X_G) = G."""
+        return -2j * self.a * z
 
     def field_jacobian(self, z) -> np.ndarray:
-        """Real Jacobian of ``reeb_field``: the dual map applied to the Hessian."""
-        return _dual_rows(self.hessian(z))
+        """Real Jacobian of ``reeb_field``, the same at every z: blocks [[0, 2 a_j], [-2 a_j, 0]]."""
+        return np.kron(np.diag(self.a), [[0.0, 2.0], [-2.0, 0.0]])
 
     def flow_samples(self, z: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Reeb flow z_j -> e^{-2i a_j t} z_j at each time, exact for X_G = -2i a z."""
-        return np.exp(-2j * np.multiply.outer(times, self.coefficients())) * z
+        return np.exp(-2j * np.multiply.outer(times, self.a)) * z
 
     def return_map(self, twist: RotationTwist, tau: float) -> np.ndarray:
         """Complex differential of the twisted return map: diag(e^{2i a tau}) times the twist."""
-        return np.diag(np.exp(2j * tau * self.coefficients()) * twist.phases())
+        return np.diag(np.exp(2j * tau * self.a) * twist.phases())
 
-
-# perfbench/spans.py wraps ``reeb_field`` in the body of each model class, so the
-# subclasses bind the shared method under their own name.
 
 @dataclass(frozen=True)
-class RoundSphere(StarShapedModel):
+class RoundSphere(RadialProfile):
     """The unit sphere G = |z|^2, with Reeb flow e^{-2it} z."""
 
-    n: int
+    profile: ConstantProfile = field(default=ConstantProfile(1.0), init=False)
 
-    reeb_field = StarShapedModel.reeb_field
-
-    def coefficients(self) -> np.ndarray:
-        return np.ones(self.n)
-
-
-@dataclass(frozen=True)
-class RadialProfile(StarShapedModel):
-    """Star-shaped hypersurface |z| = rho(z/|z|) of a constant or ellipsoid profile.
-
-    Both give G = |z|^2 / rho(z/|z|)^2 as a diagonal quadric in closed form.
-    """
-
-    n: int
-    profile: ConstantProfile | EllipsoidProfile
-
-    reeb_field = StarShapedModel.reeb_field
-
-    def coefficients(self) -> np.ndarray:
-        return self.profile.quadric(self.n)
+    # perfbench/spans.py wraps ``reeb_field`` in the body of each model class
+    reeb_field = RadialProfile.reeb_field
 
 
 # -- Reeb flow ------------------------------------------------------------------
@@ -284,12 +253,12 @@ def reeb_field(z) -> np.ndarray:
     return sphere.reeb_field(z)
 
 
-def reeb_flow_samples(z, times, model: StarShapedModel,
+def reeb_flow_samples(z, times, model: RadialProfile,
                       surface_tol: float = DEFAULT_SURFACE_TOL) -> np.ndarray:
     """Reeb flow evaluated at a list of times of either sign, one row per time.
 
     The start point must lie within ``surface_tol`` of the hypersurface.
-    Every model flows in closed form (``StarShapedModel.flow_samples``), so
+    Every model flows in closed form (``RadialProfile.flow_samples``), so
     no tolerance other than the surface check applies.
     """
     z = as_complex_vector(z)
@@ -327,7 +296,7 @@ def _quadric_coefficient(value, what: str, power: float = 1.0) -> float:
     return value
 
 
-def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
+def load_model(spec: dict) -> tuple[RadialProfile, RotationTwist | None]:
     """Build (model, twist) from a JSON model description dict.
 
     A profile must make G positive definite: a constant or a list of n finite
@@ -354,10 +323,8 @@ def load_model(spec: dict) -> tuple[StarShapedModel, RotationTwist | None]:
             coeffs = pspec["coefficients"]
             if not isinstance(coeffs, list):
                 raise ValueError(f"ellipsoid coefficients must be a list, got {coeffs!r}")
-            coeffs = tuple(_quadric_coefficient(c, "ellipsoid coefficient") for c in coeffs)
-            if len(coeffs) != n:
-                raise ValueError(f"need {n} ellipsoid coefficients, got {len(coeffs)}")
-            profile = EllipsoidProfile(coeffs)
+            profile = EllipsoidProfile(
+                tuple(_quadric_coefficient(c, "ellipsoid coefficient") for c in coeffs))
         else:
             raise ValueError(f"unknown profile type {ptype!r}")
         return RadialProfile(n=n, profile=profile), twist

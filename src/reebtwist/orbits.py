@@ -21,8 +21,8 @@ import numpy as np
 
 from .czindex import cz_index_unitary, winding
 from .geometry import (
+    RadialProfile,
     RotationTwist,
-    StarShapedModel,
     as_complex_vector,
     integrate,
     liouville_form_eval,
@@ -216,7 +216,7 @@ def _shooting_jacobian(model, twist, section, u: np.ndarray) -> np.ndarray:
     """
     n2 = u.size - 1
     z = to_complex(u[:n2])
-    a = model.coefficients()
+    a = model.a
     rotation = np.exp(-2j * a * float(u[n2]))
     jac = np.zeros((n2 + 2, n2 + 1))
     jac[:n2, :n2] = _complex_to_real_matrix(np.diag(rotation - twist.phases()))
@@ -226,7 +226,7 @@ def _shooting_jacobian(model, twist, section, u: np.ndarray) -> np.ndarray:
     return jac
 
 
-def shoot_orbit(model: StarShapedModel, twist: RotationTwist, seed_z, seed_tau: float,
+def shoot_orbit(model: RadialProfile, twist: RotationTwist, seed_z, seed_tau: float,
                 settings: SolverSettings = SolverSettings()) -> TwistedOrbit:
     """Damped Gauss-Newton on the twist residual, gauge-fixed at the seed.
 
@@ -290,8 +290,7 @@ def _certify(model, twist, u: np.ndarray, settings: SolverSettings) -> TwistedOr
     residual = float(np.linalg.norm(flow - twist.apply(z)))
     support = tuple(j + 1 for j in range(z.size) if abs(z[j]) > SUPPORT_TOL)
     return TwistedOrbit(z0=z, tau=tau, support=support, residual=residual,
-                        component_id=_component_id(twist, model.coefficients(), support,
-                                                   tau))
+                        component_id=_component_id(twist, model.a, support, tau))
 
 
 # -- linearized flows ----------------------------------------------------------------
@@ -318,7 +317,7 @@ def _variational_flow(model, z, t: float) -> np.ndarray:
     return np.ascontiguousarray(sol.y[n2:, -1]).reshape(n2, n2)
 
 
-def twist_return_differential(model: StarShapedModel, twist: RotationTwist, z,
+def twist_return_differential(model: RadialProfile, twist: RotationTwist, z,
                               tau: float, method: str = "auto") -> np.ndarray:
     """Differential of (backward time-tau Reeb flow) composed after the twist.
 
@@ -372,7 +371,7 @@ def _restricted_kernel_dim(mat: np.ndarray, basis: np.ndarray) -> tuple[int, flo
     return int(np.sum(sing <= KERNEL_TOL)), float(sing[0])
 
 
-def monodromy(orbit: TwistedOrbit, model: StarShapedModel,
+def monodromy(orbit: TwistedOrbit, model: RadialProfile,
               twist: RotationTwist) -> MonodromyReport:
     """Linearized return map at the orbit base point with kernel dimensions.
 
@@ -391,7 +390,7 @@ def monodromy(orbit: TwistedOrbit, model: StarShapedModel,
 
 # -- action ------------------------------------------------------------------------
 
-def orbit_samples(orbit: TwistedOrbit, model: StarShapedModel, count: int,
+def orbit_samples(orbit: TwistedOrbit, model: RadialProfile, count: int,
                   settings: SolverSettings = SolverSettings()) -> np.ndarray:
     """count+1 points along one twisted period, endpoints included."""
     times = orbit.tau * np.linspace(0.0, 1.0, count + 1)
@@ -410,7 +409,7 @@ def loop_action(samples: np.ndarray) -> float:
     return float(np.sum(0.5 * ends))
 
 
-def action(orbit: TwistedOrbit, model: StarShapedModel, quadrature_n: int = 1000,
+def action(orbit: TwistedOrbit, model: RadialProfile, quadrature_n: int = 1000,
            settings: SolverSettings = SolverSettings()) -> float:
     """Line integral of the Liouville form along the orbit, approximately tau."""
     return loop_action(orbit_samples(orbit, model, quadrature_n, settings))

@@ -174,8 +174,6 @@ def test_defining_function_derivatives_match_fd(model):
         assert model.defining_function(model.point_on_surface(z)) - 1.0 == pytest.approx(0.0, abs=1e-12)
         grad = fd_gradient(lambda yy: model.defining_function(to_complex(yy)), y)
         np.testing.assert_allclose(model.gradient(z), grad, atol=1e-9)
-        hess = fd_jacobian(lambda yy: model.gradient(to_complex(yy)), y)
-        np.testing.assert_allclose(model.hessian(z), hess, atol=1e-9)
         jac = fd_jacobian(lambda yy: to_real(model.reeb_field(to_complex(yy))), y)
         np.testing.assert_allclose(model.field_jacobian(z), jac, atol=1e-9)
 

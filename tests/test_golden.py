@@ -13,7 +13,11 @@ examples plus off-axis seeds, higher pearls and mixed exponent classes.
 generators from the spectrum and so accepted mixed exponent classes; no
 existing file changed then.  The csv and table files were captured before
 the renderers stopped rounding floats on their own and left that to one
-pass in ``main``; ``certify`` has no csv view.
+pass in ``main``; ``certify`` has no csv view.  The ``model_*`` files run
+the model files in ``tests/models/`` (two ellipsoids and a constant
+profile); they were captured before the model classes collapsed into the
+one coefficient record ``RadialProfile``, whose Reeb field is -2i a z in
+closed form.
 """
 
 import json
@@ -24,6 +28,7 @@ import pytest
 from reebtwist.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+MODEL_FILES = Path(__file__).parent / "models"
 
 CASES = {
     "spectrum": "spectrum --m 2 --k 1,1 --n 2 --window 0:3",
@@ -43,12 +48,30 @@ CASES = {
 }
 
 
+MODEL_GOLDEN = {
+    "model_spectrum": ("ellipsoid_m3", "spectrum"),
+    "model_certify_pearl2": ("ellipsoid_m3", "certify --pearl 2"),
+    "model_homology": ("ellipsoid_m3", "homology"),
+    "model_orbit": ("constant_m2", "orbit --tau 1.5"),
+    "model_action": ("constant_m2", "action --tau 1.5 --samples 200"),
+    "model_certify": ("ellipsoid3_m4", "certify"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_json(capsys, name):
     code = main(CASES[name].split())
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_GOLDEN))
+def test_golden_model_json(capsys, name):
+    model, command = MODEL_GOLDEN[name]
+    code = main([*command.split(), "--model", str(MODEL_FILES / f"{model}.json")])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 TABULAR = {
