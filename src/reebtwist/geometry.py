@@ -16,6 +16,7 @@ hypersurface, and G is invariant under every rotation twist.  The one
 adaptive Runge-Kutta entry point ``integrate`` serves only the variational
 equation of the Reeb field, the numeric check of the closed-form return map.
 """
+
 from __future__ import annotations
 
 import math
@@ -89,12 +90,19 @@ def normalize_to_sphere(x) -> tuple[np.ndarray, float]:
 # -- rotation twists -----------------------------------------------------------
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int if it is one (a bool is not): no truncation."""
+    """``value`` as an int if it is one (a bool is not): no truncation.
+
+    It must also convert to a float, as multipliers and phases need.
+    """
     try:
         if not isinstance(value, bool):
-            return operator.index(value)
+            value = operator.index(value)
+            float(value)
+            return value
     except TypeError:
         pass
+    except OverflowError:
+        raise ValueError(f"{name} {value} does not convert to a float") from None
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -36,6 +36,10 @@ TAU_TOL = 1e-9       # multipliers closer than this are one
 MAX_ITERATIONS = 50
 MAX_DAMPING_HALVINGS = 8
 KERNEL_TOL = 1e-6    # singular values of M - I at most this count toward the kernel
+# analytic_spectrum enumerates each (line, branch) pair of its window, about
+# 20 us apiece on a 2-core x86-64 machine: beyond this many pairs a window
+# would run for seconds to hours
+MAX_LINE_BRANCHES = 100_000
 
 
 class ConvergenceError(Exception):
@@ -142,13 +146,17 @@ def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
     1..m, for every integer branch l in the window.  Equal multipliers share
     one row whose support is every coordinate closing up there; its critical
     component is a sphere of dimension 2 |support| - 1 inside the supported
-    coordinate subspace.
+    coordinate subspace.  A window of more than ``MAX_LINE_BRANCHES`` (line,
+    branch) pairs raises ValueError before any is enumerated.
     """
     if twist.n != n:
         raise ValueError("twist exponent count does not match dimension n")
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError("empty branch window")
+    if n * (hi - lo + 1) > MAX_LINE_BRANCHES:
+        raise ValueError(f"branch window {lo}:{hi} holds {n} x {hi - lo + 1} line branches, "
+                         f"above the cap of {MAX_LINE_BRANCHES}")
     a = [1.0] * n if coefficients is None else [float(c) for c in coefficients]
 
     def closing_lines(tau: float) -> set[tuple[int, int]]:

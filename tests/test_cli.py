@@ -485,6 +485,42 @@ def test_branches_must_convert_to_floats(capsys, argv, message):
     assert err.endswith(f"error: {message.format(big=big)}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("homology --m {big} --n 2", "modulus {big}"),
+    ("spectrum --m {big} --n 2", "modulus {big}"),
+    ("certify --m 3 --k 1,{big}", "exponent {big}"),
+    ("orbit --m 3 --k 1,{big} --tau 1.5", "exponent {big}"),
+], ids=["homology-m", "spectrum-m", "certify-k", "orbit-k"])
+def test_twist_integers_must_convert_to_floats(capsys, argv, message):
+    # each once raised "OverflowError: int too large to convert to float", exit 1
+    big = 10 ** 400
+    code, out, err = run(capsys, *argv.format(big=big).split())
+    assert (code, out, err) == (2, "", f"error: {message.format(big=big)} does not convert "
+                                       "to a float\n")
+
+
+def test_model_file_exponent_must_convert_to_float(capsys, tmp_path):
+    # certify once raised OverflowError with exit 1
+    path = write_model(tmp_path, 3, (1, 10 ** 400), {"type": "constant"})
+    code, out, err = run(capsys, "certify", "--model", path)
+    assert (code, out, err) == (2, "", f"error: exponent {10 ** 400} does not convert "
+                                       "to a float\n")
+
+
+@pytest.mark.parametrize("argv, lo, hi", [
+    ("homology --model {path}", -666666666667, 2333333333334),
+    ("complex --model {path}", -666666666667, 1333333333334),
+    ("spectrum --m 2 --n 2 --window 0:10000000000", 0, 10000000000),
+], ids=["homology", "complex", "spectrum"])
+def test_windows_above_the_branch_cap_rejected(capsys, tmp_path, argv, lo, hi):
+    # each once ran past a 10 s timeout: a = 1e12 widens the pearl window
+    # to ~10^12 branches of line 2
+    path = write_model(tmp_path, 3, (1, 2), {"type": "ellipsoid", "coefficients": [1e12, 1.0]})
+    code, out, err = run(capsys, *argv.format(path=path).split())
+    assert (code, out, err) == (2, "", f"error: branch window {lo}:{hi} holds 2 x "
+                                       f"{hi - lo + 1} line branches, above the cap of 100000\n")
+
+
 @pytest.mark.parametrize("argv, text, message", [
     ("spectrum --model", "[", "cannot read model file: Expecting value: line 1 column 2 (char 1)"),
     ("spectrum --model", "[2]", "malformed model file: 'list' object has no attribute 'get'"),

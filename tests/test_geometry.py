@@ -279,6 +279,11 @@ def test_load_round_sphere_model():
                                "twist": {"m": 2, "k": [1, 1]}})
     assert isinstance(model, RoundSphere) and model.n == 2
     assert twist == RotationTwist(2, (1, 1))
+    # the one record: a unit constant profile whose coefficients are fixed once
+    assert isinstance(model, RadialProfile) and model.profile == ConstantProfile(1.0)
+    np.testing.assert_array_equal(model.a, [1.0, 1.0])
+    with pytest.raises(ValueError, match="read-only"):
+        model.a[0] = 2.0
 
 
 def test_load_radial_model_checks_invariance():

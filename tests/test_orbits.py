@@ -12,6 +12,7 @@ from reebtwist.geometry import (
     to_real,
 )
 from reebtwist.orbits import (
+    MAX_LINE_BRANCHES,
     ConvergenceError,
     TAU_TOL,
     SolverSettings,
@@ -162,6 +163,9 @@ def test_spectrum_errors():
         analytic_spectrum(RotationTwist(2, (1, 1)), 2, (2, 1))
     with pytest.raises(ValueError, match="dimension"):
         analytic_spectrum(RotationTwist(2, (1, 1)), 3, (0, 1))
+    # raised before any branch is enumerated, so the test is instant
+    with pytest.raises(ValueError, match="holds 2 x 50001 line branches, above the cap"):
+        analytic_spectrum(RotationTwist(2, (1, 1)), 2, (0, MAX_LINE_BRANCHES // 2))
     with pytest.raises(ValueError, match="coprime"):
         RotationTwist(4, (2, 1))
 
