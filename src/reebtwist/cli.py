@@ -24,6 +24,8 @@ from .geometry import (
     OffSurfaceError,
     RotationTwist,
     RoundSphere,
+    capped_dimension,
+    float_sized,
     load_model,
 )
 from .lifting import AmbiguousLiftError, QuotientLoop, classify_orbit_loop, lift_loop
@@ -80,17 +82,16 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
 
 
-def _float_sized(value: int, what: str) -> int:
-    """``value`` if it converts to a float, as every branch and degree must."""
+def _checked(rule, value: int, what: str) -> int:
+    """``value`` if it passes the geometry ``rule``, whose ValueError stops the parse."""
     try:
-        float(value)
-    except OverflowError:
-        raise argparse.ArgumentTypeError(f"{what} {value} does not convert to a float") from None
-    return value
+        return rule(value, what)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _branch(text: str) -> int:
-    return _float_sized(_integer(text), "branch")
+    return _checked(float_sized, _integer(text), "branch")
 
 
 def _count_at_least(low: int, what: str):
@@ -105,8 +106,12 @@ def _count_at_least(low: int, what: str):
 
 # one sample step is a single chord, too coarse to integrate over or lift
 _sample_count = _count_at_least(2, "samples")
-_dimension = _count_at_least(1, "complex coordinate")
+_positive_dimension = _count_at_least(1, "complex coordinate")
 _modulus = _count_at_least(1, "group element")
+
+
+def _dimension(text: str) -> int:
+    return _checked(capped_dimension, _positive_dimension(text), "complex dimension")
 
 
 def _finite_float(text: str) -> float:
@@ -125,6 +130,13 @@ def _comma_separated(item):
     return lambda text: tuple(item(x) for x in text.split(","))
 
 
+def _exponents(text: str) -> tuple[int, ...]:
+    """``--k``, one exponent per coordinate: at most ``MAX_DIMENSION`` of them."""
+    k = _comma_separated(_integer)(text)
+    _checked(capped_dimension, len(k), "exponent count")
+    return k
+
+
 def _window(what: str):
     """Parser of an inclusive integer window ``LO:HI`` into ``(lo, hi)``."""
     def parse(text: str) -> tuple[int, int]:
@@ -134,7 +146,7 @@ def _window(what: str):
             raise argparse.ArgumentTypeError(f"bad {what} {text!r}, expected LO:HI") from None
         if lo > hi:
             raise argparse.ArgumentTypeError(f"empty {what} {text!r}: LO exceeds HI")
-        return _float_sized(lo, what), _float_sized(hi, what)
+        return _checked(float_sized, lo, what), _checked(float_sized, hi, what)
     return parse
 
 
@@ -158,81 +170,30 @@ def _tolerance(text: str) -> tuple[str, float]:
     return name, number
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reebtwist",
-        description="twisted Reeb orbits, indices and equivariant homology")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    geometry_flags = {
-        "m": dict(type=_modulus, help="rotation order"),
-        "k": dict(type=_comma_separated(_integer), help="comma-separated rotation exponents"),
-        "n": dict(type=_dimension, help="complex dimension"),
-        "model": dict(type=str, help="model description JSON file"),
-    }
-
-    def common(p, geometry=tuple(geometry_flags), window=None):
-        for name in geometry:
-            p.add_argument(f"--{name}", default=None, **geometry_flags[name])
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON config mirroring the flags; flags win")
-        p.add_argument("--tol", type=_tolerance, action="append", default=[],
-                       metavar="NAME=VALUE", help="tolerance override")
-        p.add_argument("--format", choices=("json", "csv", "table"),
-                       default=None)
-        p.add_argument("--out", type=str, default=None, help="output path")
-        if window is not None:
-            p.add_argument("--window", type=_window("window"), default=window,
-                           help="inclusive integer window LO:HI")
-
-    p = sub.add_parser("spectrum", help="closed-form twisted spectrum table")
-    common(p, window=(0, 3))
-
-    p = sub.add_parser("orbit", help="shoot and certify a twisted orbit")
-    common(p)
-    p.add_argument("--tau", type=_finite_float, default=None, help="multiplier seed")
-    p.add_argument("--z", type=_comma_separated(_finite_float), default=None,
-                   help="seed point, comma-separated interleaved reals")
-
-    p = sub.add_parser("action", help="Liouville action of a certified orbit")
-    common(p)
-    p.add_argument("--tau", type=_finite_float, default=None)
-    p.add_argument("--z", type=_comma_separated(_finite_float), default=None)
-    p.add_argument("--samples", type=_sample_count, default=1000)
-
-    p = sub.add_parser("cz-index", help="index of orbit linearization paths")
-    common(p, window=(0, 3))
-
-    p = sub.add_parser("complex", help="build the pearl chain complex")
-    common(p, window=(0, 2))
-
-    p = sub.add_parser("homology", help="quotient homology with oracle check")
-    common(p, window=(0, 3))
-
-    p = sub.add_parser("tate", help="cyclic-group homology oracle table")
-    common(p, geometry=("m",))
-    p.add_argument("--degrees", type=_window("degrees"), default=(0, 9),
-                   help="degree window LO:HI")
-
-    p = sub.add_parser("lift", help="lift a quotient loop and classify it")
-    common(p, geometry=())
-    p.add_argument("--input", type=str, default=None, help="loop JSON file")
-    p.add_argument("--basepoint", type=int, default=0)
-
-    p = sub.add_parser("certify", help="orbit + noncontractibility certificate")
-    common(p)
-    p.add_argument("--pearl", type=_branch, default=1, help="spectrum branch")
-    p.add_argument("--samples", type=_sample_count, default=256)
-
-    p = sub.add_parser("sweep", help="homology comparison over a parameter grid")
-    common(p, geometry=("model",), window=(0, 3))
-    p.add_argument("--m-range", type=_m_range, default=(2, 6), help="LO:HI in m")
-    p.add_argument("--n-list", type=_comma_separated(_dimension), default=(2,),
-                   help="comma-separated n")
-
-    for p in sub.choices.values():
-        p.allow_abbrev = False  # else sweep would read a dropped --n as --n-list
-    return parser
+# Each flag's parser settings, declared once.  A command takes the flags it
+# names in ``COMMANDS``, then the ``SHARED`` ones.
+FLAGS = {
+    "m": dict(type=_modulus, help="rotation order"),
+    "k": dict(type=_exponents, help="comma-separated rotation exponents"),
+    "n": dict(type=_dimension, help="complex dimension"),
+    "model": dict(type=str, help="model description JSON file"),
+    "window": dict(type=_window("window"), help="inclusive integer window LO:HI"),
+    "tau": dict(type=_finite_float, help="multiplier seed"),
+    "z": dict(type=_comma_separated(_finite_float),
+              help="seed point, comma-separated interleaved reals"),
+    "pearl": dict(type=_branch, help="spectrum branch"),
+    "samples": dict(type=_sample_count, help="points sampled along the orbit"),
+    "degrees": dict(type=_window("degrees"), help="degree window LO:HI"),
+    "input": dict(type=str, help="loop JSON file"),
+    "basepoint": dict(type=int),
+    "m-range": dict(type=_m_range, help="LO:HI in m"),
+    "n-list": dict(type=_comma_separated(_dimension), help="comma-separated n"),
+    "config": dict(type=str, help="JSON config mirroring the flags; flags win"),
+    "tol": dict(type=_tolerance, action="append", metavar="NAME=VALUE", help="tolerance override"),
+    "format": dict(choices=("json", "csv", "table")),
+    "out": dict(type=str, help="output path"),
+}
+SHARED = dict.fromkeys(("config", "tol", "format", "out"))
 
 
 def _bind_negative_values(argv: list[str]) -> list[str]:
@@ -349,15 +310,14 @@ def _orbit_payload(orbit) -> dict:
 def cmd_spectrum(args, settings):
     model, twist = _resolve_geometry(args)
     table = analytic_spectrum(twist, twist.n, args.window, model.a)
-    rows = table.to_json_rows()
-    return {"rows": rows, "window": list(args.window)}, rows, EXIT_OK
+    return {"rows": table.to_json_rows(), "window": list(args.window)}, EXIT_OK
 
 
 def cmd_orbit(args, settings):
     model, twist = _resolve_geometry(args)
     orbit = shoot_orbit(model, twist, _seed_point(args.z, twist.n), _needed(args, "tau"),
                         settings=settings)
-    return {"orbit": _orbit_payload(orbit)}, None, EXIT_OK
+    return {"orbit": _orbit_payload(orbit)}, EXIT_OK
 
 
 def cmd_action(args, settings):
@@ -365,9 +325,8 @@ def cmd_action(args, settings):
     orbit = shoot_orbit(model, twist, _seed_point(args.z, twist.n), _needed(args, "tau"),
                         settings=settings)
     value = action(orbit, model, quadrature_n=args.samples, settings=settings)
-    data = {"tau": orbit.tau, "action": value,
-            "difference": abs(value - orbit.tau), "samples": args.samples}
-    return data, None, EXIT_OK
+    return {"tau": orbit.tau, "action": value,
+            "difference": abs(value - orbit.tau), "samples": args.samples}, EXIT_OK
 
 
 def cmd_cz_index(args, settings):
@@ -377,7 +336,7 @@ def cmd_cz_index(args, settings):
     for k in range(args.window[0], args.window[1] + 1):
         tau = line_multiplier(twist, a[0], 0, k)
         rows.append({"k": k, "tau": tau, "index": orbit_index(tau, a)})
-    return {"rows": rows}, rows, EXIT_OK
+    return {"rows": rows}, EXIT_OK
 
 
 def _pearl_spec(args) -> PearlComplexSpec:
@@ -387,27 +346,25 @@ def _pearl_spec(args) -> PearlComplexSpec:
 
 
 def cmd_complex(args, settings):
-    return build_pearl_complex(_pearl_spec(args)).to_json_dict(), None, EXIT_OK
+    return build_pearl_complex(_pearl_spec(args)).to_json_dict(), EXIT_OK
 
 
 def cmd_homology(args, settings):
     report = compare_with_oracle(_pearl_spec(args))
-    data = report.to_json_dict()
-    rows = data["degrees"]
-    return data, rows, (EXIT_OK if report.all_match else EXIT_MISMATCH)
+    return report.to_json_dict(), (EXIT_OK if report.all_match else EXIT_MISMATCH)
 
 
 def cmd_tate(args, settings):
     table = tate_homology(_needed(args, "m"), args.degrees)
     rows = [{"d": d, "dim": table.dims[d], "reliable": table.reliable[d]}
             for d in sorted(table.dims)]
-    return {"m": args.m, "degrees": rows}, rows, EXIT_OK
+    return {"m": args.m, "degrees": rows}, EXIT_OK
 
 
 def cmd_lift(args, settings):
     loop = _read_input(_needed(args, "input"), "loop", QuotientLoop.from_json_dict)
     result = lift_loop(loop, basepoint_choice=args.basepoint, match_tol=settings.lift_match)
-    return result.certificate(), None, EXIT_OK
+    return result.certificate(), EXIT_OK
 
 
 def cmd_certify(args, settings):
@@ -418,7 +375,7 @@ def cmd_certify(args, settings):
     value = action(orbit, model, settings=settings)
     index = orbit_index(orbit.tau, a)
     result = classify_orbit_loop(orbit, twist, model, samples=args.samples, settings=settings)
-    data = {
+    return {
         "orbit": _orbit_payload(orbit),
         "action": value,
         "index": index,
@@ -426,8 +383,7 @@ def cmd_certify(args, settings):
         "deck_order": result.deck.order,
         "noncontractible": not result.contractible,
         "margin": result.margin,
-    }
-    return data, None, EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_sweep(args, settings):
@@ -440,22 +396,45 @@ def cmd_sweep(args, settings):
              for m in range(m_lo, m_hi + 1) for n in args.n_list]
     results = [compare_with_oracle(spec).to_json_dict() for spec in specs]
     ok = all(r["all_match"] for r in results)
-    return {"sweep": results, "all_match": ok}, None, (
-        EXIT_OK if ok else EXIT_MISMATCH)
+    return {"sweep": results, "all_match": ok}, (EXIT_OK if ok else EXIT_MISMATCH)
 
 
+GEOMETRY = dict.fromkeys(("m", "k", "n", "model"))
+
+# name: (handler, help, each flag the command takes beyond SHARED with its
+# default, the data key that --format csv|table prints)
 COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "orbit": cmd_orbit,
-    "action": cmd_action,
-    "cz-index": cmd_cz_index,
-    "complex": cmd_complex,
-    "homology": cmd_homology,
-    "tate": cmd_tate,
-    "lift": cmd_lift,
-    "certify": cmd_certify,
-    "sweep": cmd_sweep,
+    "spectrum": (cmd_spectrum, "closed-form twisted spectrum table",
+                 {**GEOMETRY, "window": (0, 3)}, "rows"),
+    "orbit": (cmd_orbit, "shoot and certify a twisted orbit",
+              {**GEOMETRY, "tau": None, "z": None}, None),
+    "action": (cmd_action, "Liouville action of a certified orbit",
+               {**GEOMETRY, "tau": None, "z": None, "samples": 1000}, None),
+    "cz-index": (cmd_cz_index, "index of orbit linearization paths",
+                 {**GEOMETRY, "window": (0, 3)}, "rows"),
+    "complex": (cmd_complex, "build the pearl chain complex", {**GEOMETRY, "window": (0, 2)}, None),
+    "homology": (cmd_homology, "quotient homology with oracle check",
+                 {**GEOMETRY, "window": (0, 3)}, "degrees"),
+    "tate": (cmd_tate, "cyclic-group homology oracle table",
+             {"m": None, "degrees": (0, 9)}, "degrees"),
+    "lift": (cmd_lift, "lift a quotient loop and classify it", {"input": None, "basepoint": 0}, None),
+    "certify": (cmd_certify, "orbit + noncontractibility certificate",
+                {**GEOMETRY, "pearl": 1, "samples": 256}, None),
+    "sweep": (cmd_sweep, "homology comparison over a parameter grid",
+              {"model": None, "window": (0, 3), "m-range": (2, 6), "n-list": (2,)}, None),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="reebtwist", description="twisted Reeb orbits, indices and equivariant homology")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, defaults, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)  # else --n reads as --n-list
+        for flag, default in (*defaults.items(), *SHARED.items()):
+            # --tol appends to a fresh list in every parser
+            p.add_argument(f"--{flag}", default=[] if flag == "tol" else default, **FLAGS[flag])
+    return parser
 
 
 # -- output -------------------------------------------------------------------------
@@ -531,7 +510,8 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         settings = dataclasses.replace(SolverSettings(), **dict(args.tol))
-        data, rows, code = COMMANDS[args.command](args, settings)
+        handler, _, _, tabular = COMMANDS[args.command]
+        data, code = handler(args, settings)
     except (ConfigError, ComplexValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -545,7 +525,8 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    data, rows = _round_floats(data), _round_floats(rows)
+    data = _round_floats(data)
+    rows = data[tabular] if tabular else None
     fmt = args.format or "json"
     if fmt == "json":
         payload = {

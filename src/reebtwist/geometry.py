@@ -89,6 +89,30 @@ def normalize_to_sphere(x) -> tuple[np.ndarray, float]:
 
 # -- rotation twists -----------------------------------------------------------
 
+# Every dimension n, of a flag, a twist's exponent list or a model file, is at
+# most MAX_DIMENSION, checked before anything n-sized is built.  A spectrum
+# window holds n line branches per branch, so orbits.MAX_LINE_BRANCHES (as
+# large) already rejects every window at a larger n.
+MAX_DIMENSION = 100_000
+
+
+def float_sized(value: int, what: str) -> int:
+    """``value`` if it converts to a float, as every multiplier, phase and branch needs."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{what} with {len(str(abs(value)))} digits does not convert "
+                         "to a float") from None
+    return value
+
+
+def capped_dimension(n: int, what: str) -> int:
+    """``n`` if it is at most ``MAX_DIMENSION``."""
+    if n > MAX_DIMENSION:
+        raise ValueError(f"{what} exceeds the cap of {MAX_DIMENSION}")
+    return n
+
+
 def _integer(value, name: str) -> int:
     """``value`` as an int if it is one (a bool is not): no truncation.
 
@@ -96,13 +120,9 @@ def _integer(value, name: str) -> int:
     """
     try:
         if not isinstance(value, bool):
-            value = operator.index(value)
-            float(value)
-            return value
+            return float_sized(operator.index(value), name)
     except TypeError:
         pass
-    except OverflowError:
-        raise ValueError(f"{name} {value} does not convert to a float") from None
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -307,13 +327,14 @@ def _quadric_coefficient(value, what: str, power: float = 1.0) -> float:
 def load_model(spec: dict) -> tuple[RadialProfile, RotationTwist | None]:
     """Build (model, twist) from a JSON model description dict.
 
-    A profile must make G positive definite: a constant or a list of n finite
-    positive ellipsoid coefficients, all JSON numbers, each quadric coefficient
-    within ``QUADRIC_DECADES`` decades of 1.  A missing key raises KeyError, a
+    The dimension n is at most ``MAX_DIMENSION``.  A profile must make G
+    positive definite: a constant or a list of n finite positive ellipsoid
+    coefficients, all JSON numbers, each quadric coefficient within
+    ``QUADRIC_DECADES`` decades of 1.  A missing key raises KeyError, a
     misshapen container TypeError or AttributeError, others ValueError.
     """
     kind = spec.get("kind")
-    n = _integer(spec["n"], "dimension n")
+    n = capped_dimension(_integer(spec["n"], "dimension n"), "dimension n")
     twist = None
     if "twist" in spec and spec["twist"] is not None:
         twist = RotationTwist(m=spec["twist"]["m"], k=tuple(spec["twist"]["k"]))

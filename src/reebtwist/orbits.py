@@ -40,6 +40,14 @@ KERNEL_TOL = 1e-6    # singular values of M - I at most this count toward the ke
 # 20 us apiece on a 2-core x86-64 machine: beyond this many pairs a window
 # would run for seconds to hours
 MAX_LINE_BRANCHES = 100_000
+# A Newton step solves the (2n+2) x (2n+1) shooting system in O(n^3) time,
+# 0.2 s at n = 250, 1.6 s at n = 500 and 6 s at n = 1000 on that machine;
+# this many cells admit n <= 511
+MAX_JACOBIAN_CELLS = 2 ** 20
+# orbit_samples and the action quadrature over its points peak at about 60 B
+# and 0.2 us per point (one coordinate at one sample): 25 million points take
+# 1.5 GB and 3.5 s, and admit certify's 1001-sample action at n = 20000
+MAX_ORBIT_POINTS = 25_000_000
 
 
 class ConvergenceError(Exception):
@@ -220,9 +228,13 @@ def _shooting_jacobian(model, twist, section, u: np.ndarray) -> np.ndarray:
 
     The flow rows are diag(e^{-2i a tau} - phases) in z and -2i a e^{-2i a tau} z
     in tau; the surface row is dG and the section row the section, both
-    constant in tau.
+    constant in tau.  A system of more than ``MAX_JACOBIAN_CELLS`` cells raises
+    ValueError before it is built.
     """
     n2 = u.size - 1
+    if (n2 + 2) * (n2 + 1) > MAX_JACOBIAN_CELLS:
+        raise ValueError(f"a Newton step at n = {n2 // 2} needs a {n2 + 2} x {n2 + 1} "
+                         f"system, above the cap of {MAX_JACOBIAN_CELLS} cells")
     z = to_complex(u[:n2])
     a = model.a
     rotation = np.exp(-2j * a * float(u[n2]))
@@ -400,7 +412,14 @@ def monodromy(orbit: TwistedOrbit, model: RadialProfile,
 
 def orbit_samples(orbit: TwistedOrbit, model: RadialProfile, count: int,
                   settings: SolverSettings = SolverSettings()) -> np.ndarray:
-    """count+1 points along one twisted period, endpoints included."""
+    """count+1 points along one twisted period, endpoints included.
+
+    More than ``MAX_ORBIT_POINTS`` points, count+1 per coordinate, raise
+    ValueError before any is computed.
+    """
+    if (count + 1) * orbit.z0.size > MAX_ORBIT_POINTS:
+        raise ValueError(f"{count + 1} samples of {orbit.z0.size} coordinates exceed the cap "
+                         f"of {MAX_ORBIT_POINTS} orbit points")
     times = orbit.tau * np.linspace(0.0, 1.0, count + 1)
     return reeb_flow_samples(orbit.z0, times, model,
                              surface_tol=settings.surface)

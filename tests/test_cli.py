@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import errno
 import io
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reebtwist
-from reebtwist.cli import COMMANDS, main
+from reebtwist.cli import COMMANDS, build_parser, main
 from reebtwist.complexes import validate
 from reebtwist.geometry import RotationTwist
 from reebtwist.lifting import QuotientLoop
@@ -474,28 +475,31 @@ def test_extreme_quadric_coefficients_rejected(capsys, tmp_path, profile, messag
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("homology --window=0:{big}", "argument --window: window {big} does not convert to a float"),
-    ("complex --window=0:{big}", "argument --window: window {big} does not convert to a float"),
-    ("certify --pearl {big}", "argument --pearl: branch {big} does not convert to a float"),
+    ("homology --window=0:{big}", "argument --window: window with 400 digits does not convert "
+     "to a float"),
+    ("complex --window=0:{big}", "argument --window: window with 400 digits does not convert "
+     "to a float"),
+    ("certify --pearl {big}", "argument --pearl: branch with 400 digits does not convert "
+     "to a float"),
 ], ids=["homology", "complex", "certify"])
 def test_branches_must_convert_to_floats(capsys, argv, message):
     # each once raised "OverflowError: int too large to convert to float", exit 1
     big = "9" * 400
     err = parse_error(capsys, *argv.format(big=big).split(), "--m", "3", "--k", "1,2")
-    assert err.endswith(f"error: {message.format(big=big)}\n")
+    assert err.endswith(f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("homology --m {big} --n 2", "modulus {big}"),
-    ("spectrum --m {big} --n 2", "modulus {big}"),
-    ("certify --m 3 --k 1,{big}", "exponent {big}"),
-    ("orbit --m 3 --k 1,{big} --tau 1.5", "exponent {big}"),
+    ("homology --m {big} --n 2", "modulus"),
+    ("spectrum --m {big} --n 2", "modulus"),
+    ("certify --m 3 --k 1,{big}", "exponent"),
+    ("orbit --m 3 --k 1,{big} --tau 1.5", "exponent"),
 ], ids=["homology-m", "spectrum-m", "certify-k", "orbit-k"])
 def test_twist_integers_must_convert_to_floats(capsys, argv, message):
     # each once raised "OverflowError: int too large to convert to float", exit 1
     big = 10 ** 400
     code, out, err = run(capsys, *argv.format(big=big).split())
-    assert (code, out, err) == (2, "", f"error: {message.format(big=big)} does not convert "
+    assert (code, out, err) == (2, "", f"error: {message} with 401 digits does not convert "
                                        "to a float\n")
 
 
@@ -503,7 +507,7 @@ def test_model_file_exponent_must_convert_to_float(capsys, tmp_path):
     # certify once raised OverflowError with exit 1
     path = write_model(tmp_path, 3, (1, 10 ** 400), {"type": "constant"})
     code, out, err = run(capsys, "certify", "--model", path)
-    assert (code, out, err) == (2, "", f"error: exponent {10 ** 400} does not convert "
+    assert (code, out, err) == (2, "", "error: exponent with 401 digits does not convert "
                                        "to a float\n")
 
 
@@ -519,6 +523,50 @@ def test_windows_above_the_branch_cap_rejected(capsys, tmp_path, argv, lo, hi):
     code, out, err = run(capsys, *argv.format(path=path).split())
     assert (code, out, err) == (2, "", f"error: branch window {lo}:{hi} holds 2 x "
                                        f"{hi - lo + 1} line branches, above the cap of 100000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("spectrum --m 2 --n 1000000 --window 0:0", "argument --n: complex dimension"),
+    ("spectrum --m 2 --n 100000000 --window 0:0", "argument --n: complex dimension"),
+    ("sweep --n-list 2,100001", "argument --n-list: complex dimension"),
+    ("spectrum --m 3 --window 0:0 --k 1" + ",1" * 100_000, "argument --k: exponent count"),
+], ids=["n", "n-huge", "n-list", "k"])
+def test_dimensions_above_the_cap_rejected_at_parse_time(capsys, argv, message):
+    # --n 1000000 once spent 0.32 s and 52 MB on its twist and model before the
+    # branch cap stopped it; --n 100000000 ended in a 763 MiB MemoryError
+    err = parse_error(capsys, *argv.split())
+    assert err.endswith(f"error: {message} exceeds the cap of 100000\n")
+    assert build_parser().parse_args(["sweep", "--n-list", "100000"]).n_list == (100000,)
+
+
+@pytest.mark.parametrize("kind", ["round_sphere", "radial_profile"])
+def test_model_file_dimension_above_the_cap_rejected(capsys, tmp_path, kind):
+    # round_sphere once failed with "Unable to allocate 7.28 TiB", exit 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": kind, "n": 10 ** 12}))
+    code, out, err = run(capsys, "spectrum", "--m", "2", "--model", str(path))
+    assert (code, out, err) == (2, "", "error: dimension n exceeds the cap of 100000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("orbit --m 2 --n 20000 --tau 1.5",
+     "a Newton step at n = 20000 needs a 40002 x 40001 system, above the cap of 1048576 cells"),
+    ("action --m 2 --k 1,1 --n 2 --tau 1.5 --samples 1000000000",
+     "1000000001 samples of 2 coordinates exceed the cap of 25000000 orbit points"),
+    ("tate --m 4 --degrees 0:100000000",
+     "degree window 0:100000000 holds 100000001 degrees, above the cap of 200000"),
+], ids=["orbit-jacobian", "action-samples", "tate-degrees"])
+def test_flag_sized_allocations_checked_before_they_are_made(capsys, argv, message):
+    # under a 2.5 GB address-space limit each once ended in a traceback, exit 1:
+    # an 11.9 GiB Jacobian, 7.45 GiB of samples, a MemoryError
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_certify_above_the_jacobian_cap_needs_no_newton_step(capsys):
+    # the seed at the line multiplier is already an orbit, so no system is built
+    data = run_json(capsys, "certify", "--m", "2", "--n", "600")["data"]
+    assert data["deck"] == 1 and data["orbit"]["tau"] == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -691,6 +739,55 @@ def test_tolerance_metadata_names_the_settings_fields(capsys, tmp_path):
     for command, flags in cases.items():
         meta = run_json(capsys, command, *flags.split(), "--tol", "surface=0.01")["meta"]
         assert meta["tolerances"] == {**dataclasses.asdict(SolverSettings()), "surface": 0.01}
+
+
+def _store(flag, default=None):
+    return (f"--{flag}",), (flag.replace("-", "_"), default, None, None, "_StoreAction")
+
+
+_GEOMETRY_ACTIONS = [_store("m"), _store("k"), _store("n"), _store("model")]
+_SHARED_ACTIONS = [_store("config"), (("--tol",), ("tol", [], None, "NAME=VALUE", "_AppendAction")),
+                   (("--format",), ("format", None, ("json", "csv", "table"), None,
+                                    "_StoreAction")),
+                   _store("out")]
+PINNED_PARSER = {
+    "spectrum": [*_GEOMETRY_ACTIONS, *_SHARED_ACTIONS, _store("window", (0, 3))],
+    "orbit": [*_GEOMETRY_ACTIONS, *_SHARED_ACTIONS, _store("tau"), _store("z")],
+    "action": [*_GEOMETRY_ACTIONS, *_SHARED_ACTIONS, _store("tau"), _store("z"),
+               _store("samples", 1000)],
+    "cz-index": [*_GEOMETRY_ACTIONS, *_SHARED_ACTIONS, _store("window", (0, 3))],
+    "complex": [*_GEOMETRY_ACTIONS, *_SHARED_ACTIONS, _store("window", (0, 2))],
+    "homology": [*_GEOMETRY_ACTIONS, *_SHARED_ACTIONS, _store("window", (0, 3))],
+    "tate": [_store("m"), *_SHARED_ACTIONS, _store("degrees", (0, 9))],
+    "lift": [*_SHARED_ACTIONS, _store("input"), _store("basepoint", 0)],
+    "certify": [*_GEOMETRY_ACTIONS, *_SHARED_ACTIONS, _store("pearl", 1),
+                _store("samples", 256)],
+    "sweep": [_store("model"), *_SHARED_ACTIONS, _store("window", (0, 3)),
+              _store("m-range", (2, 6)), _store("n-list", (2,))],
+}
+
+
+def test_parser_is_pinned(capsys):
+    # every subcommand's actions, field by field, with no abbreviations and a
+    # fresh --tol list in every parser built
+    parsers = [next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices for _ in range(2)]
+    assert list(parsers[0]) == list(PINNED_PARSER) == list(COMMANDS)
+    help_action = (("-h", "--help"), ("help", argparse.SUPPRESS, None, None, "_HelpAction"))
+    for command, expected in PINNED_PARSER.items():
+        sub = parsers[0][command]
+        assert sub.allow_abbrev is False
+        assert len(sub._actions) == len(expected) + 1
+        assert {tuple(a.option_strings): (a.dest, a.default, a.choices, a.metavar,
+                                          type(a).__name__)
+                for a in sub._actions} == dict([help_action, *expected])
+        tol = [a.default for p in parsers for a in p[command]._actions if a.dest == "tol"]
+        assert tol == [[], []] and tol[0] is not tol[1]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: reebtwist {command} ")
+    assert sum(len(actions) + 1 for actions in PINNED_PARSER.values()) == 97
 
 
 @pytest.mark.parametrize("profile, a", [
