@@ -17,17 +17,17 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .complexes import ComplexValidationError
 from .geometry import (
     OffSurfaceError,
+    RadialProfile,
     RotationTwist,
     RoundSphere,
     capped_dimension,
     float_sized,
     load_model,
 )
+from .lazy import lazy_module
 from .lifting import AmbiguousLiftError, QuotientLoop, classify_orbit_loop, lift_loop
 from .orbits import (
     ConvergenceError,
@@ -39,6 +39,8 @@ from .orbits import (
     shoot_orbit,
 )
 from .pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle, tate_homology
+
+np = lazy_module("numpy")
 
 OUTPUT_DIR_ENV = "REEBTWIST_OUTPUT_DIR"
 
@@ -75,11 +77,24 @@ def _round_floats(obj):
 # value stops the parse with exit 2 before any command runs, and a config
 # file's keys, parsed as flags, are checked the same way.
 
+# a message shows at most this many characters of the value it rejects
+ECHO_CHARS = 40
+
+
+def _echo(value: str | int) -> str:
+    """``value`` as a message shows it, a string quoted and an integer bare; one longer
+    than ``ECHO_CHARS`` characters is cut there and its full length named."""
+    text = str(value)
+    shown = text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+    shown = repr(shown) if isinstance(value, str) else shown
+    return shown if len(text) <= ECHO_CHARS else f"{shown} ({len(text)} characters)"
+
+
 def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"need an integer, got {_echo(text)}") from None
 
 
 def _checked(rule, value: int, what: str) -> int:
@@ -99,7 +114,7 @@ def _count_at_least(low: int, what: str):
     def parse(text: str) -> int:
         count = _integer(text)
         if count < low:
-            raise argparse.ArgumentTypeError(f"need at least {low} {what}, got {count}")
+            raise argparse.ArgumentTypeError(f"need at least {low} {what}, got {_echo(count)}")
         return count
     return parse
 
@@ -121,7 +136,7 @@ def _finite_float(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"need a finite number, got {_echo(text)}")
     return value
 
 
@@ -143,9 +158,9 @@ def _window(what: str):
         try:
             lo, hi = (int(x) for x in text.split(":"))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {what} {text!r}, expected LO:HI") from None
+            raise argparse.ArgumentTypeError(f"bad {what} {_echo(text)}, expected LO:HI") from None
         if lo > hi:
-            raise argparse.ArgumentTypeError(f"empty {what} {text!r}: LO exceeds HI")
+            raise argparse.ArgumentTypeError(f"empty {what} {_echo(text)}: LO exceeds HI")
         return _checked(float_sized, lo, what), _checked(float_sized, hi, what)
     return parse
 
@@ -160,13 +175,14 @@ def _tolerance(text: str) -> tuple[str, float]:
     """``NAME=VALUE`` into a ``SolverSettings`` field name and a finite positive value."""
     name, sep, value = text.partition("=")
     if not sep:
-        raise argparse.ArgumentTypeError(f"bad tolerance override {text!r}, expected NAME=VALUE")
+        raise argparse.ArgumentTypeError(f"bad tolerance override {_echo(text)}, "
+                                         "expected NAME=VALUE")
     name = name.strip()
     if name not in {f.name for f in dataclasses.fields(SolverSettings)}:
-        raise argparse.ArgumentTypeError(f"unknown tolerance name {name!r}")
+        raise argparse.ArgumentTypeError(f"unknown tolerance name {_echo(name)}")
     number = _finite_float(value)
     if number <= 0:
-        raise argparse.ArgumentTypeError(f"need a positive tolerance, got {text!r}")
+        raise argparse.ArgumentTypeError(f"need a positive tolerance, got {_echo(text)}")
     return name, number
 
 
@@ -243,7 +259,7 @@ def _config_tokens(args: argparse.Namespace) -> list[str]:
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if attr in ("command", "config") or not hasattr(args, attr):
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {_echo(key)}")
         if isinstance(getattr(args, attr), list):
             items = value if isinstance(value, list) else [value]
         else:
@@ -260,8 +276,8 @@ def _needed(args, flag: str):
     return value
 
 
-def _resolve_geometry(args) -> tuple[object, RotationTwist]:
-    """Model and twist from --model / --m / --k / --n."""
+def _file_geometry(args) -> tuple[RadialProfile | None, RotationTwist]:
+    """Twist from --model / --m / --k / --n, and the model file's model, None without one."""
     if args.k is not None and args.m is None:
         raise ConfigError("--k needs --m")
     model = twist = None
@@ -278,11 +294,22 @@ def _resolve_geometry(args) -> tuple[object, RotationTwist]:
         twist = RotationTwist(m=args.m, k=k)
     if twist is None:
         raise ConfigError("no twist given: pass --m/--k or a model file with one")
-    if model is None:
-        model = RoundSphere(twist.n)
-    if model.n != twist.n or (args.n and args.n != twist.n):
+    if (model is not None and model.n != twist.n) or (args.n and args.n != twist.n):
         raise ConfigError("dimension mismatch between model, twist and --n")
     return model, twist
+
+
+def _resolve_geometry(args) -> tuple[RadialProfile, RotationTwist]:
+    """Model and twist; without a model file the model is the round sphere."""
+    model, twist = _file_geometry(args)
+    return (RoundSphere(twist.n) if model is None else model), twist
+
+
+def _quadric(args) -> tuple[tuple[float, ...] | np.ndarray, RotationTwist]:
+    """The model's quadric coefficients a and the twist, with no array built for the
+    round sphere's a = 1: the spectrum and pearl commands need nothing else."""
+    model, twist = _file_geometry(args)
+    return ((1.0,) * twist.n if model is None else model.a), twist
 
 
 def _seed_point(values: tuple[float, ...] | None, n: int) -> np.ndarray:
@@ -308,8 +335,8 @@ def _orbit_payload(orbit) -> dict:
 # -- commands ---------------------------------------------------------------------
 
 def cmd_spectrum(args, settings):
-    model, twist = _resolve_geometry(args)
-    table = analytic_spectrum(twist, twist.n, args.window, model.a)
+    a, twist = _quadric(args)
+    table = analytic_spectrum(twist, twist.n, args.window, a)
     return {"rows": table.to_json_rows(), "window": list(args.window)}, EXIT_OK
 
 
@@ -330,8 +357,7 @@ def cmd_action(args, settings):
 
 
 def cmd_cz_index(args, settings):
-    model, twist = _resolve_geometry(args)
-    a = model.a
+    a, twist = _quadric(args)
     rows = []
     for k in range(args.window[0], args.window[1] + 1):
         tau = line_multiplier(twist, a[0], 0, k)
@@ -340,9 +366,8 @@ def cmd_cz_index(args, settings):
 
 
 def _pearl_spec(args) -> PearlComplexSpec:
-    model, twist = _resolve_geometry(args)
-    return PearlComplexSpec(n=twist.n, twist=twist, window=args.window,
-                            coefficients=model.a)
+    a, twist = _quadric(args)
+    return PearlComplexSpec(n=twist.n, twist=twist, window=args.window, coefficients=a)
 
 
 def cmd_complex(args, settings):

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-_TWO_PI = 2.0 * np.pi
+_TWO_PI = 2.0 * math.pi
 WINDING_TOL = 1e-9   # end angles this close to a multiple of 2 pi close up
 
 
@@ -44,7 +42,16 @@ def cz_index_unitary(rates) -> int:
     Nondegenerate ends contribute 2 floor(rate/2 pi) + 1; ends on the
     identity contribute the even boundary value, and zero rates nothing.
     """
-    return sum(_odd_winding(float(rate)) for rate in np.atleast_1d(rates))
+    return sum(_odd_winding(rate) for rate in as_floats(rates))
+
+
+def as_floats(values) -> list[float]:
+    """A scalar or a one-dimensional sequence (list, tuple, array) as a list of floats."""
+    try:
+        items = iter(values)
+    except TypeError:  # a scalar, or a zero-dimensional array
+        items = iter((values,))
+    return [float(v) for v in items]
 
 
 def relative_index(a, b) -> int:

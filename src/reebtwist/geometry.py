@@ -23,7 +23,10 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-import numpy as np
+
+from .lazy import lazy_module
+
+np = lazy_module("numpy")
 
 DEFAULT_SURFACE_TOL = 1e-9
 DEFAULT_RTOL = 1e-10

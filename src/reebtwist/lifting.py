@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import RotationTwist, _number
+from .lazy import lazy_module
 from .orbits import SolverSettings, orbit_samples
+
+np = lazy_module("numpy")
 
 
 class AmbiguousLiftError(Exception):

@@ -17,9 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .czindex import cz_index_unitary, winding
+from .czindex import as_floats, cz_index_unitary, winding
 from .geometry import (
     RadialProfile,
     RotationTwist,
@@ -30,6 +28,9 @@ from .geometry import (
     to_complex,
     to_real,
 )
+from .lazy import lazy_module
+
+np = lazy_module("numpy")
 
 SUPPORT_TOL = 1e-8
 TAU_TOL = 1e-9       # multipliers closer than this are one
@@ -126,7 +127,8 @@ def monodromy_unitary_path(tau: float, n: int) -> np.ndarray:
 
 def orbit_index(tau: float, coefficients) -> int:
     """Index of an orbit on the quadric with coefficients a: rates 2 tau a_j."""
-    return cz_index_unitary(2.0 * tau * np.asarray(coefficients, dtype=float))
+    two_tau = 2.0 * tau
+    return cz_index_unitary([two_tau * a_j for a_j in as_floats(coefficients)])
 
 
 def line_turns(tau: float, a_j: float, twist: RotationTwist, j: int) -> float:

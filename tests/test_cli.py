@@ -19,6 +19,7 @@ import reebtwist
 from reebtwist.cli import COMMANDS, build_parser, main
 from reebtwist.complexes import validate
 from reebtwist.geometry import RotationTwist
+from reebtwist.lazy import lazy_module
 from reebtwist.lifting import QuotientLoop
 from reebtwist.orbits import SolverSettings
 from reebtwist.pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle
@@ -1068,3 +1069,76 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+# Runs each argv through main in one fresh interpreter and prints, after the
+# import and after each command, whether numpy has executed: the lazy binding
+# puts a stub "numpy" in sys.modules, but "numpy._core" only once it runs.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import reebtwist.cli
+seen = ["numpy._core" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert reebtwist.cli.main(argv) == 0, argv
+    seen.append("numpy._core" in sys.modules)
+print(json.dumps(seen))
+"""
+
+_PEARL_AND_SPECTRUM = ["tate --m 4", "homology --m 4 --n 2", "complex --m 3 --n 2 --window 0:1",
+                       "sweep --m-range 2:5 --n-list 2,3", "spectrum --m 2 --k 1,1 --n 2",
+                       "spectrum --m 3 --n 2 --format csv"]
+_ELLIPSOID = Path(__file__).parent / "models" / "ellipsoid_m3.json"
+
+
+@pytest.mark.parametrize("commands, loaded", [
+    (_PEARL_AND_SPECTRUM, [False] * 7),
+    ([*_PEARL_AND_SPECTRUM, "certify --m 2 --k 1,1"], [False] * 7 + [True]),
+    ([f"spectrum --model {_ELLIPSOID}"], [False, True]),
+    ([f"homology --model {_ELLIPSOID}"], [False, True]),
+    ([f"sweep --model {_ELLIPSOID} --m-range 3:3 --n-list 2"], [False, True]),
+], ids=["flag-commands", "then-certify", "spectrum-model", "homology-model", "sweep-model"])
+def test_numpy_executes_only_for_commands_that_compute_arrays(commands, loaded):
+    # the homology side runs on pure-Python GF(2) integers; numpy's import
+    # was once half of every process's start-up
+    src = Path(reebtwist.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps([c.split() for c in commands])],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert json.loads(out.stdout) == loaded
+
+
+def test_deferred_import_of_a_missing_module_fails_at_once():
+    with pytest.raises(ModuleNotFoundError, match="reebtwist_no_such_module"):
+        lazy_module("reebtwist_no_such_module")
+
+
+_BIG = str(10 ** 400)
+_HUGE = "1" + "0" * 5000  # beyond int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("argv, message", [
+    (f"spectrum --m 2 --n 2 --window 0:-{_BIG}",
+     "argument --window: empty window '0:-1" + "0" * 36 + "...' (404 characters): LO exceeds HI"),
+    (f"certify --m 3 --k 1,x{_BIG} --n 2",
+     "argument --k: need an integer, got 'x1" + "0" * 38 + "...' (402 characters)"),
+    (f"homology --m {_HUGE} --n 2",
+     "argument --m: need an integer, got '1" + "0" * 39 + "...' (5001 characters)"),
+    (f"tate --m 2 --degrees 0:{_HUGE}",
+     "argument --degrees: bad degrees '0:1" + "0" * 37 + "...' (5003 characters), "
+     "expected LO:HI"),
+    (f"sweep --n-list 2,-{_BIG}",
+     "argument --n-list: need at least 1 complex coordinate, got -1" + "0" * 38
+     + "... (402 characters)"),
+    (f"orbit --m 2 --n 2 --tau 1.5 --z 1,0,x{_BIG},0",
+     "argument --z: need a finite number, got 'x1" + "0" * 38 + "...' (402 characters)"),
+    (f"spectrum --m 2 --n 2 --tol x{_BIG}",
+     "argument --tol: bad tolerance override 'x1" + "0" * 38 + "...' (402 characters), "
+     "expected NAME=VALUE"),
+], ids=["window", "k", "m-beyond-int-limit", "degrees", "n-list", "z", "tol"])
+def test_long_rejected_values_are_cut_in_the_message(capsys, argv, message):
+    # each once echoed the whole value: 481 bytes for the window, 466 for --k
+    err = parse_error(capsys, *argv.split())
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+    assert len(err.splitlines()[-1]) < 200

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from reebtwist.czindex import cz_index_unitary, relative_index
+from reebtwist.czindex import WINDING_TOL, cz_index_unitary, relative_index
+from reebtwist.orbits import orbit_index
 
 from oracles import rotation_index
 
@@ -95,3 +98,47 @@ def test_rotation_path_at_any_branch():
     for rate in (33 * math.pi, -33 * math.pi, 400.0, 2e7 * math.pi + 1.0):
         rates = [rate, 0.5 * rate]
         assert cz_index_unitary(rates) == sum(rotation_index(r) for r in rates)
+
+
+def numpy_index(rates) -> int:
+    """The index as numpy once computed it: np.atleast_1d of the rates, turns over 2 np.pi."""
+    total = 0
+    for rate in np.atleast_1d(rates):
+        theta = float(rate)
+        turns = theta / (2.0 * np.pi)
+        if abs(theta - round(turns) * (2.0 * np.pi)) <= WINDING_TOL:
+            total += 2 * round(turns)
+        else:
+            total += 2 * math.floor(turns) + 1
+    return total
+
+
+# rates anywhere, and rates within a few WINDING_TOL of a multiple of 2 pi
+_rates = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.builds(lambda w, off: 2.0 * math.pi * w + off,
+              st.integers(-10 ** 4, 10 ** 4), st.floats(-3 * WINDING_TOL, 3 * WINDING_TOL)))
+_FORMS = {"list": list, "tuple": tuple, "array": np.array}
+_SCALAR_FORMS = {"float": float, "float64": np.float64, "array0d": np.array}
+
+
+def _as_form(values: list[float], form: str):
+    return _SCALAR_FORMS[form](values[0]) if form in _SCALAR_FORMS else _FORMS[form](values)
+
+
+@given(st.lists(_rates, min_size=1, max_size=6), st.sampled_from([*_FORMS, *_SCALAR_FORMS]))
+def test_float_index_matches_the_numpy_formula(rates, form):
+    # the pure-float index reads scalars, lists and arrays as numpy's atleast_1d did
+    given_rates = _as_form(rates, form)
+    assert cz_index_unitary(given_rates) == numpy_index(given_rates)
+
+
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6), st.integers(-50, 50),
+       st.floats(-3 * WINDING_TOL, 3 * WINDING_TOL), st.booleans(),
+       st.sampled_from([*_FORMS, *_SCALAR_FORMS]))
+def test_float_orbit_index_matches_the_numpy_formula(a, branch, offset, closing, form):
+    # tau either closes line 0 up to within a few WINDING_TOL, or is arbitrary
+    tau = (branch * math.pi + offset) / a[0] if closing else branch * 0.37 + offset
+    coefficients = _as_form(a, form)
+    expected = numpy_index(2.0 * tau * np.asarray(coefficients, dtype=float))
+    assert orbit_index(tau, coefficients) == expected
