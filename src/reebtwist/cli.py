@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .complexes import ComplexValidationError
+from .complexes import MAX_BOUNDARY_ENTRIES, ComplexValidationError
 from .geometry import (
     OffSurfaceError,
     RadialProfile,
@@ -59,15 +59,21 @@ def round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _ints_only(items) -> bool:
+    """Whether every item is of type exactly ``int``: no bool, no float, and not empty."""
+    return set(map(type, items)) == {int}
+
+
 def _round_floats(obj):
     """Floats at 12 significant digits; an unbounded one (the trivial group's
-    lift margin) becomes None, so the JSON output stays standard."""
+    lift margin) becomes None, so the JSON output stays standard.  A list or
+    tuple of ints alone comes back as it is, with no call per item."""
     if isinstance(obj, float):
         return None if math.isinf(obj) else round12(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return obj if _ints_only(obj) else [_round_floats(v) for v in obj]
     return obj
 
 
@@ -365,8 +371,17 @@ def cmd_cz_index(args, settings):
     return {"rows": rows}, EXIT_OK
 
 
+def _check_stencils(m: int) -> None:
+    """ConfigError unless a pearl complex's two m x m stencils fit under
+    ``MAX_BOUNDARY_ENTRIES``; called before either is built."""
+    if 2 * m * m > MAX_BOUNDARY_ENTRIES:
+        raise ConfigError(f"rotation order {_echo(m)} needs 2 m^2 stencil entries, "
+                          f"above the cap of {MAX_BOUNDARY_ENTRIES}")
+
+
 def _pearl_spec(args) -> PearlComplexSpec:
     a, twist = _quadric(args)
+    _check_stencils(twist.m)
     return PearlComplexSpec(n=twist.n, twist=twist, window=args.window, coefficients=a)
 
 
@@ -413,6 +428,7 @@ def cmd_certify(args, settings):
 
 def cmd_sweep(args, settings):
     m_lo, m_hi = args.m_range
+    _check_stencils(m_hi)
     coefficients = _read_input(args.model, "model", load_model)[0].a if args.model else None
     if coefficients is not None and set(args.n_list) != {len(coefficients)}:
         raise ConfigError(f"--n-list must hold only the model's n = {len(coefficients)}")
@@ -464,8 +480,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- output -------------------------------------------------------------------------
 #
-# ``main`` rounds every float to 12 significant digits once; the renderers
-# only format.
+# ``main`` rounds the payload once with ``_round_floats``, the one rounding
+# rule of every format; the renderers only format what it returns.  JSON text
+# comes from ``_json_text`` alone (stdlib ``json`` still parses input files and
+# writes the table view's compact lists).
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, character for
+    character, in one pass: a list of ints alone is one join in C, where Python's
+    indenting encoder calls back per item.  Keys must be strings, as every payload's are.
+    """
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = map(int.__repr__, obj) if _ints_only(obj) else (_json_text(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (json.encoder.encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
 
 def _render_csv(rows: list[dict]) -> str:
     if not rows:
@@ -558,7 +610,7 @@ def main(argv=None) -> int:
             "meta": {"command": args.command, "tolerances": dataclasses.asdict(settings)},
             "data": data,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _json_text(payload) + "\n"
     elif fmt == "csv":
         if rows is None:
             print("error: no tabular view for this command", file=sys.stderr)

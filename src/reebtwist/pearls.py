@@ -109,7 +109,7 @@ def build_pearl_complex(spec: PearlComplexSpec) -> GradedF2Complex:
     """String-of-pearls complex on a window of at least two pearls, with the cyclic action.
 
     Labels are formatted when read.  Degrees share two stencil objects, and
-    circles of equal exponent equal permutations, for ``validate`` to reuse.
+    circles of equal exponent one permutation, built once, for ``validate`` to reuse.
     """
     twist, n, m = spec.twist, spec.n, spec.twist.m
     if spec.window[1] - spec.window[0] + 1 < 2:
@@ -117,6 +117,7 @@ def build_pearl_complex(spec: PearlComplexSpec) -> GradedF2Complex:
 
     generators: dict[int, _CircleLabels] = {}
     perms: dict[int, tuple[int, ...]] = {}
+    rotations = {k: tuple((p + k) % m for p in range(m)) for k in set(twist.k)}
     d_max = None
     for row in _window_rows(spec):
         d = twisted_index(row, spec.coefficients, twist) - len(row.support) + n
@@ -124,10 +125,9 @@ def build_pearl_complex(spec: PearlComplexSpec) -> GradedF2Complex:
             raise ValueError(f"spectrum rows leave a gap or overlap at degree {d}")
         for c in row.support:
             branch = round(line_turns(row.tau, spec.coefficients[c - 1], twist, c - 1))
-            rotation = tuple((p + twist.k[c - 1]) % m for p in range(m))
             for level in (0, 1):
                 generators[d] = _CircleLabels(f"k{branch}.c{c}.h{level}.s", m)
-                perms[d] = rotation
+                perms[d] = rotations[twist.k[c - 1]]
                 d += 1
         d_max = d - 1
 

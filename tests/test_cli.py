@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reebtwist
-from reebtwist.cli import COMMANDS, build_parser, main
+from reebtwist.cli import COMMANDS, _json_text, _round_floats, build_parser, main
 from reebtwist.complexes import validate
 from reebtwist.geometry import RotationTwist
 from reebtwist.lazy import lazy_module
@@ -85,6 +85,41 @@ def test_byte_identical_reruns(capsys, tmp_path):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, math.inf, -math.inf]
+_BIG_INTS = st.integers(2 ** 64, 2 ** 200) | st.integers(-(2 ** 200), -1)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 200), 2 ** 200) | _BIG_INTS
+    | st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u20ac\U0001f600", "\u2028"])
+    | st.floats(allow_nan=False) | st.sampled_from(_EDGE_FLOATS)
+    # lists of ints alone, and ints mixed with bools, floats or nothing
+    | st.lists(st.integers(-(2 ** 200), 2 ** 200)) | st.tuples(_BIG_INTS, _BIG_INTS)
+    | st.lists(st.integers(-3, 3) | st.booleans() | st.sampled_from(_EDGE_FLOATS)),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_text_is_stdlib_json(value):
+    rounded = _round_floats(value)
+    assert _json_text(rounded) == stdlib_json(rounded)
+
+
+@settings(deadline=None)
+@given(json_values, st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_json_text_rejects_what_stdlib_json_rejects(value, bad):
+    # after rounding only NaN is left to reject: an unbounded float becomes null
+    for payload in (_round_floats([value, math.nan]), {"value": value, "bad": [value, bad]}):
+        for encode in (_json_text, stdlib_json):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                encode(payload)
 
 
 def test_output_file_and_env_dir(capsys, tmp_path, monkeypatch):
@@ -556,12 +591,25 @@ def test_model_file_dimension_above_the_cap_rejected(capsys, tmp_path, kind):
      "1000000001 samples of 2 coordinates exceed the cap of 25000000 orbit points"),
     ("tate --m 4 --degrees 0:100000000",
      "degree window 0:100000000 holds 100000001 degrees, above the cap of 200000"),
-], ids=["orbit-jacobian", "action-samples", "tate-degrees"])
+    ("homology --m 32768 --n 2 --window 0:1",
+     "rotation order 32768 needs 2 m^2 stencil entries, above the cap of 8388608"),
+    ("sweep --m-range 2:32768", "rotation order 32768 needs 2 m^2 stencil entries, "
+                                "above the cap of 8388608"),
+    ("complex --m 1024 --n 3 --window 0:1",
+     "the complex lists 11534336 boundary entries, above the cap of 8388608"),
+], ids=["orbit-jacobian", "action-samples", "tate-degrees", "homology-order", "sweep-order",
+        "complex-entries"])
 def test_flag_sized_allocations_checked_before_they_are_made(capsys, argv, message):
     # under a 2.5 GB address-space limit each once ended in a traceback, exit 1:
-    # an 11.9 GiB Jacobian, 7.45 GiB of samples, a MemoryError
+    # an 11.9 GiB Jacobian, 7.45 GiB of samples, a MemoryError; homology at
+    # m = 32768 spent 8.3 s and 442 MB, and complex at m = 1024, n = 2 printed 96 MB
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_stencil_cap_admits_its_largest_order(capsys):
+    data = run_json(capsys, "homology", "--m", "2048", "--n", "2", "--window", "0:1")["data"]
+    assert data["all_match"] is True
 
 
 def test_certify_above_the_jacobian_cap_needs_no_newton_step(capsys):

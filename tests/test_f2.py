@@ -20,7 +20,12 @@ def ladder_rung(m: int) -> F2Matrix:
     (2, 2, (1,), "row count does not match packed data"),
     (1, 2, (0b100,), "row data has bits outside the column range"),
     (1, 2, (-1,), "row data has bits outside the column range"),
-], ids=["rows-1", "cols-1", "short", "wide-bit", "negative-bits"])
+    (3, 2, (0b11, 0, -4), "row data has bits outside the column range"),
+    (3, 4, (0b1111, 1 << 4, 0), "row data has bits outside the column range"),
+    (2, 3, (0, 1 << 200), "row data has bits outside the column range"),
+    (2, 0, (0, 1), "row data has bits outside the column range"),
+], ids=["rows-1", "cols-1", "short", "wide-bit", "negative-bits", "negative-later-row",
+        "bit-at-cols-mid-row", "bit-far-past-cols", "bit-with-no-columns"])
 def test_constructor_rejects_inconsistent_data(rows, cols, row_bits, message):
     with pytest.raises(ValueError) as excinfo:
         F2Matrix(rows, cols, row_bits)

@@ -13,6 +13,7 @@ import pytest
 from reebtwist import complexes, f2, geometry, orbits
 from reebtwist.cli import main
 from reebtwist.complexes import CyclicAction
+from reebtwist.f2 import F2Matrix
 
 
 def count_calls(monkeypatch, counts, name, owners, attr):
@@ -33,6 +34,7 @@ SPIES = {
     "cycles": ((CyclicAction,), "cycles"),
     "flows": ((geometry, orbits), "reeb_flow_samples"),
     "newton_steps": ((orbits,), "_shooting_jacobian"),
+    "to_rows": ((F2Matrix,), "to_rows"),
 }
 
 
@@ -41,7 +43,9 @@ SPIES = {
     ("homology --m 64 --k 1,3,5,7 --n 4 --window=0:3", {"matmul": 50, "cycles": 4}),
     ("certify --m 2 --k 1,1 --n 2", {"flows": 4}),
     ("orbit --m 2 --k 1,1 --n 2 --tau 1.5", {"flows": 5, "newton_steps": 3}),
-], ids=["homology", "homology_four_exponents", "certify", "orbit"])
+    # the complex's degrees share two stencils, each listed once
+    ("complex --m 36 --n 3 --window=-1:1", {"to_rows": 2}),
+], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
     counts = Counter()
     for name in expected:
