@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -67,13 +68,18 @@ def _ints_only(items) -> bool:
 def _round_floats(obj):
     """Floats at 12 significant digits; an unbounded one (the trivial group's
     lift margin) becomes None, so the JSON output stays standard.  A list or
-    tuple of ints alone comes back as it is, with no call per item."""
+    tuple of ints alone, or a list none of whose items rounding changes, comes
+    back as it is, so lists the payload shares stay shared; any other tuple
+    becomes a list."""
     if isinstance(obj, float):
         return None if math.isinf(obj) else round12(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return obj if _ints_only(obj) else [_round_floats(v) for v in obj]
+        if _ints_only(obj):
+            return obj
+        items = [_round_floats(v) for v in obj]
+        return obj if isinstance(obj, list) and all(map(operator.is_, items, obj)) else items
     return obj
 
 
@@ -207,7 +213,7 @@ FLAGS = {
     "samples": dict(type=_sample_count, help="points sampled along the orbit"),
     "degrees": dict(type=_window("degrees"), help="degree window LO:HI"),
     "input": dict(type=str, help="loop JSON file"),
-    "basepoint": dict(type=int),
+    "basepoint": dict(type=_integer),
     "m-range": dict(type=_m_range, help="LO:HI in m"),
     "n-list": dict(type=_comma_separated(_dimension), help="comma-separated n"),
     "config": dict(type=str, help="JSON config mirroring the flags; flags win"),
@@ -485,11 +491,51 @@ def build_parser() -> argparse.ArgumentParser:
 # comes from ``_json_text`` alone (stdlib ``json`` still parses input files and
 # writes the table view's compact lists).
 
-def _json_text(obj, indent: str = "\n") -> str:
+def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, character for
     character, in one pass: a list of ints alone is one join in C, where Python's
-    indenting encoder calls back per item.  Keys must be strings, as every payload's are.
+    indenting encoder calls back per item, and a list of lists that ``obj`` holds
+    more than once at one depth, as a pearl complex's degrees hold a stencil's rows,
+    is written once there and its text kept until its last use.  Keys must be
+    strings, as every payload's are.
     """
+    uses: dict[tuple[int, int], int] = {}
+    _count_lists(obj, 1, uses)
+    return _dump(obj, "\n", uses, {})
+
+
+_CONTAINER_TYPES = frozenset((dict, list, tuple))
+
+
+def _count_lists(obj, width: int, uses: dict[tuple[int, int], int]) -> None:
+    """Count into ``uses`` how often ``_dump`` meets each list of lists in ``obj``, by
+    ``id`` and the width of its indent; ``_dump`` writes the items of such a list once
+    per width, and those of a dict or any other list every time.  Only a list whose
+    first item is a list or tuple is counted, as a matrix's rows are: a payload
+    shares those, and an entry per list of dicts would only cost memory."""
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)) and obj and not _ints_only(obj):
+        if isinstance(obj[0], (list, tuple)):
+            key = (id(obj), width)
+            uses[key] = uses.get(key, 0) + 1
+            if uses[key] > 1:
+                return
+        items = obj
+    else:
+        return
+    if _CONTAINER_TYPES.isdisjoint(map(type, items)):  # scalars alone: nothing to count
+        return
+    width += 2
+    for v in items:
+        if isinstance(v, (dict, list, tuple)):
+            _count_lists(v, width, uses)
+
+
+def _dump(obj, indent: str, uses: dict[tuple[int, int], int],
+          texts: dict[tuple[int, int], str]) -> str:
+    """``obj``'s text at ``indent``; ``uses`` counts the uses left of each list of lists
+    by ``id`` and indent width, and ``texts`` holds the text of those with uses left."""
     if isinstance(obj, str):
         return json.encoder.encode_basestring_ascii(obj)
     if obj is None:
@@ -505,17 +551,27 @@ def _json_text(obj, indent: str = "\n") -> str:
             raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
         return float.__repr__(obj)
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = map(int.__repr__, obj) if _ints_only(obj) else (_json_text(v, inner) for v in obj)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    sep = "," + inner
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (json.encoder.encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+        items = (json.encoder.encode_basestring_ascii(k) + ": " + _dump(v, inner, uses, texts)
                  for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return f"{{{inner}{sep.join(items)}{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _ints_only(obj):
+            return f"[{inner}{sep.join(map(int.__repr__, obj))}{indent}]"
+        key = (id(obj), len(indent))
+        text = texts.pop(key, None)
+        if text is None:
+            items = (_dump(v, inner, uses, texts) for v in obj)
+            text = f"[{inner}{sep.join(items)}{indent}]"
+        if uses.get(key, 1) > 1:
+            uses[key] -= 1
+            texts[key] = text
+        return text
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

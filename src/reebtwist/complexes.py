@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .f2 import F2Matrix, matmul, nullspace_dim, rank
+from .f2 import F2Matrix, matmul, rank
 
 # A boundary matrix of r x c entries packs them into r ints of c bits; listed for
 # JSON, each entry costs an int reference and about 11 characters of text.  The
@@ -96,6 +96,11 @@ class GradedF2Complex:
     def interior_degrees(self) -> range:
         return range(self.d_min + 1, self.d_max)
 
+    def distinct_boundaries(self) -> dict[int, F2Matrix]:
+        """The window's boundary matrices by ``id``, each object once."""
+        return {id(b): b for b in map(self.boundaries.__getitem__,
+                                      range(self.d_min + 1, self.d_max + 1))}
+
     # -- JSON output --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -107,8 +112,7 @@ class GradedF2Complex:
         if entries > MAX_BOUNDARY_ENTRIES:
             raise ValueError(f"the complex lists {entries} boundary entries, "
                              f"above the cap of {MAX_BOUNDARY_ENTRIES}")
-        distinct = {id(b): b for b in bnds.values()}
-        rows = {key: b.to_rows() for key, b in distinct.items()}
+        rows = {key: b.to_rows() for key, b in self.distinct_boundaries().items()}
         out = {
             "degrees": [self.d_min, self.d_max],
             "generators": {str(d): list(self.generators[d]) for d in self.degrees()},
@@ -146,27 +150,29 @@ def validate(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
     Raises ``ComplexValidationError`` at the first broken axiom, naming the
     first offending degree and composite entry, or the lowest generator of
     the first bad cycle.  Returns the action's orbits per degree, or ``{}``
-    without an action.  Products run once per pair of operand objects, and a
-    permutation's checks, cycles and matrix once per distinct tuple; every
-    degree still compares its own results, and no state outlives the call.
+    without an action; degrees that hold one permutation object share one
+    orbit list.  Each check runs once per distinct tuple of operand objects,
+    at the lowest degree that holds it: d.d per pair of adjacent boundaries, a
+    permutation's bijection, order and freeness checks and its matrix per
+    permutation, and equivariance per (boundary, permutation below,
+    permutation above).  A degree whose operands passed lower down is not
+    checked again.  Operands are keyed by ``id``: ``c`` holds every one, so an
+    ``id`` names one object for the whole call, and no state outlives it.
     """
-    products: dict[tuple[int, int], F2Matrix] = {}
-
-    def product(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-        key = (id(a), id(b))  # c and the permutation matrices hold both operands
-        if key not in products:
-            products[key] = matmul(a, b)
-        return products[key]
-
+    checked: set[tuple[int, int]] = set()
     for d in range(c.d_min + 2, c.d_max + 1):
-        comp = product(c.boundaries[d - 1], c.boundaries[d])
+        lower, upper = c.boundaries[d - 1], c.boundaries[d]
+        if (id(lower), id(upper)) in checked:
+            continue
+        checked.add((id(lower), id(upper)))
+        comp = matmul(lower, upper)
         if not comp.is_zero:
             i, j = _first_nonzero(comp)
             raise ComplexValidationError(
                 f"d.d != 0 entering degree {d - 2}: composite entry ({i},{j}) = 1")
     if c.action is None:
         return {}
-    return _validate_action(c, product)
+    return _validate_action(c)
 
 
 def _first_nonzero(m: F2Matrix) -> tuple[int, int]:
@@ -184,26 +190,26 @@ def _permutation_matrix(perm: tuple[int, ...]) -> F2Matrix:
     return F2Matrix(n, n, tuple(rows))
 
 
-def _validate_action(c: GradedF2Complex, product) -> dict[int, list[tuple[int, ...]]]:
+def _validate_action(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
     act = c.action
-    bijections: set[tuple[int, ...]] = set()
+    perms: dict[int, tuple[int, ...]] = {}  # each distinct permutation object by id
     for d in c.degrees():
         perm = act.perms.get(d)
         if perm is None or len(perm) != c.dim(d) or (
-                perm not in bijections and sorted(perm) != list(range(c.dim(d)))):
+                id(perm) not in perms and sorted(perm) != list(range(c.dim(d)))):
             raise ComplexValidationError(
                 f"action permutation missing or invalid at degree {d}")
-        bijections.add(perm)
+        perms[id(perm)] = perm
     # order check: the permutation's order must divide the declared order, and
     # the action must be free (every orbit of full size); a cycle's lowest index
     # is its orbit's first generator to fail, a permutation's first degree its first
-    cycles: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    cycles: dict[int, list[tuple[int, ...]]] = {}
     for d in c.degrees():
-        perm = act.perms[d]
-        if perm in cycles:
+        key = id(act.perms[d])
+        if key in cycles:
             continue
-        cycles[perm] = act.cycles(d)
-        for orbit in cycles[perm]:
+        cycles[key] = act.cycles(d)
+        for orbit in cycles[key]:
             i = orbit[0]
             if act.order % len(orbit) != 0:
                 raise ComplexValidationError(
@@ -213,28 +219,34 @@ def _validate_action(c: GradedF2Complex, product) -> dict[int, list[tuple[int, .
                 raise ComplexValidationError(
                     f"action not free: generator {i} in degree {d} is fixed by a "
                     f"nontrivial power (orbit size {len(orbit)})")
-    perm_mats = {perm: _permutation_matrix(perm) for perm in cycles}
+    perm_mats = {key: _permutation_matrix(perm) for key, perm in perms.items()}
+    checked: set[tuple[int, int, int]] = set()
     for d in range(c.d_min + 1, c.d_max + 1):
-        b, below, above = c.boundaries[d], perm_mats[act.perms[d - 1]], perm_mats[act.perms[d]]
-        if product(b, above) != product(below, b):
+        b, below, above = c.boundaries[d], id(act.perms[d - 1]), id(act.perms[d])
+        if (id(b), below, above) in checked:
+            continue
+        checked.add((id(b), below, above))
+        if matmul(b, perm_mats[above]) != matmul(perm_mats[below], b):
             raise ComplexValidationError(
                 f"action does not commute with the boundary at degree {d}")
-    return {d: cycles[act.perms[d]] for d in c.degrees()}
+    return {d: cycles[id(act.perms[d])] for d in c.degrees()}
 
 
 def homology(c: GradedF2Complex) -> HomologyTable:
     """ker/im dimensions per degree; boundary-adjacent degrees flagged.
 
     Requires a valid complex (raises ``ComplexValidationError`` otherwise).
+    Each distinct boundary object is ranked once.
     """
     validate(c)
+    ranks = {key: rank(b) for key, b in c.distinct_boundaries().items()}
     dims: dict[int, int] = {}
     reliable: dict[int, bool] = {}
     for d in c.degrees():
-        interior = c.d_min < d < c.d_max
-        reliable[d] = interior
-        cycles = nullspace_dim(c.boundaries[d]) if d > c.d_min else c.dim(d)
-        bound = rank(c.boundaries[d + 1]) if d < c.d_max else 0
+        reliable[d] = c.d_min < d < c.d_max
+        # a boundary's kernel is its column count, dim(d), less its rank
+        cycles = c.dim(d) - (ranks[id(c.boundaries[d])] if d > c.d_min else 0)
+        bound = ranks[id(c.boundaries[d + 1])] if d < c.d_max else 0
         dims[d] = cycles - bound
     return HomologyTable(dims=dims, reliable=reliable)
 
@@ -248,22 +260,34 @@ def quotient_by_action(c: GradedF2Complex) -> GradedF2Complex:
     (o', o) is bit rep(o) of the XOR of the boundary rows of orbit o'.  The
     orbits come from ``validate``, which rejects non-free or non-equivariant
     actions.  The trivial group (order 1) gives each generator its own orbit:
-    the same complex, relabelled, without the action.
+    the same complex, relabelled, without the action.  Degrees that hold one
+    boundary object and one orbit list above and below share one quotient
+    matrix, built once.
     """
     if c.action is None:
         raise ComplexValidationError("no action attached to the complex")
     orbits = validate(c)
     new_gens = {d: tuple(f"[{c.generators[d][orbit[0]]}]" for orbit in orbits[d])
                 for d in c.degrees()}
+    quotients: dict[tuple[int, int, int], F2Matrix] = {}
     new_bnds: dict[int, F2Matrix] = {}
     for d in range(c.d_min + 1, c.d_max + 1):
-        old = c.boundaries[d].row_bits
-        reps = [orbit[0] for orbit in orbits[d]]
-        rows = []
-        for orbit in orbits[d - 1]:
-            total = 0
-            for i in orbit:
-                total ^= old[i]
-            rows.append(sum(((total >> rep) & 1) << o for o, rep in enumerate(reps)))
-        new_bnds[d] = F2Matrix(len(rows), len(reps), tuple(rows))
+        b, below, above = c.boundaries[d], orbits[d - 1], orbits[d]
+        key = (id(b), id(below), id(above))
+        if key not in quotients:
+            quotients[key] = _quotient_matrix(b, below, above)
+        new_bnds[d] = quotients[key]
     return GradedF2Complex(c.d_min, c.d_max, new_gens, new_bnds, None)
+
+
+def _quotient_matrix(b: F2Matrix, below: list[tuple[int, ...]],
+                     above: list[tuple[int, ...]]) -> F2Matrix:
+    """``b`` on orbit classes: entry (o', o) is bit rep(o) of the XOR of the rows of o'."""
+    reps = [orbit[0] for orbit in above]
+    rows = []
+    for orbit in below:
+        total = 0
+        for i in orbit:
+            total ^= b.row_bits[i]
+        rows.append(sum(((total >> rep) & 1) << o for o, rep in enumerate(reps)))
+    return F2Matrix(len(rows), len(reps), tuple(rows))

@@ -112,6 +112,20 @@ def test_json_text_is_stdlib_json(value):
     assert _json_text(rounded) == stdlib_json(rounded)
 
 
+@settings(max_examples=200, deadline=None)
+@given(json_values, st.lists(st.lists(st.integers(-3, 3), min_size=1), max_size=4))
+def test_json_text_writes_a_shared_list_like_stdlib_json(value, rows):
+    # rows of ints twice at one depth and once at another, as a pearl complex's
+    # degrees share a stencil's rows: rounding keeps them one object
+    rounded = _round_floats({"a": rows, "b": rows, "c": [rows]})
+    assert rounded["a"] is rounded["b"] is rounded["c"][0] is rows
+    # any list or dict shared that way is written as stdlib json writes it
+    value = _round_floats(value)
+    for shared in (rows, value, [value, rows]):
+        payload = {"a": shared, "b": shared, "c": [value, shared]}
+        assert _json_text(payload) == stdlib_json(payload)
+
+
 @settings(deadline=None)
 @given(json_values, st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_json_text_rejects_what_stdlib_json_rejects(value, bad):
@@ -1184,7 +1198,9 @@ _HUGE = "1" + "0" * 5000  # beyond int()'s default limit of 4300 digits
     (f"spectrum --m 2 --n 2 --tol x{_BIG}",
      "argument --tol: bad tolerance override 'x1" + "0" * 38 + "...' (402 characters), "
      "expected NAME=VALUE"),
-], ids=["window", "k", "m-beyond-int-limit", "degrees", "n-list", "z", "tol"])
+    (f"lift --input loop.json --basepoint x{_BIG}",
+     "argument --basepoint: need an integer, got 'x1" + "0" * 38 + "...' (402 characters)"),
+], ids=["window", "k", "m-beyond-int-limit", "degrees", "n-list", "z", "tol", "basepoint"])
 def test_long_rejected_values_are_cut_in_the_message(capsys, argv, message):
     # each once echoed the whole value: 481 bytes for the window, 466 for --k
     err = parse_error(capsys, *argv.split())

@@ -358,13 +358,25 @@ def validation_outcome(c: GradedF2Complex):
         return str(exc)
 
 
+def quotient_outcome(c: GradedF2Complex):
+    """The quotient's generators, matrices and homology and the complex's own
+    homology, or the first validation message."""
+    try:
+        q = quotient_by_action(c)
+        return q.generators, q.boundaries, homology(q), homology(c)
+    except ComplexValidationError as exc:
+        return str(exc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1),
        st.sampled_from(["none", "flip", "swap"]))
 def test_validation_ignores_object_sharing(m, seed, mutation):
     # the complex, or a copy with one flipped boundary entry or one swapped
     # pair in one permutation, validates like a copy whose every matrix and
-    # permutation is a distinct object: same orbits or same message
+    # permutation is a distinct object: same orbits or same message; and its
+    # quotient, built and ranked once per distinct operand, has the same
+    # generators, matrices and homology
     rng = np.random.default_rng(seed)
     c = shared_equivariant_complex(rng, m)
     d = int(rng.integers(1, 5))
@@ -385,3 +397,17 @@ def test_validation_ignores_object_sharing(m, seed, mutation):
         CyclicAction(order=m, perms={e: tuple(list(p)) for e, p in c.action.perms.items()}))
     assert len({id(b) for b in distinct.boundaries.values()}) == len(distinct.boundaries)
     assert validation_outcome(c) == validation_outcome(distinct)
+    assert quotient_outcome(c) == quotient_outcome(distinct)
+
+
+def test_quotient_keeps_apart_degrees_that_share_only_their_boundary():
+    # one boundary object under three free Z_2 actions: degrees 1 and 2 share
+    # the matrix but not their orbits, so their quotient matrices differ
+    b = F2Matrix(6, 6, (23, 23, 60, 43, 60, 43))
+    perms = {0: (1, 0, 5, 4, 3, 2), 1: (4, 2, 1, 5, 0, 3), 2: (5, 3, 4, 1, 2, 0)}
+    c = GradedF2Complex(0, 2, {d: tuple("abcdef") for d in perms}, {1: b, 2: b},
+                        CyclicAction(order=2, perms=perms))
+    q = quotient_by_action(c)
+    expected = orbit_class_quotient(perms, {d: b.to_rows() for d in (1, 2)})
+    assert {d: q.boundaries[d].to_rows() for d in (1, 2)} == expected
+    assert q.boundaries[1] != q.boundaries[2]

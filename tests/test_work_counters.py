@@ -35,17 +35,23 @@ SPIES = {
     "flows": ((geometry, orbits), "reeb_flow_samples"),
     "newton_steps": ((orbits,), "_shooting_jacobian"),
     "to_rows": ((F2Matrix,), "to_rows"),
+    "rank": ((f2, complexes), "rank"),
 }
 
 
 @pytest.mark.parametrize("argv, expected", [
-    ("homology --m 64 --n 4 --window=0:3", {"matmul": 38, "cycles": 1}),
-    ("homology --m 64 --k 1,3,5,7 --n 4 --window=0:3", {"matmul": 50, "cycles": 4}),
+    # validation multiplies, and homology ranks, once per distinct operand:
+    # two stencils and one rotation per exponent, their quotient matrices
+    # and the oracle's two matrices
+    ("homology --m 64 --n 4 --window=0:3", {"matmul": 10, "cycles": 1, "rank": 4}),
+    ("homology --m 64 --k 1,3,5,7 --n 4 --window=0:3",
+     {"matmul": 28, "cycles": 4, "rank": 10}),
     ("certify --m 2 --k 1,1 --n 2", {"flows": 4}),
     ("orbit --m 2 --k 1,1 --n 2 --tau 1.5", {"flows": 5, "newton_steps": 3}),
     # the complex's degrees share two stencils, each listed once
     ("complex --m 36 --n 3 --window=-1:1", {"to_rows": 2}),
-], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex"])
+    ("sweep --m-range 2:4 --n-list 2,3,4", {"matmul": 90, "cycles": 9, "rank": 36}),
+], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
     counts = Counter()
     for name in expected:
