@@ -213,12 +213,12 @@ FLAGS = {
     "samples": dict(type=_sample_count, help="points sampled along the orbit"),
     "degrees": dict(type=_window("degrees"), help="degree window LO:HI"),
     "input": dict(type=str, help="loop JSON file"),
-    "basepoint": dict(type=_integer),
+    "basepoint": dict(type=_integer, help="rotation power of the lift's start point"),
     "m-range": dict(type=_m_range, help="LO:HI in m"),
     "n-list": dict(type=_comma_separated(_dimension), help="comma-separated n"),
     "config": dict(type=str, help="JSON config mirroring the flags; flags win"),
     "tol": dict(type=_tolerance, action="append", metavar="NAME=VALUE", help="tolerance override"),
-    "format": dict(choices=("json", "csv", "table")),
+    "format": dict(choices=("json", "csv", "table"), help="output format"),
     "out": dict(type=str, help="output path"),
 }
 SHARED = dict.fromkeys(("config", "tol", "format", "out"))

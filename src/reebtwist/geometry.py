@@ -4,17 +4,17 @@ Geometry of complex n-space with its standard Liouville form.
 Complex coordinates z^j = x^j + i y^j carry the primitive
 lambda = (1/2) sum_j (y^j dx^j - x^j dy^j), and a rotation twist acts
 coordinatewise by roots of unity.  Every star-shaped model is one record,
-``RadialProfile``, of the coefficients a of the diagonal quadric
+``RadialProfile``, of the read-only coefficients a of the diagonal quadric
 G = sum_j a_j |z^j|^2 whose level set G = 1 it is: a = 1 for the round
 sphere (``RoundSphere``), 1/rho^2 for a constant profile rho, the
-coefficients of an ellipsoid.  The record computes a once; G, its real
-gradient, the radial point u / sqrt(G(u)) on the hypersurface and the Reeb
-field X_G = -2i a z (lambda(X_G) = G by Euler's identity) with its constant
-Jacobian are closed-form expressions in a.  X_G is linear, so every model's
-Reeb flow is z_j -> e^{-2i a_j t} z_j in closed form, on and off the
-hypersurface, and G is invariant under every rotation twist.  The one
-adaptive Runge-Kutta entry point ``integrate`` serves only the variational
-equation of the Reeb field, the numeric check of the closed-form return map.
+coefficients of an ellipsoid; ``load_model`` computes a from a model file.
+G, its real gradient, the radial point u / sqrt(G(u)) on the hypersurface
+and the Reeb field X_G = -2i a z (lambda(X_G) = G by Euler's identity) are
+closed-form expressions in a.  X_G is linear, so every model's Reeb flow
+is z_j -> e^{-2i a_j t} z_j and its twisted return map diagonal, both in
+closed form, and G is invariant under every rotation twist.  Nothing here
+integrates numerically: the tests check the closed forms against an RK45
+oracle of their own.
 """
 
 from __future__ import annotations
@@ -22,23 +22,17 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lazy import lazy_module
 
 np = lazy_module("numpy")
 
 DEFAULT_SURFACE_TOL = 1e-9
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 
 
 class OffSurfaceError(Exception):
     """Point is farther from the hypersurface than the allowed tolerance."""
-
-
-class IntegrationDriftError(Exception):
-    """The adaptive integrator's step-size control failed."""
 
 
 # -- packing helpers ---------------------------------------------------------
@@ -170,63 +164,23 @@ class RotationTwist:
         return (self.k[j] - 1) % self.m + 1
 
 
-# -- the integrator ---------------------------------------------------------------
-
-def integrate(rhs, t_end: float, y0: np.ndarray):
-    """RK45 solution of y' = rhs(t, y) over [0, t_end]: the one numeric integrator.
-
-    Tolerances are fixed at ``DEFAULT_RTOL`` and ``DEFAULT_ATOL``.  Returns scipy's
-    solution object; raises IntegrationDriftError when step-size control fails.
-    """
-    from scipy.integrate import solve_ivp  # lazily, so importing the CLI loads no scipy
-
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
-    if not sol.success:
-        raise IntegrationDriftError(f"integration failed: {sol.message}")
-    return sol
-
-
 # -- star-shaped models ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantProfile:
-    value: float = 1.0
-
-    def quadric(self, n: int) -> np.ndarray:
-        """Coefficients a_j of G = sum_j a_j |z^j|^2 cutting out this sphere."""
-        return np.full(n, self.value ** -2.0)
-
-
-@dataclass(frozen=True)
-class EllipsoidProfile:
-    """Radius profile of the ellipsoid sum_j a_j |z^j|^2 = 1."""
-
-    coefficients: tuple[float, ...]
-
-    def quadric(self, n: int) -> np.ndarray:
-        if len(self.coefficients) != n:
-            raise ValueError(f"need {n} ellipsoid coefficients, got {len(self.coefficients)}")
-        return np.asarray(self.coefficients, dtype=float)
-
-
-@dataclass(frozen=True)
 class RadialProfile:
     """The hypersurface G = 1 of the diagonal quadric G = sum_j a_j |z^j|^2.
 
-    The one model record: the constant or ellipsoid ``profile`` fixes the
-    coefficients ``a`` once, kept read-only, and G, its real gradient, the
-    radial surface point, the Reeb field -2i a z, its Jacobian, its flow and
-    the twisted return map are closed-form expressions in a.
+    The one model record: the read-only coefficients ``a``, and G, its real
+    gradient, the radial surface point, the Reeb field -2i a z, its flow and
+    the twisted return map as closed-form expressions in a.
     """
 
-    n: int
-    profile: ConstantProfile | EllipsoidProfile
-    a: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, a) -> None:
+        self.a = np.array(a, dtype=float)
+        self.a.flags.writeable = False
 
-    def __post_init__(self) -> None:
-        a = self.profile.quadric(self.n)
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
+    @property
+    def n(self) -> int:
+        return self.a.size
 
     def defining_function(self, z) -> float:
         return float(np.sum(self.a * np.abs(z) ** 2))
@@ -248,10 +202,6 @@ class RadialProfile:
         """X_G = -2i a z, with i_X dlambda = -dG; Euler's identity gives lambda(X_G) = G."""
         return -2j * self.a * z
 
-    def field_jacobian(self, z) -> np.ndarray:
-        """Real Jacobian of ``reeb_field``, the same at every z: blocks [[0, 2 a_j], [-2 a_j, 0]]."""
-        return np.kron(np.diag(self.a), [[0.0, 2.0], [-2.0, 0.0]])
-
     def flow_samples(self, z: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Reeb flow z_j -> e^{-2i a_j t} z_j at each time, exact for X_G = -2i a z."""
         return np.exp(-2j * np.multiply.outer(times, self.a)) * z
@@ -261,11 +211,11 @@ class RadialProfile:
         return np.diag(np.exp(2j * tau * self.a) * twist.phases())
 
 
-@dataclass(frozen=True)
 class RoundSphere(RadialProfile):
     """The unit sphere G = |z|^2, with Reeb flow e^{-2it} z."""
 
-    profile: ConstantProfile = field(default=ConstantProfile(1.0), init=False)
+    def __init__(self, n: int) -> None:
+        super().__init__(np.ones(n))
 
     # perfbench/spans.py wraps ``reeb_field`` in the body of each model class
     reeb_field = RadialProfile.reeb_field
@@ -344,20 +294,21 @@ def load_model(spec: dict) -> tuple[RadialProfile, RotationTwist | None]:
         if twist.n != n:
             raise ValueError("twist exponent count does not match dimension n")
     if kind == "round_sphere":
-        return RoundSphere(n=n), twist
+        return RoundSphere(n), twist
     if kind == "radial_profile":
         pspec = spec.get("profile", {"type": "constant"})
         ptype = pspec.get("type")
-        if ptype == "constant":
-            profile = ConstantProfile(
-                _quadric_coefficient(pspec.get("value", 1.0), "profile value", power=-2.0))
+        if ptype == "constant":  # the sphere of radius rho: a_j = rho^-2
+            rho = _quadric_coefficient(pspec.get("value", 1.0), "profile value", power=-2.0)
+            a = np.full(n, rho ** -2.0)
         elif ptype == "ellipsoid":
             coeffs = pspec["coefficients"]
             if not isinstance(coeffs, list):
                 raise ValueError(f"ellipsoid coefficients must be a list, got {coeffs!r}")
-            profile = EllipsoidProfile(
-                tuple(_quadric_coefficient(c, "ellipsoid coefficient") for c in coeffs))
+            a = [_quadric_coefficient(c, "ellipsoid coefficient") for c in coeffs]
+            if len(a) != n:
+                raise ValueError(f"need {n} ellipsoid coefficients, got {len(a)}")
         else:
             raise ValueError(f"unknown profile type {ptype!r}")
-        return RadialProfile(n=n, profile=profile), twist
+        return RadialProfile(a), twist
     raise ValueError(f"unknown model kind {kind!r}")

@@ -25,6 +25,11 @@ from .orbits import SolverSettings, orbit_samples
 
 np = lazy_module("numpy")
 
+# lift_loop compares each loop point with every rotation, 4-6 us per (point,
+# rotation) pair on a 2-core x86-64 machine: 2^19 pairs take 2-3 s, and admit
+# certify's default 257 points at m <= 2040
+MAX_LIFT_PAIRS = 2 ** 19
+
 
 class AmbiguousLiftError(Exception):
     """Sampling too coarse for the nearest-representative rule, or a lift
@@ -121,10 +126,15 @@ def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,
     representative, and its deck element is the rotation of the start
     nearest its endpoint.  Raises ``AmbiguousLiftError`` when a step violates
     the half-separation bound, or when that nearest rotation is farther than
-    ``match_tol`` from the endpoint.
+    ``match_tol`` from the endpoint.  More than ``MAX_LIFT_PAIRS`` (point,
+    rotation) pairs raise ValueError before any rotation is formed.
     """
     twist = loop.twist
     pts = loop.samples
+    if twist.m * len(pts) > MAX_LIFT_PAIRS:
+        raise ValueError(f"a lift compares each of {len(pts)} loop points with {twist.m} "
+                         f"rotations: {twist.m * len(pts)} pairs, above the cap of "
+                         f"{MAX_LIFT_PAIRS}")
     bound = orbit_separation(twist, pts) / 2.0
     powers = [twist.phases(j) for j in range(twist.m)]
 

@@ -22,7 +22,6 @@ from .geometry import (
     RadialProfile,
     RotationTwist,
     as_complex_vector,
-    integrate,
     liouville_form_eval,
     reeb_flow_samples,
     to_complex,
@@ -315,46 +314,7 @@ def _certify(model, twist, u: np.ndarray, settings: SolverSettings) -> TwistedOr
                         component_id=_component_id(twist, model.a, support, tau))
 
 
-# -- linearized flows ----------------------------------------------------------------
-
-def _variational_flow(model, z, t: float) -> np.ndarray:
-    """Differential of the time-t Reeb flow at z, as a real 2n x 2n matrix.
-
-    Integrates y' = X(y), M' = DX(y) M from (z, identity) (Hairer-Norsett-
-    Wanner, Solving ODEs I, I.14).
-    """
-    z = as_complex_vector(z)
-    n2 = 2 * z.size
-    if t == 0.0:
-        return np.eye(n2)
-
-    def rhs(_t, state):
-        y = to_complex(state[:n2])
-        mat = state[n2:].reshape(n2, n2)
-        return np.concatenate([to_real(model.reeb_field(y)),
-                               (model.field_jacobian(y) @ mat).ravel()])
-
-    y0 = np.concatenate([to_real(z), np.eye(n2).ravel()])
-    sol = integrate(rhs, t, y0)
-    return np.ascontiguousarray(sol.y[n2:, -1]).reshape(n2, n2)
-
-
-def twist_return_differential(model: RadialProfile, twist: RotationTwist, z,
-                              tau: float, method: str = "auto") -> np.ndarray:
-    """Differential of (backward time-tau Reeb flow) composed after the twist.
-
-    At a certified orbit point this is the linearized return map whose
-    fixed vectors span the critical directions.  Returns the real 2n x 2n
-    matrix.  ``method``: "auto" takes the model's closed form, "variational"
-    integrates the variational equation of the Reeb field.
-    """
-    if method == "auto":
-        return _complex_to_real_matrix(model.return_map(twist, tau))
-    if method != "variational":
-        raise ValueError(f"unknown return-map method {method!r}")
-    back_map = _variational_flow(model, twist.apply(z), -tau)
-    return back_map @ _complex_to_real_matrix(np.diag(twist.phases()))
-
+# -- linearized return map ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class MonodromyReport:
@@ -364,9 +324,10 @@ class MonodromyReport:
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel basis (columns) from the SVD, with scipy's rank cut-off.
+    """Orthonormal kernel basis (columns) from the SVD.
 
-    Singular values above max(shape) * eps * sigma_max count toward the rank.
+    Singular values above max(shape) * eps * sigma_max, the usual rank
+    cut-off of a null-space routine, count toward the rank.
     """
     _, sing, vh = np.linalg.svd(a, full_matrices=True)
     tol = max(a.shape) * np.finfo(sing.dtype).eps * np.amax(sing, initial=0.0)
@@ -397,11 +358,14 @@ def monodromy(orbit: TwistedOrbit, model: RadialProfile,
               twist: RotationTwist) -> MonodromyReport:
     """Linearized return map at the orbit base point with kernel dimensions.
 
-    Reports dim ker(M - I), singular values up to ``KERNEL_TOL``, on the tangent
-    space and on the contact hyperplane, plus the operator norm of (M - I) on
-    the tangent space (zero for fully degenerate critical components).
+    The map M is the model's closed form: the differential of the backward
+    time-tau Reeb flow composed after the twist, as a real 2n x 2n matrix,
+    whose fixed vectors span the critical directions.  Reports dim ker(M - I),
+    singular values up to ``KERNEL_TOL``, on the tangent space and on the
+    contact hyperplane, plus the operator norm of (M - I) on the tangent
+    space (zero for fully degenerate critical components).
     """
-    mat = twist_return_differential(model, twist, orbit.z0, orbit.tau)
+    mat = _complex_to_real_matrix(model.return_map(twist, orbit.tau))
     gap = mat - np.eye(mat.shape[0])
     tangent, contact = _tangent_frames(model, orbit.z0)
     dim_t, dev = _restricted_kernel_dim(gap, tangent)

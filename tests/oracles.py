@@ -3,8 +3,9 @@
 Everything here avoids the library's own computational paths: rank by
 row-span enumeration, homology by exhaustive cycle/boundary counting,
 spectra by residual scans on a parameter grid, derivatives by central
-differences, flows by scipy's RK45 on the analytic field, rotation indices
-by their closed form, profile radii from the model file's profile spec.
+differences, flows by scipy's RK45 on the analytic field, return maps by
+RK45 on its variational equation, rotation indices by their closed form,
+profile radii from the model file's profile spec.
 """
 
 from __future__ import annotations
@@ -233,6 +234,44 @@ def rk45_flow(field, z: np.ndarray, times, rtol: float = 1e-12,
         assert sol.success, sol.message
         rows.append(np.ascontiguousarray(sol.y[:, -1]).view(np.complex128))
     return np.stack(rows)
+
+
+def reeb_field_jacobian(a) -> np.ndarray:
+    """Real Jacobian of the quadric's Reeb field -2i a z on interleaved coordinates.
+
+    The same at every point: 2 x 2 blocks [[0, 2 a_j], [-2 a_j, 0]].
+    """
+    return np.kron(np.diag(a), [[0.0, 2.0], [-2.0, 0.0]])
+
+
+def variational_return_map(model, twist, z, tau: float) -> np.ndarray:
+    """Real 2n x 2n differential of (backward time-tau Reeb flow) after the twist.
+
+    Integrates y' = X(y), M' = DX M from (twist(z), identity) to time -tau
+    by scipy's RK45, DX the closed-form ``reeb_field_jacobian`` (Hairer-
+    Norsett-Wanner, Solving ODEs I, I.14), and composes the result with the
+    twist's real 2 x 2 rotation blocks.
+    """
+    start = np.asarray(twist.apply(z), dtype=complex)
+    n2 = 2 * start.size
+    jac = reeb_field_jacobian(model.a)
+
+    def rhs(_t, state):
+        y = np.ascontiguousarray(state[:n2]).view(np.complex128)
+        mat = state[n2:].reshape(n2, n2)
+        return np.concatenate([np.asarray(model.reeb_field(y), dtype=complex).view(np.float64),
+                               (jac @ mat).ravel()])
+
+    back = np.eye(n2)
+    if tau != 0.0:
+        state0 = np.concatenate([start.view(np.float64), np.eye(n2).ravel()])
+        sol = solve_ivp(rhs, (0.0, -tau), state0, method="RK45", rtol=1e-10, atol=1e-12)
+        assert sol.success, sol.message
+        back = sol.y[n2:, -1].reshape(n2, n2)
+    phases = twist.phases()
+    rotation = (np.kron(np.diag(phases.real), np.eye(2))
+                + np.kron(np.diag(phases.imag), [[0.0, -1.0], [1.0, 0.0]]))
+    return back @ rotation
 
 
 def rotation_index(theta: float, tol: float = 1e-9) -> int:

@@ -14,7 +14,7 @@ import pytest
 from reebtwist.complexes import homology, quotient_by_action
 from reebtwist.czindex import cz_index_unitary, relative_index
 from reebtwist.f2 import F2Matrix, rank
-from reebtwist.geometry import ConstantProfile, RadialProfile, RotationTwist, RoundSphere
+from reebtwist.geometry import RadialProfile, RotationTwist, RoundSphere
 from reebtwist.lifting import classify_orbit_loop
 from reebtwist.orbits import (
     TwistedOrbit,
@@ -24,11 +24,10 @@ from reebtwist.orbits import (
     monodromy_unitary_path,
     orbit_multiplier,
     shoot_orbit,
-    twist_return_differential,
 )
 from reebtwist.pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle
 
-from oracles import brute_homology_dim, brute_rank, random_valid_complex
+from oracles import brute_homology_dim, brute_rank, random_valid_complex, variational_return_map
 
 MS = (2, 3, 4)
 NS = (2, 3)
@@ -113,8 +112,7 @@ def test_criterion_3_monodromy_degeneracy():
                 assert report.kernel_dim_tangent == 2 * n - 1
             # numeric variational route on a couple of the same points
             for z in points[:2]:
-                mat = twist_return_differential(model, twist, z, tau,
-                                                method="variational")
+                mat = variational_return_map(model, twist, z, tau)
                 assert np.max(np.abs(mat - np.eye(2 * n))) <= 1e-6
             # off-spectrum multiplier: no invariant contact directions
             z = points[0]
@@ -209,7 +207,7 @@ def test_criterion_8_oracle_equivalences():
             assert table.dims[d] == brute_homology_dim(bnds[d], bnds[d + 1], dims[d])
 
     # numeric Reeb flow against the closed form on the unit radial profile
-    radial = RadialProfile(2, ConstantProfile(1.0))
+    radial = RadialProfile([1.0, 1.0])
     z = random_unit(np.random.default_rng(88), 2)
     times = np.linspace(0.0, math.pi, 13)
     from reebtwist.geometry import reeb_flow_samples

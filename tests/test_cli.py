@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from reebtwist.cli import COMMANDS, _json_text, _round_floats, build_parser, mai
 from reebtwist.complexes import validate
 from reebtwist.geometry import RotationTwist
 from reebtwist.lazy import lazy_module
-from reebtwist.lifting import QuotientLoop
+from reebtwist.lifting import MAX_LIFT_PAIRS, QuotientLoop
 from reebtwist.orbits import SolverSettings
 from reebtwist.pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle
 
@@ -630,6 +631,53 @@ def test_certify_above_the_jacobian_cap_needs_no_newton_step(capsys):
     # the seed at the line multiplier is already an orbit, so no system is built
     data = run_json(capsys, "certify", "--m", "2", "--n", "600")["data"]
     assert data["deck"] == 1 and data["orbit"]["tau"] == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+class _CapPassed(Exception):
+    pass
+
+
+def lift_argv(tmp_path, argv, m, points):
+    """``argv``, or for ``lift`` a loop file of ``points`` copies of the point 1 of C
+    under the twist of order m."""
+    if argv != "lift":
+        return argv.split()
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"twist": {"m": m, "k": [1]}, "samples": [[1.0, 0.0]] * points}))
+    return ["lift", "--input", str(path)]
+
+
+# certify lifts --samples + 1 loop points, lift a file's points
+@pytest.mark.parametrize("argv, points, m", [
+    ("certify --m 2048 --n 2 --samples 255", 256, 2048),
+    ("lift", 2, 2 ** 18),
+], ids=["certify", "lift-file"])
+def test_lift_pair_cap_admits_its_largest_product(capsys, tmp_path, monkeypatch, argv, points, m):
+    assert points * m == MAX_LIFT_PAIRS
+
+    def past_the_cap(*_args):
+        raise _CapPassed
+
+    # the first rotation lift_loop forms is in orbit_separation, after the check
+    monkeypatch.setattr("reebtwist.lifting.orbit_separation", past_the_cap)
+    with pytest.raises(_CapPassed):
+        main(lift_argv(tmp_path, argv, m, points))
+
+
+@pytest.mark.parametrize("argv, points, m", [
+    ("certify --m 3 --n 2 --samples 174762", 174763, 3),
+    ("lift", 3, 174763),
+], ids=["certify", "lift-file"])
+def test_lift_above_the_pair_cap_rejected_at_once(capsys, tmp_path, argv, points, m):
+    # certify --m 131072 ran for over 100 s, and --samples 1000000 at m = 2
+    # for 12.5 s, before any cap applied to the lift
+    assert points * m == MAX_LIFT_PAIRS + 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, *lift_argv(tmp_path, argv, m, points))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: a lift compares each of {points} loop points "
+                                       f"with {m} rotations: {points * m} pairs, above the cap "
+                                       f"of {MAX_LIFT_PAIRS}\n")
 
 
 @pytest.mark.parametrize("argv, text, message", [

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from reebtwist.geometry import (
-    ConstantProfile,
-    EllipsoidProfile,
     RadialProfile,
     RotationTwist,
     RoundSphere,
@@ -19,6 +17,7 @@ from reebtwist.orbits import (
     SpectrumRow,
     SpectrumTable,
     TwistedOrbit,
+    _complex_to_real_matrix,
     _null_space,
     _shooting_jacobian,
     _shooting_residual,
@@ -29,11 +28,10 @@ from reebtwist.orbits import (
     monodromy,
     orbit_multiplier,
     shoot_orbit,
-    twist_return_differential,
     twisted_index,
 )
 
-from oracles import brute_spectrum_grid, fd_jacobian, rotation_index
+from oracles import brute_spectrum_grid, fd_jacobian, rotation_index, variational_return_map
 
 SPHERE2 = RoundSphere(2)
 
@@ -185,7 +183,7 @@ def test_component_label_names_the_closing_branch():
     # on a = (1, 3), m = 2 both lines close up at tau = pi/2, line 1 on
     # branch 1 and line 2 on branch 2
     twist = RotationTwist(2, (1, 1))
-    model = RadialProfile(2, EllipsoidProfile((1.0, 3.0)))
+    model = RadialProfile([1.0, 3.0])
     assert line_multiplier(twist, 1.0, 0, 1) == line_multiplier(twist, 3.0, 1, 2) == math.pi / 2
     along_line = shoot_orbit(model, twist, [1, 0], math.pi / 2)
     assert along_line.component_id == "supp(1)|l=1"
@@ -195,15 +193,15 @@ def test_component_label_names_the_closing_branch():
 
 def test_shoot_radial_unit_profile_matches_analytic():
     twist = RotationTwist(2, (1, 1))
-    radial = RadialProfile(2, ConstantProfile(1.0))
+    radial = RadialProfile([1.0, 1.0])
     orbit = shoot_orbit(radial, twist, [0.6, 0.8], math.pi / 2 + 0.1)
     assert orbit.tau == pytest.approx(math.pi / 2, abs=1e-6)
     assert orbit.residual <= 1e-8
 
 
 SHOOT_MODELS = {"sphere": RoundSphere(2),
-                "constant": RadialProfile(2, ConstantProfile(1.3)),
-                "ellipsoid": RadialProfile(3, EllipsoidProfile((1.0, 1.2, 1.5)))}
+                "constant": RadialProfile([1.3 ** -2] * 2),
+                "ellipsoid": RadialProfile([1.0, 1.2, 1.5])}
 
 
 @pytest.mark.parametrize("model", SHOOT_MODELS.values(), ids=SHOOT_MODELS.keys())
@@ -331,12 +329,9 @@ def test_monodromy_identity_on_spectrum():
 def test_monodromy_variational_matches_analytic():
     twist = RotationTwist(3, (1, 1))
     orbit = make_orbit(twist, 2, 1, direction=[0.5, 0.5j])
-    exact = twist_return_differential(SPHERE2, twist, orbit.z0, orbit.tau)
-    numeric = twist_return_differential(SPHERE2, twist, orbit.z0, orbit.tau,
-                                        method="variational")
+    exact = _complex_to_real_matrix(SPHERE2.return_map(twist, orbit.tau))
+    numeric = variational_return_map(SPHERE2, twist, orbit.z0, orbit.tau)
     assert np.max(np.abs(exact - numeric)) < 1e-8
-    with pytest.raises(ValueError, match="unknown return-map method"):
-        twist_return_differential(SPHERE2, twist, orbit.z0, orbit.tau, method="analytic")
 
 
 def test_monodromy_off_spectrum_kernel_empty():
@@ -353,7 +348,7 @@ def test_monodromy_off_spectrum_kernel_empty():
 def test_monodromy_radial_unit_profile():
     # same degeneracy certificate through the model's closed-form return map
     twist = RotationTwist(2, (1, 1))
-    radial = RadialProfile(2, ConstantProfile(1.0))
+    radial = RadialProfile([1.0, 1.0])
     orbit = make_orbit(twist, 2, 1, direction=[0.6, 0.8])
     report = monodromy(orbit, radial, twist)
     assert report.kernel_dim_tangent == 3
@@ -365,11 +360,11 @@ def test_ellipsoid_variational_return_map_matches_exact_flow():
     # diag(e^{2i a_j tau}) times the twist at every point
     a = np.array([1.0, 1.3])
     twist = RotationTwist(2, (1, 1))
-    radial = RadialProfile(2, EllipsoidProfile(tuple(a)))
+    radial = RadialProfile(a)
     z = radial.point_on_surface(np.array([0.6, 0.8j]))
     exact = np.diag(np.exp(2j * a * 1.1) * twist.phases())
-    for method in ("variational", "auto"):
-        mat = twist_return_differential(radial, twist, z, 1.1, method=method)
+    for mat in (variational_return_map(radial, twist, z, 1.1),
+                _complex_to_real_matrix(radial.return_map(twist, 1.1))):
         assert np.max(np.abs(mat[0::2, 0::2] + 1j * mat[1::2, 0::2] - exact)) < 1e-8
 
 
