@@ -23,6 +23,6 @@ from .orbits import (
     shoot_orbit,
     twisted_index,
 )
-from .pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle, tate_homology
+from .pearls import build_pearl_complex, compare_with_oracle, tate_homology
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .orbits import (
     orbit_index,
     shoot_orbit,
 )
-from .pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle, tate_homology
+from .pearls import build_pearl_complex, compare_with_oracle, tate_homology
 
 np = lazy_module("numpy")
 
@@ -65,22 +65,36 @@ def _ints_only(items) -> bool:
     return set(map(type, items)) == {int}
 
 
+# the types ``_round_floats`` returns as they are, met as a dict's values without a call
+_UNROUNDED = frozenset((int, bool, str, type(None)))
+
+
 def _round_floats(obj):
     """Floats at 12 significant digits; an unbounded one (the trivial group's
     lift margin) becomes None, so the JSON output stays standard.  A list or
     tuple of ints alone, or a list none of whose items rounding changes, comes
     back as it is, so lists the payload shares stay shared; any other tuple
-    becomes a list."""
-    if isinstance(obj, float):
-        return None if math.isinf(obj) else round12(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if _ints_only(obj):
+    becomes a list.  A list of lists, as a matrix's rows, is rounded once per
+    call however often the payload holds it, as ``_count_lists`` counts it."""
+    memo: dict[int, list] = {}
+
+    def rounded(obj):
+        if isinstance(obj, float):
+            return None if math.isinf(obj) else round12(obj)
+        if isinstance(obj, dict):
+            return {k: v if type(v) in _UNROUNDED else rounded(v) for k, v in obj.items()}
+        if not isinstance(obj, (list, tuple)) or _ints_only(obj):
             return obj
-        items = [_round_floats(v) for v in obj]
-        return obj if isinstance(obj, list) and all(map(operator.is_, items, obj)) else items
-    return obj
+        shared = bool(obj) and isinstance(obj[0], (list, tuple))
+        if shared and id(obj) in memo:
+            return memo[id(obj)]
+        items = [rounded(v) for v in obj]
+        items = obj if isinstance(obj, list) and all(map(operator.is_, items, obj)) else items
+        if shared:
+            memo[id(obj)] = items
+        return items
+
+    return rounded(obj)
 
 
 # -- argument handling ----------------------------------------------------------
@@ -288,8 +302,9 @@ def _needed(args, flag: str):
     return value
 
 
-def _file_geometry(args) -> tuple[RadialProfile | None, RotationTwist]:
-    """Twist from --model / --m / --k / --n, and the model file's model, None without one."""
+def _resolve_geometry(args) -> tuple[RadialProfile, RotationTwist]:
+    """Model and twist from --model / --m / --k / --n; without a model file the
+    model is the round sphere."""
     if args.k is not None and args.m is None:
         raise ConfigError("--k needs --m")
     model = twist = None
@@ -308,20 +323,7 @@ def _file_geometry(args) -> tuple[RadialProfile | None, RotationTwist]:
         raise ConfigError("no twist given: pass --m/--k or a model file with one")
     if (model is not None and model.n != twist.n) or (args.n and args.n != twist.n):
         raise ConfigError("dimension mismatch between model, twist and --n")
-    return model, twist
-
-
-def _resolve_geometry(args) -> tuple[RadialProfile, RotationTwist]:
-    """Model and twist; without a model file the model is the round sphere."""
-    model, twist = _file_geometry(args)
     return (RoundSphere(twist.n) if model is None else model), twist
-
-
-def _quadric(args) -> tuple[tuple[float, ...] | np.ndarray, RotationTwist]:
-    """The model's quadric coefficients a and the twist, with no array built for the
-    round sphere's a = 1: the spectrum and pearl commands need nothing else."""
-    model, twist = _file_geometry(args)
-    return ((1.0,) * twist.n if model is None else model.a), twist
 
 
 def _seed_point(values: tuple[float, ...] | None, n: int) -> np.ndarray:
@@ -347,8 +349,7 @@ def _orbit_payload(orbit) -> dict:
 # -- commands ---------------------------------------------------------------------
 
 def cmd_spectrum(args, settings):
-    a, twist = _quadric(args)
-    table = analytic_spectrum(twist, twist.n, args.window, a)
+    table = analytic_spectrum(*_resolve_geometry(args), args.window)
     return {"rows": table.to_json_rows(), "window": list(args.window)}, EXIT_OK
 
 
@@ -369,7 +370,8 @@ def cmd_action(args, settings):
 
 
 def cmd_cz_index(args, settings):
-    a, twist = _quadric(args)
+    model, twist = _resolve_geometry(args)
+    a = model.a
     rows = []
     for k in range(args.window[0], args.window[1] + 1):
         tau = line_multiplier(twist, a[0], 0, k)
@@ -385,18 +387,18 @@ def _check_stencils(m: int) -> None:
                           f"above the cap of {MAX_BOUNDARY_ENTRIES}")
 
 
-def _pearl_spec(args) -> PearlComplexSpec:
-    a, twist = _quadric(args)
+def _pearl_geometry(args) -> tuple[RadialProfile, RotationTwist]:
+    model, twist = _resolve_geometry(args)
     _check_stencils(twist.m)
-    return PearlComplexSpec(n=twist.n, twist=twist, window=args.window, coefficients=a)
+    return model, twist
 
 
 def cmd_complex(args, settings):
-    return build_pearl_complex(_pearl_spec(args)).to_json_dict(), EXIT_OK
+    return build_pearl_complex(*_pearl_geometry(args), args.window).to_json_dict(), EXIT_OK
 
 
 def cmd_homology(args, settings):
-    report = compare_with_oracle(_pearl_spec(args))
+    report = compare_with_oracle(*_pearl_geometry(args), args.window)
     return report.to_json_dict(), (EXIT_OK if report.all_match else EXIT_MISMATCH)
 
 
@@ -435,13 +437,12 @@ def cmd_certify(args, settings):
 def cmd_sweep(args, settings):
     m_lo, m_hi = args.m_range
     _check_stencils(m_hi)
-    coefficients = _read_input(args.model, "model", load_model)[0].a if args.model else None
-    if coefficients is not None and set(args.n_list) != {len(coefficients)}:
-        raise ConfigError(f"--n-list must hold only the model's n = {len(coefficients)}")
-    specs = [PearlComplexSpec(n=n, twist=RotationTwist(m, (1,) * n), window=args.window,
-                              coefficients=coefficients)
-             for m in range(m_lo, m_hi + 1) for n in args.n_list]
-    results = [compare_with_oracle(spec).to_json_dict() for spec in specs]
+    model = _read_input(args.model, "model", load_model)[0] if args.model else None
+    if model is not None and set(args.n_list) != {model.n}:
+        raise ConfigError(f"--n-list must hold only the model's n = {model.n}")
+    results = [compare_with_oracle(model or RoundSphere(n), RotationTwist(m, (1,) * n),
+                                   args.window).to_json_dict()
+               for m in range(m_lo, m_hi + 1) for n in args.n_list]
     ok = all(r["all_match"] for r in results)
     return {"sweep": results, "all_match": ok}, (EXIT_OK if ok else EXIT_MISMATCH)
 

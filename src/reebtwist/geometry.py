@@ -4,10 +4,12 @@ Geometry of complex n-space with its standard Liouville form.
 Complex coordinates z^j = x^j + i y^j carry the primitive
 lambda = (1/2) sum_j (y^j dx^j - x^j dy^j), and a rotation twist acts
 coordinatewise by roots of unity.  Every star-shaped model is one record,
-``RadialProfile``, of the read-only coefficients a of the diagonal quadric
-G = sum_j a_j |z^j|^2 whose level set G = 1 it is: a = 1 for the round
-sphere (``RoundSphere``), 1/rho^2 for a constant profile rho, the
-coefficients of an ellipsoid; ``load_model`` computes a from a model file.
+``RadialProfile``, of the coefficients a, a tuple of floats, of the diagonal
+quadric G = sum_j a_j |z^j|^2 whose level set G = 1 it is: a = 1 for the
+round sphere (``RoundSphere``), 1/rho^2 for a constant profile rho, the
+coefficients of an ellipsoid.  ``load_model`` computes a from a model file,
+and neither builds an array, so the spectrum and pearl commands run without
+numpy.
 G, its real gradient, the radial point u / sqrt(G(u)) on the hypersurface
 and the Reeb field X_G = -2i a z (lambda(X_G) = G by Euler's identity) are
 closed-form expressions in a.  X_G is linear, so every model's Reeb flow
@@ -169,18 +171,18 @@ class RotationTwist:
 class RadialProfile:
     """The hypersurface G = 1 of the diagonal quadric G = sum_j a_j |z^j|^2.
 
-    The one model record: the read-only coefficients ``a``, and G, its real
-    gradient, the radial surface point, the Reeb field -2i a z, its flow and
-    the twisted return map as closed-form expressions in a.
+    The one model record: the coefficients ``a``, an immutable tuple of
+    floats, and G, its real gradient, the radial surface point, the Reeb
+    field -2i a z, its flow and the twisted return map as closed-form
+    expressions in a.
     """
 
     def __init__(self, a) -> None:
-        self.a = np.array(a, dtype=float)
-        self.a.flags.writeable = False
+        self.a = tuple(map(float, a))
 
     @property
     def n(self) -> int:
-        return self.a.size
+        return len(self.a)
 
     def defining_function(self, z) -> float:
         return float(np.sum(self.a * np.abs(z) ** 2))
@@ -200,7 +202,7 @@ class RadialProfile:
 
     def reeb_field(self, z) -> np.ndarray:
         """X_G = -2i a z, with i_X dlambda = -dG; Euler's identity gives lambda(X_G) = G."""
-        return -2j * self.a * z
+        return -2j * np.asarray(self.a) * z
 
     def flow_samples(self, z: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Reeb flow z_j -> e^{-2i a_j t} z_j at each time, exact for X_G = -2i a z."""
@@ -208,14 +210,14 @@ class RadialProfile:
 
     def return_map(self, twist: RotationTwist, tau: float) -> np.ndarray:
         """Complex differential of the twisted return map: diag(e^{2i a tau}) times the twist."""
-        return np.diag(np.exp(2j * tau * self.a) * twist.phases())
+        return np.diag(np.exp(2j * tau * np.asarray(self.a)) * twist.phases())
 
 
 class RoundSphere(RadialProfile):
     """The unit sphere G = |z|^2, with Reeb flow e^{-2it} z."""
 
     def __init__(self, n: int) -> None:
-        super().__init__(np.ones(n))
+        super().__init__((1.0,) * n)
 
     # perfbench/spans.py wraps ``reeb_field`` in the body of each model class
     reeb_field = RadialProfile.reeb_field
@@ -300,7 +302,7 @@ def load_model(spec: dict) -> tuple[RadialProfile, RotationTwist | None]:
         ptype = pspec.get("type")
         if ptype == "constant":  # the sphere of radius rho: a_j = rho^-2
             rho = _quadric_coefficient(pspec.get("value", 1.0), "profile value", power=-2.0)
-            a = np.full(n, rho ** -2.0)
+            a = (rho ** -2.0,) * n
         elif ptype == "ellipsoid":
             coeffs = pspec["coefficients"]
             if not isinstance(coeffs, list):

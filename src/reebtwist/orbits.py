@@ -36,10 +36,13 @@ TAU_TOL = 1e-9       # multipliers closer than this are one
 MAX_ITERATIONS = 50
 MAX_DAMPING_HALVINGS = 8
 KERNEL_TOL = 1e-6    # singular values of M - I at most this count toward the kernel
-# analytic_spectrum enumerates each (line, branch) pair of its window, about
-# 20 us apiece on a 2-core x86-64 machine: beyond this many pairs a window
-# would run for seconds to hours
+# analytic_spectrum forms one multiplier per (line, branch) pair of its
+# window, about 0.6 us apiece on a 2-core x86-64 machine (under 0.1 s at the
+# first cap).  Each distinct multiplier then makes a row that checks all n
+# lines and sums their index, as build_pearl_complex's twisted index does,
+# about 1.4 us per (row, line) pair (1.5 s at the second cap)
 MAX_LINE_BRANCHES = 100_000
+MAX_SPECTRUM_CELLS = 2 ** 20
 # A Newton step solves the (2n+2) x (2n+1) shooting system in O(n^3) time,
 # 0.2 s at n = 250, 1.6 s at n = 500 and 6 s at n = 1000 on that machine;
 # this many cells admit n <= 511
@@ -145,19 +148,21 @@ def twisted_index(row: SpectrumRow, coefficients, twist: RotationTwist) -> int:
                for j, a_j in enumerate(coefficients))
 
 
-def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
-                      coefficients=None) -> SpectrumTable:
-    """Closed-form twisted spectrum of the quadric G = sum_j a_j |z^j|^2.
+def analytic_spectrum(model: RadialProfile, twist: RotationTwist,
+                      window: tuple[int, int]) -> SpectrumTable:
+    """Closed-form twisted spectrum of the model's quadric G = sum_j a_j |z^j|^2.
 
-    ``coefficients`` are the a_j, all 1 (the round sphere) by default.  The
-    flow rotates coordinate j at rate 2 a_j, so it closes up under the twist
-    at the multipliers pi (m l - r_j) / (m a_j), r_j its exponent residue in
-    1..m, for every integer branch l in the window.  Equal multipliers share
-    one row whose support is every coordinate closing up there; its critical
-    component is a sphere of dimension 2 |support| - 1 inside the supported
-    coordinate subspace.  A window of more than ``MAX_LINE_BRANCHES`` (line,
-    branch) pairs raises ValueError before any is enumerated.
+    The flow rotates coordinate j at rate 2 a_j, so it closes up under the
+    twist at the multipliers pi (m l - r_j) / (m a_j), r_j its exponent
+    residue in 1..m, for every integer branch l in the window.  Equal
+    multipliers share one row whose support is every coordinate closing up
+    there; its critical component is a sphere of dimension 2 |support| - 1
+    inside the supported coordinate subspace.  A window of more than
+    ``MAX_LINE_BRANCHES`` (line, branch) pairs raises ValueError before any
+    is enumerated, and one of more than ``MAX_SPECTRUM_CELLS`` (row, line)
+    pairs before any row is built.
     """
+    a, n = model.a, model.n
     if twist.n != n:
         raise ValueError("twist exponent count does not match dimension n")
     lo, hi = int(window[0]), int(window[1])
@@ -166,7 +171,10 @@ def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
     if n * (hi - lo + 1) > MAX_LINE_BRANCHES:
         raise ValueError(f"branch window {lo}:{hi} holds {n} x {hi - lo + 1} line branches, "
                          f"above the cap of {MAX_LINE_BRANCHES}")
-    a = [1.0] * n if coefficients is None else [float(c) for c in coefficients]
+    taus = sorted({line_multiplier(twist, a[j], j, l) for j in range(n) for l in range(lo, hi + 1)})
+    if len(taus) * n > MAX_SPECTRUM_CELLS:
+        raise ValueError(f"{len(taus)} distinct multipliers on {n} lines make {len(taus) * n} "
+                         f"(row, line) pairs, above the cap of {MAX_SPECTRUM_CELLS}")
 
     def closing_lines(tau: float) -> set[tuple[int, int]]:
         """The (line, branch) pairs whose multiplier lies within TAU_TOL of tau."""
@@ -177,8 +185,7 @@ def analytic_spectrum(twist: RotationTwist, n: int, window: tuple[int, int],
     # within 2 TAU_TOL would otherwise put one line into two rows
     claimed: set[tuple[int, int]] = set()
     rows = []
-    for tau in sorted({line_multiplier(twist, a[j], j, l)
-                       for j in range(n) for l in range(lo, hi + 1)}):
+    for tau in taus:
         if rows and tau - rows[-1].tau <= TAU_TOL:
             continue
         joining = closing_lines(tau) - claimed
@@ -237,7 +244,7 @@ def _shooting_jacobian(model, twist, section, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"a Newton step at n = {n2 // 2} needs a {n2 + 2} x {n2 + 1} "
                          f"system, above the cap of {MAX_JACOBIAN_CELLS} cells")
     z = to_complex(u[:n2])
-    a = model.a
+    a = np.asarray(model.a)
     rotation = np.exp(-2j * a * float(u[n2]))
     jac = np.zeros((n2 + 2, n2 + 1))
     jac[:n2, :n2] = _complex_to_real_matrix(np.diag(rotation - twist.phases()))

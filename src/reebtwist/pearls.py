@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, quotient_by_action
 from .f2 import F2Matrix
-from .geometry import RotationTwist
+from .geometry import RadialProfile, RotationTwist
 from .orbits import (MAX_LINE_BRANCHES, TAU_TOL, SpectrumRow, analytic_spectrum,
                      line_multiplier, line_turns, twisted_index)
 
@@ -42,37 +42,15 @@ from .orbits import (MAX_LINE_BRANCHES, TAU_TOL, SpectrumRow, analytic_spectrum,
 MAX_DEGREES = 2 * MAX_LINE_BRANCHES
 
 
-@dataclass(frozen=True)
-class PearlComplexSpec:
-    """Build parameters: dimension, twist, inclusive branch window, quadric (sphere by default)."""
-
-    n: int
-    twist: RotationTwist
-    window: tuple[int, int]
-    coefficients: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one complex coordinate")
-        if self.twist.n != self.n:
-            raise ValueError("twist exponent count does not match n")
-        if self.window[0] > self.window[1]:
-            raise ValueError("empty branch window")
-        a = (1.0,) * self.n if self.coefficients is None else tuple(map(float, self.coefficients))
-        if len(a) != self.n:
-            raise ValueError("coefficient count does not match n")
-        object.__setattr__(self, "coefficients", a)
-
-
-def _window_rows(spec: PearlComplexSpec) -> tuple[SpectrumRow, ...]:
+def _window_rows(model: RadialProfile, twist: RotationTwist,
+                 window: tuple[int, int]) -> tuple[SpectrumRow, ...]:
     """Spectrum rows between the lowest branch-LO and the highest branch-HI multiplier."""
-    twist, n, a = spec.twist, spec.n, spec.coefficients
-    lo, hi = spec.window
-    tau_lo = min(line_multiplier(twist, a[j], j, lo) for j in range(n))
-    tau_hi = max(line_multiplier(twist, a[j], j, hi) for j in range(n))
+    a, n = model.a, model.n
+    tau_lo = min(line_multiplier(twist, a[j], j, window[0]) for j in range(n))
+    tau_hi = max(line_multiplier(twist, a[j], j, window[1]) for j in range(n))
     branches = (min(math.floor(line_turns(tau_lo, a[j], twist, j)) for j in range(n)),
                 max(math.ceil(line_turns(tau_hi, a[j], twist, j)) for j in range(n)))
-    rows = analytic_spectrum(twist, n, branches, a).rows
+    rows = analytic_spectrum(model, twist, branches).rows
     return tuple(r for r in rows if tau_lo - TAU_TOL <= r.tau <= tau_hi + TAU_TOL)
 
 
@@ -105,26 +83,30 @@ class _CircleLabels(Sequence):
         return tuple(self) == tuple(other) if isinstance(other, (tuple, _CircleLabels)) else NotImplemented
 
 
-def build_pearl_complex(spec: PearlComplexSpec) -> GradedF2Complex:
-    """String-of-pearls complex on a window of at least two pearls, with the cyclic action.
+def build_pearl_complex(model: RadialProfile, twist: RotationTwist,
+                        window: tuple[int, int]) -> GradedF2Complex:
+    """String-of-pearls complex of the model's quadric on an inclusive branch
+    window of at least two pearls, with the twist's cyclic action.
 
     Labels are formatted when read.  Degrees share two stencil objects, and
     circles of equal exponent one permutation, built once, for ``validate`` to reuse.
     """
-    twist, n, m = spec.twist, spec.n, spec.twist.m
-    if spec.window[1] - spec.window[0] + 1 < 2:
+    n, m, a = model.n, twist.m, model.a
+    if twist.n != n:
+        raise ValueError("coefficient count does not match n")
+    if window[1] - window[0] + 1 < 2:
         raise ValueError("window holds fewer than two pearls")
 
     generators: dict[int, _CircleLabels] = {}
     perms: dict[int, tuple[int, ...]] = {}
     rotations = {k: tuple((p + k) % m for p in range(m)) for k in set(twist.k)}
     d_max = None
-    for row in _window_rows(spec):
-        d = twisted_index(row, spec.coefficients, twist) - len(row.support) + n
+    for row in _window_rows(model, twist, window):
+        d = twisted_index(row, a, twist) - len(row.support) + n
         if d_max is not None and d != d_max + 1:
             raise ValueError(f"spectrum rows leave a gap or overlap at degree {d}")
         for c in row.support:
-            branch = round(line_turns(row.tau, spec.coefficients[c - 1], twist, c - 1))
+            branch = round(line_turns(row.tau, a[c - 1], twist, c - 1))
             for level in (0, 1):
                 generators[d] = _CircleLabels(f"k{branch}.c{c}.h{level}.s", m)
                 perms[d] = rotations[twist.k[c - 1]]
@@ -193,15 +175,15 @@ class OracleComparison:
         }
 
 
-def compare_with_oracle(spec: PearlComplexSpec) -> OracleComparison:
+def compare_with_oracle(model: RadialProfile, twist: RotationTwist,
+                        window: tuple[int, int]) -> OracleComparison:
     """Quotient-complex homology against the cyclic-group oracle, degreewise."""
-    complex_ = build_pearl_complex(spec)
+    complex_ = build_pearl_complex(model, twist, window)
     quotient = quotient_by_action(complex_)
     table = homology(quotient)
-    oracle = tate_homology(spec.twist.m, (complex_.d_min, complex_.d_max))
+    oracle = tate_homology(twist.m, (complex_.d_min, complex_.d_max))
     entries = tuple(
         DegreeComparison(degree=d, dim_quotient=table.dims[d],
                          dim_tate=oracle.dims[d])
         for d in quotient.interior_degrees())
-    return OracleComparison(m=spec.twist.m, n=spec.n, window=spec.window,
-                            degrees=entries)
+    return OracleComparison(m=twist.m, n=model.n, window=window, degrees=entries)

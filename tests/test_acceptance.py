@@ -25,7 +25,7 @@ from reebtwist.orbits import (
     orbit_multiplier,
     shoot_orbit,
 )
-from reebtwist.pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle
+from reebtwist.pearls import build_pearl_complex, compare_with_oracle
 
 from oracles import brute_homology_dim, brute_rank, random_valid_complex, variational_return_map
 
@@ -53,7 +53,7 @@ def test_criterion_1_spectrum_formula_and_shooting():
     rng = np.random.default_rng(1)
     for m, n in product(MS, NS):
         twist = ones_twist(m, n)
-        table = analytic_spectrum(twist, n, (BRANCHES[0], BRANCHES[-1]))
+        table = analytic_spectrum(sphere[n], twist, (BRANCHES[0], BRANCHES[-1]))
         expected = [math.pi * (m * k - 1) / m for k in BRANCHES]
         assert table.taus() == pytest.approx(expected, abs=1e-12)
         for k, tau_exact in zip(BRANCHES, expected):
@@ -143,8 +143,7 @@ def test_criterion_5_homology_dichotomy():
     for m in (2, 3, 4, 5, 6, 7):
         expected = 1 if m % 2 == 0 else 0
         for n in NS:
-            spec = PearlComplexSpec(n=n, twist=ones_twist(m, n), window=(0, 3))
-            report = compare_with_oracle(spec)
+            report = compare_with_oracle(RoundSphere(n), ones_twist(m, n), (0, 3))
             assert report.all_match, (m, n)
             assert all(e.dim_quotient == expected for e in report.degrees), (m, n)
     elapsed = time.perf_counter() - start
@@ -156,8 +155,7 @@ def test_criterion_5_homology_dichotomy():
 def test_criterion_6_unquotiented_acyclicity():
     for m in range(1, 13):
         for n in NS:
-            spec = PearlComplexSpec(n=n, twist=ones_twist(m, n), window=(0, 3))
-            table = homology(build_pearl_complex(spec))
+            table = homology(build_pearl_complex(RoundSphere(n), ones_twist(m, n), (0, 3)))
             assert all(v == 0 for v in table.interior_dims().values()), (m, n)
     passed(6, "interior homology of the full pearl complex vanishes "
               "for m in [1, 12]")

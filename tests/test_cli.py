@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 import reebtwist
 from reebtwist.cli import COMMANDS, _json_text, _round_floats, build_parser, main
 from reebtwist.complexes import validate
-from reebtwist.geometry import RotationTwist
+from reebtwist.geometry import RadialProfile, RotationTwist, RoundSphere
 from reebtwist.lazy import lazy_module
 from reebtwist.lifting import MAX_LIFT_PAIRS, QuotientLoop
-from reebtwist.orbits import SolverSettings
-from reebtwist.pearls import PearlComplexSpec, build_pearl_complex, compare_with_oracle
+from reebtwist.orbits import MAX_SPECTRUM_CELLS, SolverSettings
+from reebtwist.pearls import build_pearl_complex, compare_with_oracle
 
 from oracles import rotation_index
 
@@ -222,8 +222,7 @@ def test_cz_index_command(capsys):
 def test_complex_command_round_trip(capsys):
     payload = run_json(capsys, "complex", "--m", "3", "--n", "2",
                        "--window", "0:1")
-    complex_ = build_pearl_complex(PearlComplexSpec(n=2, twist=RotationTwist(3, (1, 1)),
-                                                    window=(0, 1)))
+    complex_ = build_pearl_complex(RoundSphere(2), RotationTwist(3, (1, 1)), (0, 1))
     assert payload["data"] == complex_.to_json_dict()
     validate(complex_)
     assert complex_.dim(complex_.d_min) == 3
@@ -680,6 +679,53 @@ def test_lift_above_the_pair_cap_rejected_at_once(capsys, tmp_path, argv, points
                                        f"of {MAX_LIFT_PAIRS}\n")
 
 
+def cycled_residues_argv(m, residues, n):
+    """``spectrum`` at branch 1 of n lines whose exponents cycle through 1..residues:
+    ``residues`` distinct multipliers on n lines."""
+    k = ",".join(str(j % residues + 1) for j in range(n))
+    return ["spectrum", "--m", str(m), "--k", k, "--window", "1:1"]
+
+
+def test_spectrum_cell_cap_admits_its_largest_product(capsys, monkeypatch):
+    assert 16 * 65536 == MAX_SPECTRUM_CELLS
+
+    def past_the_cap(*_args):
+        raise _CapPassed
+
+    # each row's index comes after the check
+    monkeypatch.setattr("reebtwist.orbits.orbit_index", past_the_cap)
+    with pytest.raises(_CapPassed):
+        main(cycled_residues_argv(17, 16, 65536))
+
+
+def test_spectrum_above_the_cell_cap_rejected_at_once(capsys):
+    assert 17 * 61681 == MAX_SPECTRUM_CELLS + 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, *cycled_residues_argv(19, 17, 61681))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: 17 distinct multipliers on 61681 lines make "
+                                       f"{MAX_SPECTRUM_CELLS + 1} (row, line) pairs, above the "
+                                       f"cap of {MAX_SPECTRUM_CELLS}\n")
+
+
+@pytest.mark.parametrize("argv", ["spectrum --window 0:9", "homology --window 0:1"])
+def test_distinct_coefficients_at_large_n_rejected_at_once(capsys, tmp_path, argv):
+    # 1000 distinct a_j give a multiplier per (line, branch): these ran for
+    # 15 s and 24 s, one O(n) pass per row, before the cell cap
+    a = [1 + 0.0007 * j + 1e-5 * j * j for j in range(1000)]
+    path = write_model(tmp_path, 3, [1] * 1000, {"type": "ellipsoid", "coefficients": a})
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split(), "--model", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "") and err.endswith(f"above the cap of {MAX_SPECTRUM_CELLS}\n")
+
+
+def test_sphere_spectrum_at_large_n_has_few_rows(capsys):
+    # one exponent class: 10 distinct multipliers on 1000 lines
+    assert len(run_json(capsys, "spectrum", "--m", "2", "--n", "1000", "--window", "0:9")
+               ["data"]["rows"]) == 10
+
+
 @pytest.mark.parametrize("argv, text, message", [
     ("spectrum --model", "[", "cannot read model file: Expecting value: line 1 column 2 (char 1)"),
     ("spectrum --model", "[2]", "malformed model file: 'list' object has no attribute 'get'"),
@@ -757,9 +803,8 @@ def test_sweep_follows_the_model(capsys, tmp_path):
     data = run_json(capsys, *argv, "--model", path)["data"]
     assert data["all_match"] is True
     for entry in data["sweep"]:
-        spec = PearlComplexSpec(n=2, twist=RotationTwist(entry["m"], (1, 1)), window=(0, 2),
-                                coefficients=a)
-        assert entry["degrees"] == compare_with_oracle(spec).to_json_dict()["degrees"]
+        report = compare_with_oracle(RadialProfile(a), RotationTwist(entry["m"], (1, 1)), (0, 2))
+        assert entry["degrees"] == report.to_json_dict()["degrees"]
     sphere = run_json(capsys, *argv)["data"]["sweep"]
     assert [len(e["degrees"]) for e in data["sweep"]] == [12, 12]
     assert [len(e["degrees"]) for e in sphere] == [10, 10]
@@ -1204,10 +1249,14 @@ _ELLIPSOID = Path(__file__).parent / "models" / "ellipsoid_m3.json"
 @pytest.mark.parametrize("commands, loaded", [
     (_PEARL_AND_SPECTRUM, [False] * 7),
     ([*_PEARL_AND_SPECTRUM, "certify --m 2 --k 1,1"], [False] * 7 + [True]),
-    ([f"spectrum --model {_ELLIPSOID}"], [False, True]),
-    ([f"homology --model {_ELLIPSOID}"], [False, True]),
-    ([f"sweep --model {_ELLIPSOID} --m-range 3:3 --n-list 2"], [False, True]),
-], ids=["flag-commands", "then-certify", "spectrum-model", "homology-model", "sweep-model"])
+    ([f"spectrum --model {_ELLIPSOID}"], [False, False]),
+    ([f"homology --model {_ELLIPSOID}"], [False, False]),
+    ([f"sweep --model {_ELLIPSOID} --m-range 3:3 --n-list 2"], [False, False]),
+    ([f"complex --model {_ELLIPSOID}"], [False, False]),
+    ([f"cz-index --model {_ELLIPSOID}"], [False, False]),
+    ([f"certify --model {_ELLIPSOID}"], [False, True]),
+], ids=["flag-commands", "then-certify", "spectrum-model", "homology-model", "sweep-model",
+        "complex-model", "cz-index-model", "certify-model"])
 def test_numpy_executes_only_for_commands_that_compute_arrays(commands, loaded):
     # the homology side runs on pure-Python GF(2) integers; numpy's import
     # was once half of every process's start-up

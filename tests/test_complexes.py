@@ -16,8 +16,8 @@ from reebtwist.complexes import (
     validate,
 )
 from reebtwist.f2 import F2Matrix
-from reebtwist.geometry import RotationTwist
-from reebtwist.pearls import PearlComplexSpec, build_pearl_complex
+from reebtwist.geometry import RotationTwist, RoundSphere
+from reebtwist.pearls import build_pearl_complex
 
 from oracles import brute_homology_dim, orbit_class_quotient, random_valid_complex
 
@@ -244,8 +244,7 @@ def test_invalid_permutation_names_its_degree(check, perms):
 
 def pearl_complex(m: int) -> GradedF2Complex:
     """The pearl complex at n = 4, window 0:3."""
-    return build_pearl_complex(PearlComplexSpec(
-        n=4, twist=RotationTwist(m, (1,) * 4), window=(0, 3)))
+    return build_pearl_complex(RoundSphere(4), RotationTwist(m, (1,) * 4), (0, 3))
 
 
 def with_perm(c: GradedF2Complex, d: int, perm: tuple[int, ...]) -> GradedF2Complex:
@@ -307,7 +306,7 @@ def test_large_pearl_complex_rejects_a_wrong_order_permutation(pearl_256):
 def test_quotient_decomposes_each_distinct_permutation_once(monkeypatch, k, distinct):
     # one cycle decomposition per distinct permutation, in validation; the
     # quotient reuses validation's orbits, and every degree gets its orbits
-    c = build_pearl_complex(PearlComplexSpec(n=4, twist=RotationTwist(64, k), window=(0, 3)))
+    c = build_pearl_complex(RoundSphere(4), RotationTwist(64, k), (0, 3))
     calls = Counter()
     cycles = CyclicAction.cycles
 

@@ -261,7 +261,7 @@ def test_load_round_sphere_model():
     # the one record: the coefficients a, fixed once
     assert isinstance(model, RadialProfile)
     np.testing.assert_array_equal(model.a, [1.0, 1.0])
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(TypeError, match="does not support item assignment"):
         model.a[0] = 2.0
 
 

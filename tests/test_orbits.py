@@ -50,7 +50,7 @@ def make_orbit(twist, n, branch=1, direction=None):
 # -- spectrum -----------------------------------------------------------------
 
 def test_spectrum_equal_exponents_m2():
-    table = analytic_spectrum(RotationTwist(2, (1, 1)), 2, (0, 1))
+    table = analytic_spectrum(SPHERE2, RotationTwist(2, (1, 1)), (0, 1))
     assert table.taus() == pytest.approx([-math.pi / 2, math.pi / 2])
     for row in table.rows:
         assert row.support == (1, 2)
@@ -58,14 +58,14 @@ def test_spectrum_equal_exponents_m2():
 
 
 def test_spectrum_untwisted_contains_constants():
-    table = analytic_spectrum(RotationTwist(1, (1, 1)), 2, (0, 3))
+    table = analytic_spectrum(SPHERE2, RotationTwist(1, (1, 1)), (0, 3))
     assert table.taus() == pytest.approx([-math.pi, 0.0, math.pi, 2 * math.pi])
     assert any(abs(t) < 1e-12 for t in table.taus())
 
 
 def test_spectrum_mixed_exponents_interleaved():
     twist = RotationTwist(4, (1, 3))
-    table = analytic_spectrum(twist, 2, (0, 1))
+    table = analytic_spectrum(SPHERE2, twist, (0, 1))
     by_support = {}
     for row in table.rows:
         by_support.setdefault(row.support, []).append(row.tau)
@@ -81,7 +81,7 @@ def test_spectrum_mixed_exponents_interleaved():
 
 def test_spectrum_against_grid_scan():
     twist = RotationTwist(4, (1, 3))
-    table = analytic_spectrum(twist, 2, (0, 2))
+    table = analytic_spectrum(SPHERE2, twist, (0, 2))
     scanned = brute_spectrum_grid(4, (1, 3), min(table.taus()) - 0.1,
                                   max(table.taus()) + 0.1)
     for row in table.rows:
@@ -95,7 +95,7 @@ def test_spectrum_against_grid_scan():
 def test_spectrum_consecutive_gap_is_pi():
     # single congruence class: consecutive multipliers differ by exactly pi
     for m in (1, 2, 5):
-        taus = analytic_spectrum(RotationTwist(m, (1, 1)), 2, (-2, 3)).taus()
+        taus = analytic_spectrum(SPHERE2, RotationTwist(m, (1, 1)), (-2, 3)).taus()
         gaps = np.diff(taus)
         assert np.allclose(gaps, math.pi)
 
@@ -103,7 +103,7 @@ def test_spectrum_consecutive_gap_is_pi():
 def test_spectrum_csv_mirrors_json_rows():
     from reebtwist.cli import _render_csv
 
-    table = analytic_spectrum(RotationTwist(2, (1, 1)), 2, (0, 2))
+    table = analytic_spectrum(SPHERE2, RotationTwist(2, (1, 1)), (0, 2))
     lines = _render_csv(table.to_json_rows()).strip().splitlines()
     assert lines[0] == "tau,support,dim,index"
     assert len(lines) == 1 + len(table.rows)
@@ -116,7 +116,7 @@ def test_spectrum_csv_mirrors_json_rows():
 
 def test_ellipsoid_spectrum_per_coordinate():
     # coordinate j closes up at pi (m l - k_j) / (m a_j); a = (1, 2.5), m = 2
-    table = analytic_spectrum(RotationTwist(2, (1, 1)), 2, (0, 2), (1.0, 2.5))
+    table = analytic_spectrum(RadialProfile([1.0, 2.5]), RotationTwist(2, (1, 1)), (0, 2))
     by_support = {}
     for row in table.rows:
         by_support.setdefault(row.support, []).append(row.tau)
@@ -129,7 +129,7 @@ def test_ellipsoid_spectrum_per_coordinate():
 def test_spectrum_merges_equal_multipliers():
     # a = (1, 3): tau = pi/2 is branch 1 of coordinate 1 and branch 2 of
     # coordinate 2, outside the window, which still joins the support
-    table = analytic_spectrum(RotationTwist(2, (1, 1)), 2, (1, 1), (1.0, 3.0))
+    table = analytic_spectrum(RadialProfile([1.0, 3.0]), RotationTwist(2, (1, 1)), (1, 1))
     assert table.taus() == pytest.approx([math.pi / 6, math.pi / 2])
     assert [row.support for row in table.rows] == [(2,), (1, 2)]
     assert table.rows[1].dim == 3
@@ -140,7 +140,7 @@ def test_twisted_index_on_the_congruent_sphere(m):
     # every line closes up at branch l and ends on 2 pi l: mu_tw = 2 l n
     for n in (1, 2, 3):
         twist = RotationTwist(m, (1 + m,) * n)
-        rows = analytic_spectrum(twist, n, (-2, 3)).rows
+        rows = analytic_spectrum(RoundSphere(n), twist, (-2, 3)).rows
         assert [twisted_index(r, [1.0] * n, twist) for r in rows] == [
             2 * branch * n for branch in range(-2, 4)]
 
@@ -151,19 +151,19 @@ def test_twisted_index_takes_degenerate_lines_from_the_support():
     # previous one ends (mu_tw - s + n = 0, 4, 8, 10)
     twist = RotationTwist(2, (1, 1))
     a = (1.0, 1.0 + 5e-10)
-    rows = analytic_spectrum(twist, 2, (0, 2), a).rows
+    rows = analytic_spectrum(RadialProfile(a), twist, (0, 2)).rows
     assert [(r.support, twisted_index(r, a, twist)) for r in rows] == [
         ((1, 2), 0), ((1, 2), 4), ((2,), 7), ((1,), 9)]
 
 
 def test_spectrum_errors():
     with pytest.raises(ValueError, match="empty"):
-        analytic_spectrum(RotationTwist(2, (1, 1)), 2, (2, 1))
+        analytic_spectrum(SPHERE2, RotationTwist(2, (1, 1)), (2, 1))
     with pytest.raises(ValueError, match="dimension"):
-        analytic_spectrum(RotationTwist(2, (1, 1)), 3, (0, 1))
+        analytic_spectrum(RoundSphere(3), RotationTwist(2, (1, 1)), (0, 1))
     # raised before any branch is enumerated, so the test is instant
     with pytest.raises(ValueError, match="holds 2 x 50001 line branches, above the cap"):
-        analytic_spectrum(RotationTwist(2, (1, 1)), 2, (0, MAX_LINE_BRANCHES // 2))
+        analytic_spectrum(SPHERE2, RotationTwist(2, (1, 1)), (0, MAX_LINE_BRANCHES // 2))
     with pytest.raises(ValueError, match="coprime"):
         RotationTwist(4, (2, 1))
 

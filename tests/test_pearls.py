@@ -4,10 +4,9 @@ from hypothesis import strategies as st
 
 from reebtwist.complexes import homology, quotient_by_action, validate
 from reebtwist.f2 import matmul
-from reebtwist.geometry import RotationTwist
+from reebtwist.geometry import RadialProfile, RotationTwist, RoundSphere
 from reebtwist.orbits import analytic_spectrum, orbit_multiplier, twisted_index
 from reebtwist.pearls import (
-    PearlComplexSpec,
     build_pearl_complex,
     circle_boundary,
     compare_with_oracle,
@@ -22,8 +21,9 @@ def all_ones_twist(m, n):
     return RotationTwist(m, tuple([1] * n))
 
 
-def spec(m, n, window=(0, 2)):
-    return PearlComplexSpec(n=n, twist=all_ones_twist(m, n), window=window)
+def sphere(m, n, window=(0, 2)):
+    """(model, twist, window) of the round sphere under the all-ones twist."""
+    return RoundSphere(n), all_ones_twist(m, n), window
 
 
 def test_stencils():
@@ -36,7 +36,7 @@ def test_stencils():
 
 
 def test_generator_layout():
-    c = build_pearl_complex(spec(3, 2, (0, 1)))
+    c = build_pearl_complex(*sphere(3, 2, (0, 1)))
     assert c.d_min == 0 and c.d_max == 7
     assert all(c.dim(d) == 3 for d in c.degrees())
     assert c.generators[0][0] == "k0.c1.h0.s0"
@@ -45,7 +45,7 @@ def test_generator_layout():
 
 
 def test_boundary_alternation():
-    c = build_pearl_complex(spec(2, 2, (0, 1)))
+    c = build_pearl_complex(*sphere(2, 2, (0, 1)))
     for d in range(1, 8):
         expected = circle_boundary(2) if d % 2 else connecting_boundary(2)
         assert c.boundaries[d] == expected
@@ -54,7 +54,7 @@ def test_boundary_alternation():
 @pytest.mark.parametrize("m", range(1, 13))
 @pytest.mark.parametrize("n", [2, 3])
 def test_pearl_complex_valid(m, n):
-    c = build_pearl_complex(spec(m, n))
+    c = build_pearl_complex(*sphere(m, n))
     validate(c)
 
 
@@ -62,21 +62,21 @@ def test_pearl_complex_valid(m, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_unquotiented_complex_acyclic(m, n):
     # the sphere is displaceable: interior homology of the full complex vanishes
-    table = homology(build_pearl_complex(spec(m, n)))
+    table = homology(build_pearl_complex(*sphere(m, n)))
     assert all(v == 0 for v in table.interior_dims().values())
 
 
 @pytest.mark.parametrize("m,expected", [(2, 1), (3, 0), (4, 1), (5, 0), (6, 1)])
 def test_quotient_homology_dichotomy(m, expected):
     for n in (2, 3):
-        q = quotient_by_action(build_pearl_complex(spec(m, n)))
+        q = quotient_by_action(build_pearl_complex(*sphere(m, n)))
         table = homology(q)
         dims = set(table.interior_dims().values())
         assert dims == {expected}, (m, n, dims)
 
 
 def test_untwisted_reduces_to_plain_string():
-    c = build_pearl_complex(spec(1, 2))
+    c = build_pearl_complex(*sphere(1, 2))
     assert all(c.dim(d) == 1 for d in c.degrees())
     table = homology(quotient_by_action(c))
     assert all(v == 0 for v in table.interior_dims().values())
@@ -84,14 +84,14 @@ def test_untwisted_reduces_to_plain_string():
 
 def test_action_is_free_for_nontrivial_orders():
     for m in (2, 3, 5):
-        c = build_pearl_complex(spec(m, 2))
+        c = build_pearl_complex(*sphere(m, 2))
         for d in c.degrees():
             perm = c.action.perms[d]
             assert all(perm[i] != i for i in range(m))
 
 
 def test_negative_window_pearls():
-    c = build_pearl_complex(spec(3, 2, (-2, 0)))
+    c = build_pearl_complex(*sphere(3, 2, (-2, 0)))
     assert c.d_min == -8 and c.d_max == 3
     validate(c)
     table = homology(c)
@@ -100,15 +100,15 @@ def test_negative_window_pearls():
 
 def test_window_too_small_rejected():
     with pytest.raises(ValueError, match="two pearls"):
-        build_pearl_complex(spec(2, 2, (1, 1)))
+        build_pearl_complex(*sphere(2, 2, (1, 1)))
 
 
 def test_coefficient_count_checked():
     with pytest.raises(ValueError, match="coefficient count"):
-        PearlComplexSpec(n=2, twist=all_ones_twist(2, 2), window=(0, 1), coefficients=(1.0,))
+        build_pearl_complex(RadialProfile((1.0,)), all_ones_twist(2, 2), (0, 1))
 
 
-def expected_cells(spec):
+def expected_cells(model, twist, window):
     """Degree -> first generator label, placed from the spectrum rows alone.
 
     Rows lie between the lowest branch-LO and the highest branch-HI
@@ -116,8 +116,8 @@ def expected_cells(spec):
     i-th circle c the two levels at morse 2i and 2i + 1.  With a in [0.5, 2]
     and branches in -1..4, branches -40..40 hold every such row.
     """
-    twist, n, a = spec.twist, spec.n, spec.coefficients
-    lo, hi = spec.window
+    n, a = model.n, model.a
+    lo, hi = window
 
     def mult(j, branch):
         return orbit_multiplier(twist.m, twist.residue(j), branch) / a[j]
@@ -125,7 +125,7 @@ def expected_cells(spec):
     tau_lo = min(mult(j, lo) for j in range(n))
     tau_hi = max(mult(j, hi) for j in range(n))
     cells = {}
-    for row in analytic_spectrum(twist, n, (-40, 40), a).rows:
+    for row in analytic_spectrum(model, twist, (-40, 40)).rows:
         if not tau_lo - 1e-9 <= row.tau <= tau_hi + 1e-9:
             continue
         d = twisted_index(row, a, twist) - len(row.support) + n
@@ -147,16 +147,15 @@ def test_pearl_complex_from_the_spectrum(case, width, coeffs):
     # any exponent classes on any ellipsoid: a free, valid complex, acyclic
     # before the quotient and equal to the cyclic-group oracle after it
     m, k, lo = case
-    spec = PearlComplexSpec(n=len(k), twist=RotationTwist(m, tuple(k)),
-                            window=(lo, lo + width), coefficients=coeffs[:len(k)])
-    c = build_pearl_complex(spec)
+    args = RadialProfile(coeffs[:len(k)]), RotationTwist(m, tuple(k)), (lo, lo + width)
+    c = build_pearl_complex(*args)
     validate(c)
     assert all(perm[i] != i for perm in c.action.perms.values() for i in range(m))
     assert all(v == 0 for v in homology(c).interior_dims().values())
     quotient = homology(quotient_by_action(c))
     oracle = tate_homology(m, (c.d_min, c.d_max))
     assert all(quotient.dims[d] == oracle.dims[d] for d in c.interior_degrees())
-    cells = expected_cells(spec)
+    cells = expected_cells(*args)
     assert sorted(cells) == list(range(min(cells), max(cells) + 1))
     assert {d: gens[0] for d, gens in c.generators.items()} == cells
 
@@ -165,15 +164,14 @@ def test_near_resonant_rows_stay_contiguous():
     # a_2 = 1 + 5e-10: at tau = +-pi/2 both lines close up within the row
     # tolerance, yet theta_2 misses a multiple of 2 pi by about 1.6e-9; a
     # 1e-9 test on theta_2 took line 2 for nondegenerate and shifted the row
-    spec = PearlComplexSpec(n=2, twist=all_ones_twist(2, 2), window=(0, 2),
-                            coefficients=(1.0, 1.0 + 5e-10))
-    c = build_pearl_complex(spec)
+    args = RadialProfile((1.0, 1.0 + 5e-10)), all_ones_twist(2, 2), (0, 2)
+    c = build_pearl_complex(*args)
     validate(c)
     assert [c.generators[d][0] for d in c.degrees()] == [
         f"k{branch}.c{circle}.h{level}.s0"
         for branch, circle in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (2, 1)]
         for level in (0, 1)]
-    assert compare_with_oracle(spec).all_match
+    assert compare_with_oracle(*args).all_match
 
 
 def test_chained_multipliers_give_each_line_one_row():
@@ -181,23 +179,23 @@ def test_chained_multipliers_give_each_line_one_row():
     # tolerance: line 2 closes up at both rows near tau = -pi/2 and joins
     # only the first, so no circle overwrites a degree of the other row
     a = (1.0, 1.0 - 6e-10, 1.0 - 1.2e-9)
-    rows = analytic_spectrum(all_ones_twist(2, 3), 3, (0, 0), a).rows
+    rows = analytic_spectrum(RadialProfile(a), all_ones_twist(2, 3), (0, 0)).rows
     assert [row.support for row in rows] == [(2, 3), (1,)]
-    spec = PearlComplexSpec(n=3, twist=all_ones_twist(2, 3), window=(0, 2), coefficients=a)
-    c = build_pearl_complex(spec)
+    args = RadialProfile(a), all_ones_twist(2, 3), (0, 2)
+    c = build_pearl_complex(*args)
     validate(c)
     circles = [c.generators[d][0].rsplit(".", 2)[0] for d in c.degrees()]
     assert sorted(circles) == sorted(f"k{branch}.c{circle}" for branch in range(3)
                                      for circle in (1, 2, 3) for _ in (0, 1))
-    assert compare_with_oracle(spec).all_match
+    assert compare_with_oracle(*args).all_match
 
 
 def test_grading_periodicity():
     # shifting the window by one pearl shifts the homology table by 2n
     for m in (2, 3):
         n = 2
-        a = homology(quotient_by_action(build_pearl_complex(spec(m, n, (0, 2)))))
-        b = homology(quotient_by_action(build_pearl_complex(spec(m, n, (1, 3)))))
+        a = homology(quotient_by_action(build_pearl_complex(*sphere(m, n, (0, 2)))))
+        b = homology(quotient_by_action(build_pearl_complex(*sphere(m, n, (1, 3)))))
         for d, v in a.interior_dims().items():
             assert b.dims[d + 2 * n] == v
             assert b.reliable[d + 2 * n]
@@ -217,14 +215,14 @@ def test_tate_rejects_bad_order():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n", [2, 3])
 def test_oracle_agreement(m, n):
-    report = compare_with_oracle(spec(m, n))
+    report = compare_with_oracle(*sphere(m, n))
     assert report.all_match
     expected = 1 if m % 2 == 0 else 0
     assert all(e.dim_quotient == expected for e in report.degrees)
 
 
 def test_comparison_report_json():
-    report = compare_with_oracle(spec(2, 2))
+    report = compare_with_oracle(*sphere(2, 2))
     data = report.to_json_dict()
     assert data["m"] == 2 and data["n"] == 2
     assert all(entry["match"] for entry in data["degrees"])

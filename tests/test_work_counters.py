@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from reebtwist import complexes, f2, geometry, orbits
+from reebtwist import cli, complexes, f2, geometry, orbits
 from reebtwist.cli import main
 from reebtwist.complexes import CyclicAction
 from reebtwist.f2 import F2Matrix
@@ -36,6 +36,7 @@ SPIES = {
     "newton_steps": ((orbits,), "_shooting_jacobian"),
     "to_rows": ((F2Matrix,), "to_rows"),
     "rank": ((f2, complexes), "rank"),
+    "ints_only": ((cli,), "_ints_only"),
 }
 
 
@@ -48,8 +49,9 @@ SPIES = {
      {"matmul": 28, "cycles": 4, "rank": 10}),
     ("certify --m 2 --k 1,1 --n 2", {"flows": 4}),
     ("orbit --m 2 --k 1,1 --n 2 --tau 1.5", {"flows": 5, "newton_steps": 3}),
-    # the complex's degrees share two stencils, each listed once
-    ("complex --m 36 --n 3 --window=-1:1", {"to_rows": 2}),
+    # the complex's degrees share two stencils, each listed once and each
+    # rounded and written once (918 list checks when rounding took every degree)
+    ("complex --m 36 --n 3 --window=-1:1", {"to_rows": 2, "ints_only": 378}),
     ("sweep --m-range 2:4 --n-list 2,3,4", {"matmul": 90, "cycles": 9, "rank": 36}),
 ], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
