@@ -47,10 +47,16 @@ MAX_SPECTRUM_CELLS = 2 ** 20
 # 0.2 s at n = 250, 1.6 s at n = 500 and 6 s at n = 1000 on that machine;
 # this many cells admit n <= 511
 MAX_JACOBIAN_CELLS = 2 ** 20
-# orbit_samples and the action quadrature over its points peak at about 60 B
-# and 0.2 us per point (one coordinate at one sample): 25 million points take
-# 1.5 GB and 3.5 s, and admit certify's 1001-sample action at n = 20000
+# orbit_samples peaks at about 60 B and 0.2 us per point (one coordinate at
+# one sample) on a 2-core x86-64 machine, 1.5 GB and 3.5 s for 25 million
+# points.  The action quadrature evaluates its samples in blocks and keeps
+# only 16 B per sample beyond one block: 25 million points of a 2-coordinate
+# orbit take 0.24 GB and 2.4 s.  The cap admits certify's 1001-sample action
+# at n = 20000
 MAX_ORBIT_POINTS = 25_000_000
+# points per block of the action quadrature, whose temporaries stay near
+# 60 B per point of a block, 16 MB
+ACTION_BLOCK_POINTS = 2 ** 18
 
 
 class ConvergenceError(Exception):
@@ -383,6 +389,13 @@ def monodromy(orbit: TwistedOrbit, model: RadialProfile,
 
 # -- action ------------------------------------------------------------------------
 
+def _sample_times(orbit: TwistedOrbit, count: int) -> np.ndarray:
+    if (count + 1) * orbit.z0.size > MAX_ORBIT_POINTS:
+        raise ValueError(f"{count + 1} samples of {orbit.z0.size} coordinates exceed the cap "
+                         f"of {MAX_ORBIT_POINTS} orbit points")
+    return orbit.tau * np.linspace(0.0, 1.0, count + 1)
+
+
 def orbit_samples(orbit: TwistedOrbit, model: RadialProfile, count: int,
                   settings: SolverSettings = SolverSettings()) -> np.ndarray:
     """count+1 points along one twisted period, endpoints included.
@@ -390,27 +403,36 @@ def orbit_samples(orbit: TwistedOrbit, model: RadialProfile, count: int,
     More than ``MAX_ORBIT_POINTS`` points, count+1 per coordinate, raise
     ValueError before any is computed.
     """
-    if (count + 1) * orbit.z0.size > MAX_ORBIT_POINTS:
-        raise ValueError(f"{count + 1} samples of {orbit.z0.size} coordinates exceed the cap "
-                         f"of {MAX_ORBIT_POINTS} orbit points")
-    times = orbit.tau * np.linspace(0.0, 1.0, count + 1)
-    return reeb_flow_samples(orbit.z0, times, model,
+    return reeb_flow_samples(orbit.z0, _sample_times(orbit, count), model,
                              surface_tol=settings.surface)
 
 
-def loop_action(samples: np.ndarray) -> float:
-    """Chord-trapezoid quadrature of the Liouville line integral.
-
-    Each chord contributes the mean of lambda at its two ends applied to it.
-    """
-    pts = np.asarray(samples, dtype=complex)
+def _chord_terms(pts: np.ndarray) -> np.ndarray:
+    """Mean of lambda at the two ends of each chord between consecutive points, applied to it."""
     chords = pts[1:] - pts[:-1]
-    ends = liouville_form_eval(pts[:-1], chords) + liouville_form_eval(pts[1:], chords)
-    return float(np.sum(0.5 * ends))
+    return 0.5 * (liouville_form_eval(pts[:-1], chords) + liouville_form_eval(pts[1:], chords))
+
+
+def loop_action(samples: np.ndarray) -> float:
+    """Chord-trapezoid quadrature of the Liouville line integral: the sum of the chord terms."""
+    return float(np.sum(_chord_terms(np.asarray(samples, dtype=complex))))
 
 
 def action(orbit: TwistedOrbit, model: RadialProfile, quadrature_n: int = 1000,
            settings: SolverSettings = SolverSettings()) -> float:
-    """Line integral of the Liouville form along the orbit, approximately tau."""
-    return loop_action(orbit_samples(orbit, model, quadrature_n, settings))
+    """Line integral of the Liouville form along the orbit, approximately tau.
 
+    ``loop_action`` of ``orbit_samples``, with the samples evaluated in
+    blocks of about ``ACTION_BLOCK_POINTS`` points.  A block's first chord
+    starts at the previous block's last sample, and the chord terms are
+    summed once over the whole orbit, so the value does not depend on the
+    block size.
+    """
+    times = _sample_times(orbit, quadrature_n)
+    rows = max(1, ACTION_BLOCK_POINTS // orbit.z0.size)
+    terms = np.empty(quadrature_n)
+    for start in range(0, quadrature_n, rows):
+        pts = reeb_flow_samples(orbit.z0, times[start:start + rows + 1], model,
+                                surface_tol=settings.surface)
+        terms[start:start + rows] = _chord_terms(pts)
+    return float(np.sum(terms))

@@ -5,7 +5,8 @@ row-span enumeration, homology by exhaustive cycle/boundary counting,
 spectra by residual scans on a parameter grid, derivatives by central
 differences, flows by scipy's RK45 on the analytic field, return maps by
 RK45 on its variational equation, rotation indices by their closed form,
-profile radii from the model file's profile spec.
+profile radii from the model file's profile spec, lifts one (point,
+rotation) pair at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ from itertools import product
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from reebtwist.lifting import (
+    AmbiguousLiftError,
+    DeckElement,
+    LiftResult,
+    QuotientLoop,
+    orbit_separation,
+)
+from reebtwist.orbits import SolverSettings
 
 
 def brute_rank(rows: list[list[int]]) -> int:
@@ -297,3 +307,40 @@ def profile_radius(profile: dict | None, z: np.ndarray) -> float:
         return float(profile["value"])
     u = np.asarray(z, dtype=complex) / np.linalg.norm(z)
     return float(np.sum(np.asarray(profile["coefficients"]) * np.abs(u) ** 2)) ** -0.5
+
+
+def lift_by_pairs(loop: QuotientLoop, basepoint_choice: int = 0,
+                  match_tol: float = SolverSettings.lift_match) -> LiftResult:
+    """The greedy nearest-representative lift, one (point, rotation) pair at a time.
+
+    Each rotation of the next representative is formed and measured against
+    the current lifted point on its own, and so is each rotation of the
+    start against the endpoint; the bound, the errors and their texts are
+    those of ``lift_loop``.
+    """
+    twist = loop.twist
+    pts = loop.samples
+    bound = orbit_separation(twist, pts) / 2.0
+    powers = [twist.phases(j) for j in range(twist.m)]
+
+    current = twist.apply(pts[0], power=basepoint_choice)
+    lifted = [current]
+    worst_step = 0.0
+    for i in range(1, pts.shape[0]):
+        candidates = [phase * pts[i] for phase in powers]
+        dists = [float(np.linalg.norm(c - current)) for c in candidates]
+        best = int(np.argmin(dists))
+        if dists[best] >= bound:
+            raise AmbiguousLiftError(f"step {i} has length {dists[best]:.3e}, not below "
+                                     f"the half-separation bound {bound:.3e}")
+        worst_step = max(worst_step, dists[best])
+        current = candidates[best]
+        lifted.append(current)
+
+    gaps = [float(np.linalg.norm(lifted[-1] - phase * lifted[0])) for phase in powers]
+    exponent = int(np.argmin(gaps))
+    if gaps[exponent] > match_tol:
+        raise AmbiguousLiftError(f"lift ends {gaps[exponent]:.3e} from the nearest rotation "
+                                 f"of its start, beyond lift_match {match_tol:.3e}")
+    return LiftResult(path=np.asarray(lifted), deck=DeckElement(exponent, twist.m),
+                      margin=bound - worst_step)

@@ -17,7 +17,10 @@ pass in ``main``; ``certify`` has no csv view.  The ``model_*`` files run
 the model files in ``tests/models/`` (two ellipsoids and a constant
 profile); they were captured before the model classes collapsed into the
 one coefficient record ``RadialProfile``, whose Reeb field is -2i a z in
-closed form.
+closed form.  ``lift`` lifts the loop file ``tests/models/loop_m5.json``
+(m = 5, deck 2, its samples different rotations of one path) from its
+second basepoint; it was captured while the lift still measured each
+(point, rotation) pair on its own.
 """
 
 import json
@@ -72,6 +75,12 @@ def test_golden_model_json(capsys, name):
     code = main([*command.split(), "--model", str(MODEL_FILES / f"{model}.json")])
     assert code == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_golden_lift(capsys):
+    argv = ["lift", "--input", str(MODEL_FILES / "loop_m5.json"), "--basepoint", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "lift.json").read_bytes()
 
 
 TABULAR = {

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebtwist.geometry import RotationTwist, RoundSphere
 from reebtwist.lifting import (
@@ -14,6 +16,8 @@ from reebtwist.lifting import (
     orbit_separation,
 )
 from reebtwist.orbits import TwistedOrbit, orbit_multiplier
+
+from oracles import lift_by_pairs
 
 SPHERE2 = RoundSphere(2)
 
@@ -198,3 +202,53 @@ def test_loop_validation():
         QuotientLoop(samples=np.array([[2.0 + 0j, 0j], [2.0 + 0j, 0j]]), twist=twist)
     with pytest.raises(ValueError, match="at least two"):
         QuotientLoop(samples=np.array([[1.0 + 0j, 0j]]), twist=twist)
+
+
+@st.composite
+def quotient_loops(draw):
+    """A loop from z to a rotation of z, each sample a random representative.
+
+    Coordinate j turns by 2 pi (k_j p / m + l_j) plus an end offset that
+    leaves the lift within or beyond lift_match; few samples leave some
+    steps above the half-separation bound.
+    """
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 4))
+    k = tuple(draw(st.lists(st.sampled_from([e for e in range(-m, 2 * m + 1)
+                                             if math.gcd(e, m) == 1]),
+                            min_size=n, max_size=n)))
+    twist = RotationTwist(m, k)
+    count = draw(st.one_of(st.integers(2, 12), st.integers(40, 200)))
+    power = draw(st.integers(0, m - 1))
+    offset = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    z /= np.linalg.norm(z)
+    turns = 2 * math.pi * (np.array(k) * power / m + rng.integers(-1, 2, size=n)) + offset
+    t = np.linspace(0.0, 1.0, count)
+    samples = np.exp(1j * np.multiply.outer(t, turns)) * z
+    representatives = rng.integers(0, m, size=count)
+    samples *= np.stack([twist.phases(int(r)) for r in representatives])
+    return QuotientLoop(samples=samples, twist=twist)
+
+
+def lift_or_message(lift, loop, basepoint):
+    try:
+        return lift(loop, basepoint_choice=basepoint)
+    except AmbiguousLiftError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_loops(), st.integers())
+def test_lift_matches_the_pairwise_oracle(loop, basepoint):
+    got = lift_or_message(lift_loop, loop, basepoint)
+    want = lift_or_message(lift_by_pairs, loop, basepoint)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.deck == want.deck
+    np.testing.assert_allclose(got.path, want.path, rtol=1e-12, atol=0.0)
+    # the margin is a difference of two lengths below 2, so a few ulps of
+    # either bound its error when the two nearly cancel
+    assert got.margin == pytest.approx(want.margin, rel=1e-12, abs=1e-14)

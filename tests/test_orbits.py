@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from reebtwist.orbits import (
     loop_action,
     monodromy,
     orbit_multiplier,
+    orbit_samples,
     shoot_orbit,
     twisted_index,
 )
@@ -301,6 +303,35 @@ def test_loop_action_on_explicit_circle():
     t = np.linspace(0.0, 0.5 * math.pi, 2001)
     circle = np.stack([np.exp(-2j * t), np.zeros_like(t)], axis=1)
     assert loop_action(circle) == pytest.approx(math.pi / 2, abs=1e-5)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 64, 2 ** 18])
+@pytest.mark.parametrize("n, samples", [(1, 2), (2, 7), (3, 1000), (5, 37)])
+def test_blocked_action_equals_the_one_array_quadrature(monkeypatch, block, n, samples):
+    # a block's first chord starts at the previous block's last sample, and
+    # the chord terms are summed once, so every block size gives the same float
+    model = RadialProfile(1.0 + 0.1 * np.arange(n))
+    z = model.point_on_surface(np.exp(1j * np.arange(n)) * (1.0 + np.arange(n)))
+    orbit = TwistedOrbit(z0=z, tau=1.7, support=(1,), residual=0.0, component_id="x")
+    whole = loop_action(orbit_samples(orbit, model, samples))
+    monkeypatch.setattr("reebtwist.orbits.ACTION_BLOCK_POINTS", block)
+    assert action(orbit, model, samples) == whole
+
+
+def test_action_holds_one_block_of_points(monkeypatch):
+    # 200 coordinates at 1001 samples are 3.2 MB of points alone; in blocks
+    # of 4096 points the quadrature holds well under that
+    model = RoundSphere(200)
+    orbit = make_orbit(RotationTwist(2, (1,) * 200), 200)
+    monkeypatch.setattr("reebtwist.orbits.ACTION_BLOCK_POINTS", 4096)
+    tracemalloc.start()
+    try:
+        value = action(orbit, model, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(orbit.tau, rel=1e-5)
+    assert peak < 1_000_000
 
 
 # -- monodromy -------------------------------------------------------------------

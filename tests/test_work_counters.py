@@ -7,7 +7,9 @@ it, because the modules import names directly.
 """
 
 from collections import Counter
+from pathlib import Path
 
+import numpy
 import pytest
 
 from reebtwist import cli, complexes, f2, geometry, orbits
@@ -37,7 +39,11 @@ SPIES = {
     "to_rows": ((F2Matrix,), "to_rows"),
     "rank": ((f2, complexes), "rank"),
     "ints_only": ((cli,), "_ints_only"),
+    # lifting reaches it through its lazy numpy, the module numpy itself
+    "norms": ((numpy.linalg,), "norm"),
 }
+
+LOOP_FILE = Path(__file__).parent / "models" / "loop_m5.json"
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -53,11 +59,17 @@ SPIES = {
     # rounded and written once (918 list checks when rounding took every degree)
     ("complex --m 36 --n 3 --window=-1:1", {"to_rows": 2, "ints_only": 378}),
     ("sweep --m-range 2:4 --n-list 2,3,4", {"matmul": 90, "cycles": 9, "rank": 36}),
-], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep"])
+    # one norm per lift step (256 of certify's 257 points, 40 of the loop
+    # file's 41) and one for the end gap, m - 1 in orbit_separation, and the
+    # rest outside the lift; a norm per (point, rotation) pair gave 1040 and 210
+    ("certify --m 4 --k 1,1 --n 2", {"norms": 269}),
+    (["lift", "--input", str(LOOP_FILE), "--basepoint", "2"], {"norms": 46}),
+], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep",
+        "certify_norms", "lift_norms"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
     counts = Counter()
     for name in expected:
         owners, attr = SPIES[name]
         count_calls(monkeypatch, counts, name, owners, attr)
-    assert main(argv.split()) == 0, capsys.readouterr().err
+    assert main(argv if isinstance(argv, list) else argv.split()) == 0, capsys.readouterr().err
     assert dict(counts) == expected
