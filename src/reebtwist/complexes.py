@@ -17,10 +17,11 @@ from .f2 import F2Matrix, matmul, rank
 
 # A boundary matrix of r x c entries packs them into r ints of c bits; listed for
 # JSON, each entry costs an int reference and about 11 characters of text.  The
-# pearl commands stay under this cap: homology and sweep build two m x m
-# stencils, so m <= 2048, which takes 0.25 s and 19 MB on a 2-core x86-64
-# machine, and complex lists every degree's entries, which near the cap
-# (m = 1094, n = 2, 8.38 million entries) takes 4.6 s and 275 MB.
+# pearl commands stay under this cap: a pearl complex expands to two m x m
+# stencils, so m <= 2048, and complex lists every degree's entries, which near
+# the cap (m = 1094, n = 2, 8.38 million entries) takes 4.6 s and 275 MB on a
+# 2-core x86-64 machine.  homology and sweep decide the complex on m-bit
+# group-ring elements and expand nothing, but keep the same bound on m.
 MAX_BOUNDARY_ENTRIES = 2 ** 23
 
 

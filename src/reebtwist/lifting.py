@@ -26,10 +26,10 @@ from .orbits import SolverSettings, orbit_samples
 np = lazy_module("numpy")
 
 # lift_loop compares each loop point with all m rotations in one array
-# operation, about 10-14 us per point plus 0.1 us per (point, rotation) pair
-# (most of it in orbit_separation) on a 2-core x86-64 machine: 2^19 pairs take
-# 2.6 s as 2^18 points at m = 2 and 0.07 s as certify's default 257 points at
-# m = 2040, the largest m this cap admits for them
+# operation, about 7-14 us per point plus 0.04 us per (point, rotation) pair
+# on a 2-core x86-64 machine: 2^19 pairs take 1.8-2.6 s as 2^18 points at
+# m = 2 and 0.023 s as certify's default 257 points at m = 2040, the largest m
+# this cap admits for them; orbit_separation holds 8 B per pair
 MAX_LIFT_PAIRS = 2 ** 19
 
 
@@ -110,14 +110,22 @@ class LiftResult:
 def orbit_separation(twist: RotationTwist, points: np.ndarray) -> float:
     """Minimal distance between a path point and its nontrivial rotations.
 
-    The trivial group has none, so its separation is infinite.
+    The rotation by power j moves p a distance whose square is
+    sum_q |p_q|^2 |w^(j k_q) - 1|^2 = sum_q |p_q|^2 4 sin^2(pi j k_q / m),
+    w = exp(2 pi i / m), so the squared distances of all points to all
+    m - 1 rotations are one real (points x n) by (n x (m - 1)) product.  The
+    trivial group has no nontrivial rotation, so its separation is infinite.
     """
-    pts = np.asarray(points, dtype=complex)
-    sep = np.inf
-    for j in range(1, twist.m):
-        moved = pts * twist.phases(j)[None, :]
-        sep = min(sep, float(np.min(np.linalg.norm(moved - pts, axis=1))))
-    return sep
+    m = twist.m
+    if m == 1:
+        return np.inf
+    turns = np.outer([k % m for k in twist.k], np.arange(1, m)) % m
+    weights = 4.0 * np.sin(np.pi * turns / m) ** 2
+    moduli = np.abs(np.asarray(points, dtype=complex))
+    moduli *= moduli
+    # einsum's own loop, not BLAS: with the other core busy, BLAS threads took
+    # 12-28 ms over this product at m = 2040 or n = 20000, einsum 0.5-3 ms
+    return float(np.sqrt(np.min(np.einsum("pq,qj->pj", moduli, weights))))
 
 
 def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,

@@ -155,7 +155,8 @@ def twisted_index(row: SpectrumRow, coefficients, twist: RotationTwist) -> int:
 
 
 def analytic_spectrum(model: RadialProfile, twist: RotationTwist,
-                      window: tuple[int, int]) -> SpectrumTable:
+                      window: tuple[int, int],
+                      taus_within: tuple[float, float] | None = None) -> SpectrumTable:
     """Closed-form twisted spectrum of the model's quadric G = sum_j a_j |z^j|^2.
 
     The flow rotates coordinate j at rate 2 a_j, so it closes up under the
@@ -163,10 +164,11 @@ def analytic_spectrum(model: RadialProfile, twist: RotationTwist,
     residue in 1..m, for every integer branch l in the window.  Equal
     multipliers share one row whose support is every coordinate closing up
     there; its critical component is a sphere of dimension 2 |support| - 1
-    inside the supported coordinate subspace.  A window of more than
-    ``MAX_LINE_BRANCHES`` (line, branch) pairs raises ValueError before any
-    is enumerated, and one of more than ``MAX_SPECTRUM_CELLS`` (row, line)
-    pairs before any row is built.
+    inside the supported coordinate subspace.  Given ``taus_within``, an
+    inclusive interval, only the multipliers in it make rows.  A window of
+    more than ``MAX_LINE_BRANCHES`` (line, branch) pairs raises ValueError
+    before any is enumerated, and one whose kept multipliers make more than
+    ``MAX_SPECTRUM_CELLS`` (row, line) pairs before any row is built.
     """
     a, n = model.a, model.n
     if twist.n != n:
@@ -177,7 +179,10 @@ def analytic_spectrum(model: RadialProfile, twist: RotationTwist,
     if n * (hi - lo + 1) > MAX_LINE_BRANCHES:
         raise ValueError(f"branch window {lo}:{hi} holds {n} x {hi - lo + 1} line branches, "
                          f"above the cap of {MAX_LINE_BRANCHES}")
-    taus = sorted({line_multiplier(twist, a[j], j, l) for j in range(n) for l in range(lo, hi + 1)})
+    taus = {line_multiplier(twist, a[j], j, l) for j in range(n) for l in range(lo, hi + 1)}
+    if taus_within is not None:
+        taus = {tau for tau in taus if taus_within[0] <= tau <= taus_within[1]}
+    taus = sorted(taus)
     if len(taus) * n > MAX_SPECTRUM_CELLS:
         raise ValueError(f"{len(taus)} distinct multipliers on {n} lines make {len(taus) * n} "
                          f"(row, line) pairs, above the cap of {MAX_SPECTRUM_CELLS}")

@@ -10,17 +10,30 @@ its twisted index, and consecutive rows meet without gap or overlap.  The
 window keeps every row whose multiplier lies between the lowest branch-LO
 and the highest branch-HI multiplier over the coordinates.
 
-Boundary matrices alternate between two m x m stencils: out of odd degrees
-each maximum hits its two neighbouring minima on the circle (identity plus
-one-step cyclic shift), and out of even degrees every generator hits every
-generator one degree down through an odd number of connecting flow lines,
-counted as one mod 2 (the all-ones matrix).  Both stencils have two ones
-per column, so the composite boundary vanishes.  The rotation shifts the
-critical points of circle c by its exponent k_c, which commutes with both
-stencils: the equivariant cellular complex of a lens space (Hatcher,
-Algebraic Topology, Ex. 2.43).  Dividing by it collapses each degree to one
-class, the all-ones stencil descending to m mod 2 and the circle stencil to
-zero.
+Boundaries alternate between two stencils: out of odd degrees each
+maximum hits its two neighbouring minima on the circle, and out of even
+degrees every generator hits every generator one degree down through an
+odd number of connecting flow lines, counted as one mod 2.  The rotation
+shifts the critical points of circle c by its exponent k_c, so each degree
+is one free module over the group ring F2[t]/(t^m - 1), acted on by t^k_c,
+and the stencils are ring elements: 1 + t out of odd degrees and the norm
+N = 1 + t + ... + t^(m-1) out of even ones.  That is the periodic resolution
+of Z/m (Brown, Cohomology of Groups, 1982), the equivariant cellular complex
+of a lens space (Hatcher, Algebraic Topology, Ex. 2.43).
+
+``pearl_layout`` places the rows once, as a record per degree: its label
+prefix, its circle's exponent and the stencil that leaves it.
+``compare_with_oracle`` decides the complex on that record, ring elements
+held as int bit masks mod t^m - 1: d.d is one ring product per distinct
+adjacent stencil pair, equivariance the product (t^k_d + t^k_(d-1)) f = 0 per
+distinct (stencil, exponent below, exponent above), freeness gcd(k_d, m) = 1
+per distinct exponent, and the quotient the augmentation, the coefficient
+sum mod 2, so every degree collapses to one class and every rank is that of
+a 1 x 1 matrix: N descends to m mod 2 and 1 + t to zero.
+``build_pearl_complex`` expands the same record into m x m circulants and
+rotation permutations, the general complex that ``complexes`` checks,
+divides and ranks: the path of ``complex`` output and the oracle of the
+ring route.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, quotient_by_action
+from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, validate
 from .f2 import F2Matrix
 from .geometry import RadialProfile, RotationTwist
 from .orbits import (MAX_LINE_BRANCHES, TAU_TOL, SpectrumRow, analytic_spectrum,
@@ -44,26 +57,52 @@ MAX_DEGREES = 2 * MAX_LINE_BRANCHES
 
 def _window_rows(model: RadialProfile, twist: RotationTwist,
                  window: tuple[int, int]) -> tuple[SpectrumRow, ...]:
-    """Spectrum rows between the lowest branch-LO and the highest branch-HI multiplier."""
+    """Spectrum rows between the lowest branch-LO and the highest branch-HI multiplier.
+
+    Only the multipliers in that interval become rows, and only they count
+    toward the spectrum's cell cap.
+    """
     a, n = model.a, model.n
     tau_lo = min(line_multiplier(twist, a[j], j, window[0]) for j in range(n))
     tau_hi = max(line_multiplier(twist, a[j], j, window[1]) for j in range(n))
     branches = (min(math.floor(line_turns(tau_lo, a[j], twist, j)) for j in range(n)),
                 max(math.ceil(line_turns(tau_hi, a[j], twist, j)) for j in range(n)))
-    rows = analytic_spectrum(model, twist, branches).rows
-    return tuple(r for r in rows if tau_lo - TAU_TOL <= r.tau <= tau_hi + TAU_TOL)
+    return analytic_spectrum(model, twist, branches,
+                             taus_within=(tau_lo - TAU_TOL, tau_hi + TAU_TOL)).rows
 
 
-def circle_boundary(m: int) -> F2Matrix:
-    """Each circle maximum flows down to its two neighbouring minima."""
-    eye = F2Matrix.identity(m)
-    shift = F2Matrix.cyclic_shift(m)
-    return F2Matrix(m, m, tuple(a ^ b for a, b in zip(eye.row_bits, shift.row_bits)))
+# -- the group ring F2[t]/(t^m - 1), an element a bit mask: bit i is t^i ----------
+
+def ring_mul(f: int, g: int, m: int) -> int:
+    """Product of two ring elements: one turn of the denser factor per term of
+    the sparser one, so a product with 1 + t costs two shifts and two XORs."""
+    if f.bit_count() < g.bit_count():
+        f, g = g, f
+    full = (1 << m) - 1
+    out = 0
+    while g:
+        low = g & -g
+        i = low.bit_length() - 1
+        out ^= ((f << i) & full) | (f >> (m - i))
+        g ^= low
+    return out
 
 
-def connecting_boundary(m: int) -> F2Matrix:
-    """One connecting flow line mod 2 between every generator pair."""
-    return F2Matrix.ones(m, m)
+def stencils(m: int) -> tuple[int, int]:
+    """The boundary out of even degrees, the norm N, and out of odd ones, 1 + t."""
+    return (1 << m) - 1, 1 ^ (1 << 1 % m)
+
+
+def circulant(f: int, m: int) -> F2Matrix:
+    """Multiplication by f on the basis 1, t, ..., t^(m-1): entry (i, j) is the
+    coefficient of t^(i-j), so row i is the mirror image of f turned by i."""
+    full = (1 << m) - 1
+    mirror = 0
+    for s in range(m):
+        if f >> s & 1:
+            mirror |= 1 << (-s % m)
+    return F2Matrix(m, m, tuple(((mirror << i) & full) | (mirror >> (m - i))
+                                for i in range(m)))
 
 
 class _CircleLabels(Sequence):
@@ -83,41 +122,75 @@ class _CircleLabels(Sequence):
         return tuple(self) == tuple(other) if isinstance(other, (tuple, _CircleLabels)) else NotImplemented
 
 
-def build_pearl_complex(model: RadialProfile, twist: RotationTwist,
-                        window: tuple[int, int]) -> GradedF2Complex:
-    """String-of-pearls complex of the model's quadric on an inclusive branch
-    window of at least two pearls, with the twist's cyclic action.
+@dataclass(frozen=True)
+class PearlLayout:
+    """A pearl complex as one record per degree, from ``d_min`` up.
 
-    Labels are formatted when read.  Degrees share two stencil objects, and
-    circles of equal exponent one permutation, built once, for ``validate`` to reuse.
+    Degree d holds the m generators ``{prefix}{p}`` of one circle level, on
+    which the rotation acts as t^k, k its circle's exponent; for d above
+    ``d_min``, ``stencils[d - d_min - 1]`` is the ring element of the
+    boundary out of degree d.
     """
+
+    m: int
+    d_min: int
+    prefixes: tuple[str, ...]
+    exponents: tuple[int, ...]
+    stencils: tuple[int, ...]
+
+    @property
+    def d_max(self) -> int:
+        return self.d_min + len(self.exponents) - 1
+
+
+def pearl_layout(model: RadialProfile, twist: RotationTwist,
+                 window: tuple[int, int]) -> PearlLayout:
+    """The degrees of the model's string-of-pearls complex on an inclusive
+    branch window of at least two pearls."""
     n, m, a = model.n, twist.m, model.a
     if twist.n != n:
         raise ValueError("coefficient count does not match n")
     if window[1] - window[0] + 1 < 2:
         raise ValueError("window holds fewer than two pearls")
 
-    generators: dict[int, _CircleLabels] = {}
-    perms: dict[int, tuple[int, ...]] = {}
-    rotations = {k: tuple((p + k) % m for p in range(m)) for k in set(twist.k)}
-    d_max = None
+    prefixes: list[str] = []
+    exponents: list[int] = []
+    d_min = d_next = None
     for row in _window_rows(model, twist, window):
         d = twisted_index(row, a, twist) - len(row.support) + n
-        if d_max is not None and d != d_max + 1:
+        if d_next is None:
+            d_min = d
+        elif d != d_next:
             raise ValueError(f"spectrum rows leave a gap or overlap at degree {d}")
         for c in row.support:
             branch = round(line_turns(row.tau, a[c - 1], twist, c - 1))
-            for level in (0, 1):
-                generators[d] = _CircleLabels(f"k{branch}.c{c}.h{level}.s", m)
-                perms[d] = rotations[twist.k[c - 1]]
-                d += 1
-        d_max = d - 1
+            prefixes += (f"k{branch}.c{c}.h0.s", f"k{branch}.c{c}.h1.s")
+            exponents += (twist.k[c - 1],) * 2
+        d_next = d + 2 * len(row.support)
 
-    d_min = min(generators)
-    stencils = (connecting_boundary(m), circle_boundary(m))
-    boundaries = {d: stencils[d % 2] for d in range(d_min + 1, d_max + 1)}
-    action = CyclicAction(order=m, perms=perms)
-    return GradedF2Complex(d_min, d_max, generators, boundaries, action)
+    pair = stencils(m)
+    return PearlLayout(m, d_min, tuple(prefixes), tuple(exponents),
+                       tuple(pair[d % 2] for d in range(d_min + 1, d_next)))
+
+
+def build_pearl_complex(model: RadialProfile, twist: RotationTwist,
+                        window: tuple[int, int]) -> GradedF2Complex:
+    """String-of-pearls complex of the model's quadric on an inclusive branch
+    window of at least two pearls, with the twist's cyclic action.
+
+    ``pearl_layout`` expanded: labels are formatted when read, and degrees
+    share one circulant per stencil and one permutation per exponent, built
+    once, for ``validate`` to reuse.
+    """
+    layout = pearl_layout(model, twist, window)
+    m, degrees = layout.m, range(layout.d_min, layout.d_max + 1)
+    rotations = {k: tuple((p + k) % m for p in range(m)) for k in set(layout.exponents)}
+    matrices = {f: circulant(f, m) for f in set(layout.stencils)}
+    generators = {d: _CircleLabels(prefix, m) for d, prefix in zip(degrees, layout.prefixes)}
+    perms = {d: rotations[k] for d, k in zip(degrees, layout.exponents)}
+    boundaries = {d: matrices[f] for d, f in zip(degrees[1:], layout.stencils)}
+    return GradedF2Complex(layout.d_min, layout.d_max, generators, boundaries,
+                           CyclicAction(order=m, perms=perms))
 
 
 def tate_homology(m: int, degrees: tuple[int, int]) -> HomologyTable:
@@ -175,15 +248,36 @@ class OracleComparison:
         }
 
 
+def _ring_checks_pass(layout: PearlLayout) -> bool:
+    """d.d = 0, freeness and equivariance of the layout, each once per distinct
+    operand tuple; products are computed, not assumed, as (1 + t)^2 = 0 at m = 2."""
+    m, fs, ks = layout.m, layout.stencils, layout.exponents
+    return (not any(ring_mul(f, g, m) for f, g in set(zip(fs, fs[1:])))
+            and all(math.gcd(k, m) == 1 for k in set(ks))
+            and not any(ring_mul((1 << below % m) ^ (1 << above % m), f, m)
+                        for f, below, above in set(zip(fs, ks, ks[1:]))))
+
+
 def compare_with_oracle(model: RadialProfile, twist: RotationTwist,
                         window: tuple[int, int]) -> OracleComparison:
-    """Quotient-complex homology against the cyclic-group oracle, degreewise."""
-    complex_ = build_pearl_complex(model, twist, window)
-    quotient = quotient_by_action(complex_)
-    table = homology(quotient)
-    oracle = tate_homology(twist.m, (complex_.d_min, complex_.d_max))
+    """Quotient-complex homology against the cyclic-group oracle, degreewise.
+
+    Decided on ``pearl_layout``'s ring elements: the quotient boundary out of
+    degree d is the 1 x 1 matrix of the augmentation of its stencil, so degree
+    d keeps 1 - e(f_d) - e(f_(d+1)) classes.  When a ring check fails, the
+    general path of ``build_pearl_complex`` and ``validate`` raises its
+    ``ComplexValidationError``, with the text that names the first offending
+    degree.
+    """
+    layout = pearl_layout(model, twist, window)
+    if not _ring_checks_pass(layout):
+        validate(build_pearl_complex(model, twist, window))
+        raise RuntimeError("a group-ring check failed where validate passed")
+    ranks = [f.bit_count() & 1 for f in layout.stencils]
+    d_min, d_max = layout.d_min, layout.d_max
+    oracle = tate_homology(twist.m, (d_min, d_max))
     entries = tuple(
-        DegreeComparison(degree=d, dim_quotient=table.dims[d],
+        DegreeComparison(degree=d, dim_quotient=1 - ranks[d - d_min - 1] - ranks[d - d_min],
                          dim_tate=oracle.dims[d])
-        for d in quotient.interior_degrees())
+        for d in range(d_min + 1, d_max))
     return OracleComparison(m=twist.m, n=model.n, window=window, degrees=entries)

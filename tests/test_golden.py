@@ -20,7 +20,10 @@ one coefficient record ``RadialProfile``, whose Reeb field is -2i a z in
 closed form.  ``lift`` lifts the loop file ``tests/models/loop_m5.json``
 (m = 5, deck 2, its samples different rotations of one path) from its
 second basepoint; it was captured while the lift still measured each
-(point, rotation) pair on its own.
+(point, rotation) pair on its own.  ``homology_m1024`` (three exponent
+classes at m = 1024) was captured while ``homology`` still checked, divided
+and ranked the pearl complex as m x m matrices, before it was decided on
+group-ring elements.
 """
 
 import json
@@ -41,6 +44,7 @@ CASES = {
     "complex": "complex --m 3 --n 2 --window 0:2",
     "homology": "homology --m 4 --n 2 --window 0:3",
     "homology_mixed": "homology --m 5 --k 1,2 --n 2 --window 0:3",
+    "homology_m1024": "homology --m 1024 --k 1,3,5 --n 3 --window=-1:2",
     "tate": "tate --m 4 --degrees 0:9",
     "certify": "certify --m 2 --k 1,1 --n 2",
     "sweep": "sweep --m-range 2:8 --n-list 2,3 --window 0:3",

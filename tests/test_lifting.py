@@ -239,6 +239,17 @@ def lift_or_message(lift, loop, basepoint):
         return str(exc)
 
 
+@settings(max_examples=100, deadline=None)
+@given(quotient_loops())
+def test_orbit_separation_matches_each_rotation(loop):
+    # the closed form against one norm per nontrivial rotation
+    twist, pts = loop.twist, loop.samples
+    per_rotation = [float(np.min(np.linalg.norm(pts * twist.phases(j) - pts, axis=1)))
+                    for j in range(1, twist.m)]
+    want = min(per_rotation, default=np.inf)
+    assert orbit_separation(twist, pts) == pytest.approx(want, rel=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(quotient_loops(), st.integers())
 def test_lift_matches_the_pairwise_oracle(loop, basepoint):

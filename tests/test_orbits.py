@@ -32,6 +32,7 @@ from reebtwist.orbits import (
     shoot_orbit,
     twisted_index,
 )
+from reebtwist.lifting import orbit_separation
 
 from oracles import brute_spectrum_grid, fd_jacobian, rotation_index, variational_return_map
 
@@ -332,6 +333,25 @@ def test_action_holds_one_block_of_points(monkeypatch):
         tracemalloc.stop()
     assert value == pytest.approx(orbit.tau, rel=1e-5)
     assert peak < 1_000_000
+
+
+def test_orbit_separation_holds_one_real_array_of_points():
+    # 257 points of 2000 coordinates are 8.2 MB complex; the closed form keeps
+    # their squared moduli, half that, where a norm per rotation held three
+    # complex temporaries of the points' size (24.7 MB)
+    twist = RotationTwist(2, (1,) * 2000)
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(257, 2000)) + 1j * rng.normal(size=(257, 2000))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    orbit_separation(twist, pts[:2])
+    tracemalloc.start()
+    try:
+        sep = orbit_separation(twist, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sep == pytest.approx(2.0)
+    assert peak < 0.6 * pts.nbytes
 
 
 # -- monodromy -------------------------------------------------------------------

@@ -1,16 +1,22 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reebtwist import orbits, pearls
 from reebtwist.complexes import homology, quotient_by_action, validate
 from reebtwist.f2 import matmul
 from reebtwist.geometry import RadialProfile, RotationTwist, RoundSphere
-from reebtwist.orbits import analytic_spectrum, orbit_multiplier, twisted_index
+from reebtwist.orbits import (MAX_SPECTRUM_CELLS, TAU_TOL, analytic_spectrum, line_multiplier,
+                              line_turns, orbit_multiplier, twisted_index)
 from reebtwist.pearls import (
+    _window_rows,
     build_pearl_complex,
-    circle_boundary,
+    circulant,
     compare_with_oracle,
-    connecting_boundary,
+    ring_mul,
+    stencils,
     tate_homology,
 )
 
@@ -27,12 +33,13 @@ def sphere(m, n, window=(0, 2)):
 
 
 def test_stencils():
-    a = circle_boundary(3)
+    norm, circle = stencils(3)
+    a = circulant(circle, 3)
     assert a.to_rows() == [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
-    assert connecting_boundary(2).to_rows() == [[1, 1], [1, 1]]
+    assert circulant(stencils(2)[0], 2).to_rows() == [[1, 1], [1, 1]]
     # two ones per column in both stencils: composites vanish mod 2
-    assert matmul(a, connecting_boundary(3)).is_zero
-    assert matmul(connecting_boundary(3), a).is_zero
+    assert matmul(a, circulant(norm, 3)).is_zero
+    assert matmul(circulant(norm, 3), a).is_zero
 
 
 def test_generator_layout():
@@ -47,7 +54,7 @@ def test_generator_layout():
 def test_boundary_alternation():
     c = build_pearl_complex(*sphere(2, 2, (0, 1)))
     for d in range(1, 8):
-        expected = circle_boundary(2) if d % 2 else connecting_boundary(2)
+        expected = circulant(stencils(2)[d % 2], 2)
         assert c.boundaries[d] == expected
 
 
@@ -227,3 +234,115 @@ def test_comparison_report_json():
     assert data["m"] == 2 and data["n"] == 2
     assert all(entry["match"] for entry in data["degrees"])
     assert len(data["degrees"]) == len(report.degrees)
+
+
+# -- the window's rows ----------------------------------------------------------
+
+def spread_model(n):
+    """Coefficients 1 + 0.0007 j + 1e-5 j^2 under m = 3, all k = 1: each line's
+    branches straddle the window at its own multipliers, so the branch window
+    that covers [tau_lo, tau_hi] on every line holds about twice the rows kept."""
+    return RadialProfile([1 + 0.0007 * j + 1e-5 * j * j for j in range(n)]), all_ones_twist(3, n)
+
+
+def test_window_builds_only_the_rows_it_keeps(monkeypatch):
+    built = []
+    row = orbits.SpectrumRow
+
+    def spy(**fields):
+        built.append(fields["tau"])
+        return row(**fields)
+
+    monkeypatch.setattr(orbits, "SpectrumRow", spy)
+    rows = _window_rows(*spread_model(100), (0, 1))
+    assert len(rows) == len(built) == 200   # 400 built to keep 200 when filtered after
+
+
+def test_spectrum_cap_counts_only_the_kept_multipliers():
+    # at n = 500 the covering branch window holds 2499 multipliers, 1.25
+    # million (row, line) pairs, over the cap; the 1146 kept make 573 000
+    model, twist = spread_model(500)
+    rows = _window_rows(model, twist, (0, 1))
+    assert len(rows) * 500 <= MAX_SPECTRUM_CELLS
+    with pytest.raises(ValueError, match="above the cap of"):
+        analytic_spectrum(model, twist, (-1, 3))
+    assert rows == analytic_spectrum(model, twist, (-1, 3), taus_within=(
+        rows[0].tau - TAU_TOL, rows[-1].tau + TAU_TOL)).rows
+
+
+@st.composite
+def separated_spectra(draw):
+    """(model, twist, window) whose multipliers are equal or at least 1e-6
+    apart: a_j = c_j / 8 with c_j in 4..16 makes every multiplier 8 pi times
+    a fraction of denominator m c_j <= 128, so two distinct ones differ by at
+    least 8 pi / 128^2, about 1.5e-3."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 4))
+    units = [k for k in range(-m, 2 * m + 1) if math.gcd(k, m) == 1]
+    k = tuple(draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
+    a = draw(st.lists(st.integers(4, 16), min_size=n, max_size=n))
+    lo = draw(st.integers(-2, 2))
+    return RadialProfile([c / 8 for c in a]), RotationTwist(m, k), (lo, lo + draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(separated_spectra())
+def test_window_rows_equal_the_rows_filtered_after(case):
+    model, twist, window = case
+    a, n = model.a, model.n
+    tau_lo = min(line_multiplier(twist, a[j], j, window[0]) for j in range(n))
+    tau_hi = max(line_multiplier(twist, a[j], j, window[1]) for j in range(n))
+    branches = (min(math.floor(line_turns(tau_lo, a[j], twist, j)) for j in range(n)),
+                max(math.ceil(line_turns(tau_hi, a[j], twist, j)) for j in range(n)))
+    taus = sorted(line_multiplier(twist, a[j], j, l) for j in range(n)
+                  for l in range(branches[0], branches[1] + 1))
+    assert all(b - a <= 1e-12 or b - a >= 1e-6 for a, b in zip(taus, taus[1:]))
+    after = tuple(r for r in analytic_spectrum(model, twist, branches).rows
+                  if tau_lo - TAU_TOL <= r.tau <= tau_hi + TAU_TOL)
+    assert _window_rows(model, twist, window) == after
+
+
+# -- the ring route against the general path ------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(0, 2 ** m - 1), st.integers(0, 2 ** m - 1))))
+def test_ring_product_is_the_product_of_circulants(case):
+    m, f, g = case
+    assert circulant(ring_mul(f, g, m), m) == matmul(circulant(f, m), circulant(g, m))
+    assert ring_mul(f, g, m) == ring_mul(g, f, m)
+
+
+@st.composite
+def ring_cases(draw):
+    """m <= 64, n <= 4 exponents coprime to m in any classes, LO in -2..2."""
+    m = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 4))
+    units = [k for k in range(-m, 2 * m + 1) if math.gcd(k, m) == 1]
+    k = tuple(draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
+    a = draw(st.one_of(st.just([1.0] * n),
+                       st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    lo = draw(st.integers(-2, 2))
+    return RadialProfile(a), RotationTwist(m, k), (lo, lo + draw(st.integers(1, 2)))
+
+
+def general_comparison(model, twist, window):
+    """(degree, quotient dimension, oracle dimension) from the expanded complex."""
+    c = build_pearl_complex(model, twist, window)
+    table = homology(quotient_by_action(c))
+    oracle = tate_homology(twist.m, (c.d_min, c.d_max))
+    return [(d, table.dims[d], oracle.dims[d]) for d in c.interior_degrees()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(ring_cases())
+def test_ring_route_equals_the_general_path(case):
+    try:
+        want = general_comparison(*case)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            compare_with_oracle(*case)
+        assert str(excinfo.value) == str(exc)
+        return
+    got = compare_with_oracle(*case)
+    assert [(e.degree, e.dim_quotient, e.dim_tate) for e in got.degrees] == want

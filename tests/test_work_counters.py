@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy
 import pytest
 
-from reebtwist import cli, complexes, f2, geometry, orbits
+from reebtwist import cli, complexes, f2, geometry, orbits, pearls
 from reebtwist.cli import main
 from reebtwist.complexes import CyclicAction
 from reebtwist.f2 import F2Matrix
+from reebtwist.geometry import RotationTwist, RoundSphere
 
 
 def count_calls(monkeypatch, counts, name, owners, attr):
@@ -38,6 +39,7 @@ SPIES = {
     "newton_steps": ((orbits,), "_shooting_jacobian"),
     "to_rows": ((F2Matrix,), "to_rows"),
     "rank": ((f2, complexes), "rank"),
+    "ring_mul": ((pearls,), "ring_mul"),
     "ints_only": ((cli,), "_ints_only"),
     # lifting reaches it through its lazy numpy, the module numpy itself
     "norms": ((numpy.linalg,), "norm"),
@@ -47,23 +49,27 @@ LOOP_FILE = Path(__file__).parent / "models" / "loop_m5.json"
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # validation multiplies, and homology ranks, once per distinct operand:
-    # two stencils and one rotation per exponent, their quotient matrices
-    # and the oracle's two matrices
-    ("homology --m 64 --n 4 --window=0:3", {"matmul": 10, "cycles": 1, "rank": 4}),
+    # the pearl complex is decided on ring elements, so the matrix products
+    # and ranks left are the oracle's: d.d on its two 1 x 1 boundaries, and
+    # one rank of each (10, 1 and 4, and 28, 4 and 10, when the pearl complex
+    # was checked, divided and ranked as m x m matrices)
+    ("homology --m 64 --n 4 --window=0:3", {"matmul": 2, "cycles": 0, "rank": 2}),
     ("homology --m 64 --k 1,3,5,7 --n 4 --window=0:3",
-     {"matmul": 28, "cycles": 4, "rank": 10}),
+     {"matmul": 2, "cycles": 0, "rank": 2, "ring_mul": 10}),
     ("certify --m 2 --k 1,1 --n 2", {"flows": 4}),
     ("orbit --m 2 --k 1,1 --n 2 --tau 1.5", {"flows": 5, "newton_steps": 3}),
     # the complex's degrees share two stencils, each listed once and each
     # rounded and written once (918 list checks when rounding took every degree)
     ("complex --m 36 --n 3 --window=-1:1", {"to_rows": 2, "ints_only": 378}),
-    ("sweep --m-range 2:4 --n-list 2,3,4", {"matmul": 90, "cycles": 9, "rank": 36}),
+    # the oracle's 2 products and 2 ranks per grid point (90, 9 and 36 on
+    # m x m matrices)
+    ("sweep --m-range 2:4 --n-list 2,3,4", {"matmul": 18, "cycles": 0, "rank": 18}),
     # one norm per lift step (256 of certify's 257 points, 40 of the loop
-    # file's 41) and one for the end gap, m - 1 in orbit_separation, and the
-    # rest outside the lift; a norm per (point, rotation) pair gave 1040 and 210
-    ("certify --m 4 --k 1,1 --n 2", {"norms": 269}),
-    (["lift", "--input", str(LOOP_FILE), "--basepoint", "2"], {"norms": 46}),
+    # file's 41) and one for the end gap, none in orbit_separation's closed
+    # form, and the rest outside the lift; a norm per (point, rotation) pair
+    # gave 1040 and 210, and m - 1 in orbit_separation 269 and 46
+    ("certify --m 4 --k 1,1 --n 2", {"norms": 266}),
+    (["lift", "--input", str(LOOP_FILE), "--basepoint", "2"], {"norms": 42}),
 ], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep",
         "certify_norms", "lift_norms"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
@@ -72,4 +78,19 @@ def test_work_counters(capsys, monkeypatch, argv, expected):
         owners, attr = SPIES[name]
         count_calls(monkeypatch, counts, name, owners, attr)
     assert main(argv if isinstance(argv, list) else argv.split()) == 0, capsys.readouterr().err
-    assert dict(counts) == expected
+    assert {name: counts[name] for name in expected} == expected
+
+
+def test_one_ring_product_per_distinct_operand_tuple(capsys, monkeypatch):
+    # d.d once per distinct pair of adjacent stencils and equivariance once per
+    # distinct (stencil, exponent below, exponent above): the tuples that the
+    # expanded complex holds as distinct objects for validate
+    counts = Counter()
+    count_calls(monkeypatch, counts, "ring_mul", *SPIES["ring_mul"])
+    assert main("homology --m 64 --k 1,3,5,7 --n 4 --window=0:3".split()) == 0
+    c = pearls.build_pearl_complex(RoundSphere(4), RotationTwist(64, (1, 3, 5, 7)), (0, 3))
+    b, p = c.boundaries, c.action.perms
+    pairs = {(id(b[d - 1]), id(b[d])) for d in range(c.d_min + 2, c.d_max + 1)}
+    triples = {(id(b[d]), id(p[d - 1]), id(p[d])) for d in range(c.d_min + 1, c.d_max + 1)}
+    assert (len(pairs), len(triples)) == (2, 8)
+    assert counts["ring_mul"] == len(pairs) + len(triples)
