@@ -2,7 +2,7 @@
 
 from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, quotient_by_action, validate
 from .czindex import cz_index_unitary, relative_index
-from .f2 import F2Matrix, matmul, nullspace_dim, rank
+from .f2 import F2Matrix, matmul, rank
 from .geometry import (
     RadialProfile,
     RotationTwist,

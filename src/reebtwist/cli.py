@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -65,36 +64,18 @@ def _ints_only(items) -> bool:
     return set(map(type, items)) == {int}
 
 
-# the types ``_round_floats`` returns as they are, met as a dict's values without a call
-_UNROUNDED = frozenset((int, bool, str, type(None)))
-
-
 def _round_floats(obj):
-    """Floats at 12 significant digits; an unbounded one (the trivial group's
-    lift margin) becomes None, so the JSON output stays standard.  A list or
-    tuple of ints alone, or a list none of whose items rounding changes, comes
-    back as it is, so lists the payload shares stay shared; any other tuple
-    becomes a list.  A list of lists, as a matrix's rows, is rounded once per
-    call however often the payload holds it, as ``_count_lists`` counts it."""
-    memo: dict[int, list] = {}
-
-    def rounded(obj):
-        if isinstance(obj, float):
-            return None if math.isinf(obj) else round12(obj)
-        if isinstance(obj, dict):
-            return {k: v if type(v) in _UNROUNDED else rounded(v) for k, v in obj.items()}
-        if not isinstance(obj, (list, tuple)) or _ints_only(obj):
-            return obj
-        shared = bool(obj) and isinstance(obj[0], (list, tuple))
-        if shared and id(obj) in memo:
-            return memo[id(obj)]
-        items = [rounded(v) for v in obj]
-        items = obj if isinstance(obj, list) and all(map(operator.is_, items, obj)) else items
-        if shared:
-            memo[id(obj)] = items
-        return items
-
-    return rounded(obj)
+    """A copy of ``obj`` for ``--format csv|table`` under the rule ``_dump`` writes
+    JSON by: floats at 12 significant digits, an unbounded one (the trivial
+    group's lift margin) None.  A list or tuple of ints alone, as a matrix row,
+    comes back as it is; any other tuple becomes a list."""
+    if isinstance(obj, float):
+        return None if math.isinf(obj) else round12(obj)
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if not isinstance(obj, (list, tuple)) or _ints_only(obj):
+        return obj
+    return [_round_floats(v) for v in obj]
 
 
 # -- argument handling ----------------------------------------------------------
@@ -487,18 +468,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- output -------------------------------------------------------------------------
 #
-# ``main`` rounds the payload once with ``_round_floats``, the one rounding
-# rule of every format; the renderers only format what it returns.  JSON text
-# comes from ``_json_text`` alone (stdlib ``json`` still parses input files and
-# writes the table view's compact lists).
+# One rounding rule serves every format: a float at 12 significant digits, an
+# unbounded one null.  JSON text comes from ``_json_text`` alone, which applies
+# the rule as it writes each float; ``main`` rounds a copy with ``_round_floats``
+# only for ``--format csv|table``, whose renderers format what it returns
+# (stdlib ``json`` still parses input files and writes the table view's
+# compact lists).
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, character for
-    character, in one pass: a list of ints alone is one join in C, where Python's
-    indenting encoder calls back per item, and a list of lists that ``obj`` holds
-    more than once at one depth, as a pearl complex's degrees hold a stencil's rows,
-    is written once there and its text kept until its last use.  Keys must be
-    strings, as every payload's are.
+    """``json.dumps(_round_floats(obj), indent=2, sort_keys=True, allow_nan=False)``,
+    character for character, in one pass and without a copy: a list of ints alone
+    is one join in C, where Python's indenting encoder calls back per item, and a
+    list of lists that ``obj`` holds more than once at one depth, as a pearl
+    complex's degrees hold a stencil's rows, is written once there and its text
+    kept until its last use.  NaN raises ValueError.  Keys must be strings, as
+    every payload's are.
     """
     uses: dict[tuple[int, int], int] = {}
     _count_lists(obj, 1, uses)
@@ -548,9 +532,9 @@ def _dump(obj, indent: str, uses: dict[tuple[int, int], int],
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        if not math.isfinite(obj):
+        if math.isnan(obj):
             raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        return float.__repr__(obj)
+        return "null" if math.isinf(obj) else float.__repr__(round12(obj))
     inner = indent + "  "
     sep = "," + inner
     if isinstance(obj, dict):
@@ -659,8 +643,6 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    data = _round_floats(data)
-    rows = data[tabular] if tabular else None
     fmt = args.format or "json"
     if fmt == "json":
         payload = {
@@ -669,13 +651,14 @@ def main(argv=None) -> int:
         }
         text = _json_text(payload) + "\n"
     elif fmt == "csv":
-        if rows is None:
+        if tabular is None:
             print("error: no tabular view for this command", file=sys.stderr)
             return EXIT_CONFIG
-        text = _render_csv(rows)
+        text = _render_csv(_round_floats(data[tabular]))
     else:
-        if rows is None:
-            rows = [{"key": k, "value": v} for k, v in sorted(_flatten(data).items())]
+        data = _round_floats(data)
+        rows = data[tabular] if tabular else [{"key": k, "value": v}
+                                              for k, v in sorted(_flatten(data).items())]
         text = _render_table(rows)
     try:
         _write(text, args.out)

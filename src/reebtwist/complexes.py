@@ -94,9 +94,6 @@ class GradedF2Complex:
     def degrees(self) -> range:
         return range(self.d_min, self.d_max + 1)
 
-    def interior_degrees(self) -> range:
-        return range(self.d_min + 1, self.d_max)
-
     def distinct_boundaries(self) -> dict[int, F2Matrix]:
         """The window's boundary matrices by ``id``, each object once."""
         return {id(b): b for b in map(self.boundaries.__getitem__,
@@ -140,9 +137,6 @@ class HomologyTable:
         for d, v in self.dims.items():
             if v < 0:
                 raise ValueError(f"negative homology dimension at degree {d}")
-
-    def interior_dims(self) -> dict[int, int]:
-        return {d: v for d, v in self.dims.items() if self.reliable[d]}
 
 
 def validate(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:

@@ -130,8 +130,3 @@ def rank(m: F2Matrix) -> int:
         if rk == len(rows):
             break
     return rk
-
-
-def nullspace_dim(m: F2Matrix) -> int:
-    """Dimension of the kernel: cols - rank."""
-    return m.cols - rank(m)

@@ -155,6 +155,11 @@ class RotationTwist:
     def phases(self, power: int = 1) -> np.ndarray:
         return np.exp(2j * np.pi * np.array(self.k) * (power % self.m) / self.m)
 
+    def phase_table(self) -> np.ndarray:
+        """Row j is ``phases(j)`` bit for bit, for j = 0..m-1: one exp over the
+        same operations in the same order."""
+        return np.exp(2j * np.pi * np.array(self.k) * np.arange(self.m)[:, None] / self.m)
+
     def apply(self, z, power: int = 1) -> np.ndarray:
         z = as_complex_vector(z)
         if z.size != self.n:

@@ -149,7 +149,7 @@ def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,
                          f"rotations: {twist.m * len(pts)} pairs, above the cap of "
                          f"{MAX_LIFT_PAIRS}")
     bound = orbit_separation(twist, pts) / 2.0
-    rotations = np.stack([twist.phases(j) for j in range(twist.m)])
+    rotations = twist.phase_table()
 
     choices = [basepoint_choice % twist.m]
     current = rotations[choices[0]] * pts[0]

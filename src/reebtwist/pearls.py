@@ -39,7 +39,6 @@ ring route.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, validate
@@ -105,23 +104,6 @@ def circulant(f: int, m: int) -> F2Matrix:
                                 for i in range(m)))
 
 
-class _CircleLabels(Sequence):
-    """Labels ``k{branch}.c{circle}.h{level}.s{p}`` of one degree, formatted when read."""
-
-    def __init__(self, prefix: str, m: int):
-        self._prefix, self._m = prefix, m
-
-    def __len__(self) -> int:
-        return self._m
-
-    def __getitem__(self, i):
-        p = range(self._m)[i]
-        return f"{self._prefix}{p}" if isinstance(p, int) else tuple(self[q] for q in p)
-
-    def __eq__(self, other):  # by value, also against the tuple of its labels
-        return tuple(self) == tuple(other) if isinstance(other, (tuple, _CircleLabels)) else NotImplemented
-
-
 @dataclass(frozen=True)
 class PearlLayout:
     """A pearl complex as one record per degree, from ``d_min`` up.
@@ -178,15 +160,16 @@ def build_pearl_complex(model: RadialProfile, twist: RotationTwist,
     """String-of-pearls complex of the model's quadric on an inclusive branch
     window of at least two pearls, with the twist's cyclic action.
 
-    ``pearl_layout`` expanded: labels are formatted when read, and degrees
-    share one circulant per stencil and one permutation per exponent, built
-    once, for ``validate`` to reuse.
+    ``pearl_layout`` expanded: each degree's labels ``{prefix}{p}`` as one
+    tuple, and degrees share one circulant per stencil and one permutation
+    per exponent, built once, for ``validate`` to reuse.
     """
     layout = pearl_layout(model, twist, window)
     m, degrees = layout.m, range(layout.d_min, layout.d_max + 1)
     rotations = {k: tuple((p + k) % m for p in range(m)) for k in set(layout.exponents)}
     matrices = {f: circulant(f, m) for f in set(layout.stencils)}
-    generators = {d: _CircleLabels(prefix, m) for d, prefix in zip(degrees, layout.prefixes)}
+    generators = {d: tuple(f"{prefix}{p}" for p in range(m))
+                  for d, prefix in zip(degrees, layout.prefixes)}
     perms = {d: rotations[k] for d, k in zip(degrees, layout.exponents)}
     boundaries = {d: matrices[f] for d, f in zip(degrees[1:], layout.stencils)}
     return GradedF2Complex(layout.d_min, layout.d_max, generators, boundaries,

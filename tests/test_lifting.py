@@ -240,6 +240,17 @@ def lift_or_message(lift, loop, basepoint):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2047).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    st.integers(-4096, 4096).filter(lambda k: math.gcd(k, m) == 1), min_size=1, max_size=4))))
+def test_phase_table_is_each_power_phases_bit_for_bit(case):
+    # the lift's rotation table in one exp, against one phases call per power
+    m, k = case
+    twist = RotationTwist(m, tuple(k))
+    want = np.stack([twist.phases(j) for j in range(m)])
+    assert np.array_equal(twist.phase_table().view(np.float64), want.view(np.float64))
+
+
+@settings(max_examples=100, deadline=None)
 @given(quotient_loops())
 def test_orbit_separation_matches_each_rotation(loop):
     # the closed form against one norm per nontrivial rotation

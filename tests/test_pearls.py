@@ -15,6 +15,7 @@ from reebtwist.pearls import (
     build_pearl_complex,
     circulant,
     compare_with_oracle,
+    pearl_layout,
     ring_mul,
     stencils,
     tate_homology,
@@ -70,7 +71,7 @@ def test_pearl_complex_valid(m, n):
 def test_unquotiented_complex_acyclic(m, n):
     # the sphere is displaceable: interior homology of the full complex vanishes
     table = homology(build_pearl_complex(*sphere(m, n)))
-    assert all(v == 0 for v in table.interior_dims().values())
+    assert all(v == 0 for d, v in table.dims.items() if table.reliable[d])
 
 
 @pytest.mark.parametrize("m,expected", [(2, 1), (3, 0), (4, 1), (5, 0), (6, 1)])
@@ -78,7 +79,7 @@ def test_quotient_homology_dichotomy(m, expected):
     for n in (2, 3):
         q = quotient_by_action(build_pearl_complex(*sphere(m, n)))
         table = homology(q)
-        dims = set(table.interior_dims().values())
+        dims = {v for d, v in table.dims.items() if table.reliable[d]}
         assert dims == {expected}, (m, n, dims)
 
 
@@ -86,7 +87,7 @@ def test_untwisted_reduces_to_plain_string():
     c = build_pearl_complex(*sphere(1, 2))
     assert all(c.dim(d) == 1 for d in c.degrees())
     table = homology(quotient_by_action(c))
-    assert all(v == 0 for v in table.interior_dims().values())
+    assert all(v == 0 for d, v in table.dims.items() if table.reliable[d])
 
 
 def test_action_is_free_for_nontrivial_orders():
@@ -102,7 +103,7 @@ def test_negative_window_pearls():
     assert c.d_min == -8 and c.d_max == 3
     validate(c)
     table = homology(c)
-    assert all(v == 0 for v in table.interior_dims().values())
+    assert all(v == 0 for d, v in table.dims.items() if table.reliable[d])
 
 
 def test_window_too_small_rejected():
@@ -158,10 +159,11 @@ def test_pearl_complex_from_the_spectrum(case, width, coeffs):
     c = build_pearl_complex(*args)
     validate(c)
     assert all(perm[i] != i for perm in c.action.perms.values() for i in range(m))
-    assert all(v == 0 for v in homology(c).interior_dims().values())
+    full = homology(c)
+    assert all(v == 0 for d, v in full.dims.items() if full.reliable[d])
     quotient = homology(quotient_by_action(c))
     oracle = tate_homology(m, (c.d_min, c.d_max))
-    assert all(quotient.dims[d] == oracle.dims[d] for d in c.interior_degrees())
+    assert all(quotient.dims[d] == oracle.dims[d] for d in range(c.d_min + 1, c.d_max))
     cells = expected_cells(*args)
     assert sorted(cells) == list(range(min(cells), max(cells) + 1))
     assert {d: gens[0] for d, gens in c.generators.items()} == cells
@@ -203,15 +205,16 @@ def test_grading_periodicity():
         n = 2
         a = homology(quotient_by_action(build_pearl_complex(*sphere(m, n, (0, 2)))))
         b = homology(quotient_by_action(build_pearl_complex(*sphere(m, n, (1, 3)))))
-        for d, v in a.interior_dims().items():
-            assert b.dims[d + 2 * n] == v
-            assert b.reliable[d + 2 * n]
+        for d, v in a.dims.items():
+            if a.reliable[d]:
+                assert b.dims[d + 2 * n] == v
+                assert b.reliable[d + 2 * n]
 
 
 @pytest.mark.parametrize("m,expected", [(1, 0), (2, 1), (3, 0), (4, 1)])
 def test_tate_homology_dichotomy(m, expected):
     table = tate_homology(m, (0, 9))
-    assert all(v == expected for v in table.interior_dims().values())
+    assert all(v == expected for d, v in table.dims.items() if table.reliable[d])
 
 
 def test_tate_rejects_bad_order():
@@ -331,7 +334,7 @@ def general_comparison(model, twist, window):
     c = build_pearl_complex(model, twist, window)
     table = homology(quotient_by_action(c))
     oracle = tate_homology(twist.m, (c.d_min, c.d_max))
-    return [(d, table.dims[d], oracle.dims[d]) for d in c.interior_degrees()]
+    return [(d, table.dims[d], oracle.dims[d]) for d in range(c.d_min + 1, c.d_max)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -346,3 +349,27 @@ def test_ring_route_equals_the_general_path(case):
         return
     got = compare_with_oracle(*case)
     assert [(e.degree, e.dim_quotient, e.dim_tate) for e in got.degrees] == want
+
+
+@st.composite
+def layout_cases(draw):
+    """m <= 40, n <= 4 unit exponents, the sphere or random coefficients, LO in
+    -3..2 and 2-4 pearls."""
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 4))
+    units = [k for k in range(-m, 2 * m + 1) if math.gcd(k, m) == 1]
+    k = tuple(draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
+    model = draw(st.just(RoundSphere(n))
+                 | st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n).map(RadialProfile))
+    lo = draw(st.integers(-3, 2))
+    return model, RotationTwist(m, k), (lo, lo + draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout_cases())
+def test_layout_starts_at_an_even_degree(case):
+    # so 1 + t joins the two levels of one circle and the ring checks pass:
+    # compare_with_oracle never falls back to validate
+    layout = pearl_layout(*case)
+    assert layout.d_min % 2 == 0
+    assert pearls._ring_checks_pass(layout)

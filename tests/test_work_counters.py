@@ -59,8 +59,9 @@ LOOP_FILE = Path(__file__).parent / "models" / "loop_m5.json"
     ("certify --m 2 --k 1,1 --n 2", {"flows": 4}),
     ("orbit --m 2 --k 1,1 --n 2 --tau 1.5", {"flows": 5, "newton_steps": 3}),
     # the complex's degrees share two stencils, each listed once and each
-    # rounded and written once (918 list checks when rounding took every degree)
-    ("complex --m 36 --n 3 --window=-1:1", {"to_rows": 2, "ints_only": 378}),
+    # written once; the list checks are the writer's alone (918 when rounding
+    # took every degree, 378 while the payload was rounded before writing)
+    ("complex --m 36 --n 3 --window=-1:1", {"to_rows": 2, "ints_only": 252}),
     # the oracle's 2 products and 2 ranks per grid point (90, 9 and 36 on
     # m x m matrices)
     ("sweep --m-range 2:4 --n-list 2,3,4", {"matmul": 18, "cycles": 0, "rank": 18}),
