@@ -32,6 +32,24 @@ np = lazy_module("numpy")
 
 DEFAULT_SURFACE_TOL = 1e-9
 
+# points (one coordinate of one sample) per row block of every points x n
+# temporary: the flow's samples, a loop's norms and separation, the action's
+# chord terms.  Each block's temporaries stay near 60 B per point, 16 MB
+BLOCK_POINTS = 2 ** 18
+
+
+def row_blocks(count: int, n: int) -> list[slice]:
+    """Slices of about ``BLOCK_POINTS`` points covering ``count`` rows of n coordinates.
+
+    Every block holds at least two rows unless ``count`` is 1: numpy
+    multiplies a lone complex pair by the scalar formula and longer runs by
+    fused multiply-adds, so a one-coordinate row alone would round
+    differently from the same row in a longer array.
+    """
+    rows = max(2, BLOCK_POINTS // n)
+    stops = [*range(rows, count - 1, rows), count]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
 
 class OffSurfaceError(Exception):
     """Point is farther from the hypersurface than the allowed tolerance."""
@@ -210,8 +228,20 @@ class RadialProfile:
         return -2j * np.asarray(self.a) * z
 
     def flow_samples(self, z: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Reeb flow z_j -> e^{-2i a_j t} z_j at each time, exact for X_G = -2i a z."""
-        return np.exp(-2j * np.multiply.outer(times, self.a)) * z
+        """Reeb flow z_j -> e^{-2i a_j t} z_j at each time, exact for X_G = -2i a z.
+
+        ``np.exp(-2j * np.multiply.outer(times, a)) * z`` bit for bit: the
+        exponent and its exponential are formed in place in row blocks
+        (``row_blocks``), then the whole array is multiplied by z in place,
+        so no temporary outgrows one block.
+        """
+        out = np.empty((len(times), self.n), dtype=complex)
+        for rows in row_blocks(len(times), self.n):
+            block = out[rows]
+            np.multiply(-2j, np.multiply.outer(times[rows], self.a), out=block)
+            np.exp(block, out=block)
+        out *= z
+        return out
 
     def return_map(self, twist: RotationTwist, tau: float) -> np.ndarray:
         """Complex differential of the twisted return map: diag(e^{2i a tau}) times the twist."""

@@ -17,19 +17,20 @@ is noncontractible in the quotient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .geometry import RotationTwist, _number
+from .geometry import RotationTwist, _number, row_blocks
 from .lazy import lazy_module
 from .orbits import SolverSettings, orbit_samples
 
 np = lazy_module("numpy")
 
-# lift_loop compares each loop point with all m rotations in one array
-# operation, about 7-14 us per point plus 0.04 us per (point, rotation) pair
-# on a 2-core x86-64 machine: 2^19 pairs take 1.8-2.6 s as 2^18 points at
-# m = 2 and 0.023 s as certify's default 257 points at m = 2040, the largest m
-# this cap admits for them; orbit_separation holds 8 B per pair
+# lift_loop compares each loop point with all m rotations in four array
+# operations, about 5-8 us per point plus 0.04 us per (point, rotation) pair
+# on a 2-core x86-64 machine: 2^19 pairs take 1.5-1.7 s as 2^18 points at
+# m = 2 and 0.020-0.021 s as certify's default 257 points at m = 2040, the
+# largest m this cap admits for them; orbit_separation holds 8 B per pair
 MAX_LIFT_PAIRS = 2 ** 19
 
 
@@ -68,8 +69,11 @@ class QuotientLoop:
             raise ValueError("need a 2d array with at least two samples")
         if pts.shape[1] != self.twist.n:
             raise ValueError("sample dimension does not match the twist")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-6:
+        # a NaN norm fails the comparison, and a huge sample's norm overflows
+        # to inf, quietly, so both are off the sphere
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = row_norms(pts)
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise ValueError("samples must lie on the unit sphere")
         self.samples = pts
 
@@ -92,7 +96,13 @@ class QuotientLoop:
 
 @dataclass(frozen=True)
 class LiftResult:
-    path: np.ndarray
+    """The lift's rotation power at each loop point, its deck element and margin.
+
+    The lifted path is ``twist.phase_table()[powers] * samples``; no command
+    reads it, so it is not kept.
+    """
+
+    powers: tuple[int, ...]
     deck: DeckElement
     margin: float
 
@@ -107,25 +117,36 @@ class LiftResult:
                 "margin": self.margin}
 
 
+def row_norms(points: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(points, axis=1)`` bit for bit, in row blocks (``row_blocks``)."""
+    return np.concatenate([np.linalg.norm(points[rows], axis=1)
+                           for rows in row_blocks(*points.shape)])
+
+
 def orbit_separation(twist: RotationTwist, points: np.ndarray) -> float:
     """Minimal distance between a path point and its nontrivial rotations.
 
     The rotation by power j moves p a distance whose square is
     sum_q |p_q|^2 |w^(j k_q) - 1|^2 = sum_q |p_q|^2 4 sin^2(pi j k_q / m),
     w = exp(2 pi i / m), so the squared distances of all points to all
-    m - 1 rotations are one real (points x n) by (n x (m - 1)) product.  The
-    trivial group has no nontrivial rotation, so its separation is infinite.
+    m - 1 rotations are one real (points x n) by (n x (m - 1)) product,
+    formed in row blocks (``row_blocks``).  The trivial group has no
+    nontrivial rotation, so its separation is infinite.
     """
     m = twist.m
     if m == 1:
         return np.inf
     turns = np.outer([k % m for k in twist.k], np.arange(1, m)) % m
     weights = 4.0 * np.sin(np.pi * turns / m) ** 2
-    moduli = np.abs(np.asarray(points, dtype=complex))
-    moduli *= moduli
-    # einsum's own loop, not BLAS: with the other core busy, BLAS threads took
-    # 12-28 ms over this product at m = 2040 or n = 20000, einsum 0.5-3 ms
-    return float(np.sqrt(np.min(np.einsum("pq,qj->pj", moduli, weights))))
+    points = np.asarray(points, dtype=complex)
+    least = np.inf
+    for rows in row_blocks(*points.shape):
+        moduli = np.abs(points[rows])
+        moduli *= moduli
+        # einsum's own loop, not BLAS: with the other core busy, BLAS threads
+        # took 12-28 ms over this product at m = 2040 or n = 20000, einsum 0.5-3 ms
+        least = np.minimum(least, np.min(np.einsum("pq,qj->pj", moduli, weights)))
+    return float(np.sqrt(least))
 
 
 def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,
@@ -134,13 +155,14 @@ def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,
 
     The lift starts at the ``basepoint_choice``-th rotation of the first
     representative.  Each step forms the m rotations of the next
-    representative as one m x n array and keeps the row nearest the current
-    lifted point; the path is then formed once from the chosen rotations.
-    The deck element is the rotation of the start nearest the lift's
-    endpoint.  Raises ``AmbiguousLiftError`` when a step violates
-    the half-separation bound, or when that nearest rotation is farther than
-    ``match_tol`` from the endpoint.  More than ``MAX_LIFT_PAIRS`` (point,
-    rotation) pairs raise ValueError before any rotation is formed.
+    representative as one m x n array, their squared distances to the
+    current lifted point as ``np.linalg.norm`` sums them, and keeps the
+    nearest; only the chosen powers are recorded.  The deck element is the
+    rotation of the start nearest the last lifted point.  Raises
+    ``AmbiguousLiftError`` when a step violates the half-separation bound,
+    or when that nearest rotation is farther than ``match_tol`` from the
+    endpoint.  More than ``MAX_LIFT_PAIRS`` (point, rotation) pairs raise
+    ValueError before any rotation is formed.
     """
     twist = loop.twist
     pts = loop.samples
@@ -150,30 +172,32 @@ def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,
                          f"{MAX_LIFT_PAIRS}")
     bound = orbit_separation(twist, pts) / 2.0
     rotations = twist.phase_table()
+    add = np.add.reduce
 
-    choices = [basepoint_choice % twist.m]
-    current = rotations[choices[0]] * pts[0]
+    powers = [basepoint_choice % twist.m]
+    start = current = rotations[powers[0]] * pts[0]
     worst_step = 0.0
     for i in range(1, pts.shape[0]):
         candidates = rotations * pts[i]
-        dists = np.linalg.norm(candidates - current, axis=1)
-        best = int(np.argmin(dists))
-        step = float(dists[best])
+        diff = candidates - current
+        sq = add((diff.conj() * diff).real, axis=1)
+        best = int(sq.argmin())
+        step = math.sqrt(sq[best])
         if step >= bound:
             raise AmbiguousLiftError(f"step {i} has length {step:.3e}, not below "
                                      f"the half-separation bound {bound:.3e}")
         worst_step = max(worst_step, step)
-        choices.append(best)
+        powers.append(best)
         current = candidates[best]
 
-    path = rotations[choices] * pts
-    gaps = np.linalg.norm(rotations * path[0] - path[-1], axis=1)
-    exponent = int(np.argmin(gaps))
-    gap = float(gaps[exponent])
+    diff = rotations * start - current
+    sq = add((diff.conj() * diff).real, axis=1)
+    exponent = int(sq.argmin())
+    gap = math.sqrt(sq[exponent])
     if gap > match_tol:
         raise AmbiguousLiftError(f"lift ends {gap:.3e} from the nearest rotation "
                                  f"of its start, beyond lift_match {match_tol:.3e}")
-    return LiftResult(path=path, deck=DeckElement(exponent, twist.m),
+    return LiftResult(powers=tuple(powers), deck=DeckElement(exponent, twist.m),
                       margin=bound - worst_step)
 
 
@@ -187,6 +211,6 @@ def classify_orbit_loop(orbit, twist: RotationTwist, model, samples: int = 128,
     certifies that the projected loop is noncontractible in the quotient.
     """
     pts = orbit_samples(orbit, model, samples, settings)
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts /= row_norms(pts)[:, None]
     loop = QuotientLoop(samples=pts, twist=twist)
     return lift_loop(loop, match_tol=settings.lift_match)

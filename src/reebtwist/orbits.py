@@ -24,6 +24,7 @@ from .geometry import (
     as_complex_vector,
     liouville_form_eval,
     reeb_flow_samples,
+    row_blocks,
     to_complex,
     to_real,
 )
@@ -47,16 +48,14 @@ MAX_SPECTRUM_CELLS = 2 ** 20
 # 0.2 s at n = 250, 1.6 s at n = 500 and 6 s at n = 1000 on that machine;
 # this many cells admit n <= 511
 MAX_JACOBIAN_CELLS = 2 ** 20
-# orbit_samples peaks at about 60 B and 0.2 us per point (one coordinate at
-# one sample) on a 2-core x86-64 machine, 1.5 GB and 3.5 s for 25 million
-# points.  The action quadrature evaluates its samples in blocks and keeps
-# only 16 B per sample beyond one block: 25 million points of a 2-coordinate
-# orbit take 0.24 GB and 2.4 s.  The cap admits certify's 1001-sample action
-# at n = 20000
+# orbit_samples holds its 16 B per point (one coordinate at one sample) and
+# 8 B per sample time beyond one row block, about 0.05 us per point on a
+# 2-core x86-64 machine: 25 million points of a 2-coordinate orbit take
+# 0.5 GB and 1.1 s.  The action quadrature evaluates its samples in blocks
+# and keeps only 16 B per sample beyond one block: 25 million points of a
+# 2-coordinate orbit take 0.24 GB and 2.4 s.  The cap admits certify's
+# 1001-sample action at n = 20000
 MAX_ORBIT_POINTS = 25_000_000
-# points per block of the action quadrature, whose temporaries stay near
-# 60 B per point of a block, 16 MB
-ACTION_BLOCK_POINTS = 2 ** 18
 
 
 class ConvergenceError(Exception):
@@ -428,16 +427,15 @@ def action(orbit: TwistedOrbit, model: RadialProfile, quadrature_n: int = 1000,
     """Line integral of the Liouville form along the orbit, approximately tau.
 
     ``loop_action`` of ``orbit_samples``, with the samples evaluated in
-    blocks of about ``ACTION_BLOCK_POINTS`` points.  A block's first chord
-    starts at the previous block's last sample, and the chord terms are
-    summed once over the whole orbit, so the value does not depend on the
-    block size.
+    blocks of about ``geometry.BLOCK_POINTS`` points (``row_blocks``).  A
+    block's first chord starts at the previous block's last sample, and the
+    chord terms are summed once over the whole orbit, so the value does not
+    depend on the block size.
     """
     times = _sample_times(orbit, quadrature_n)
-    rows = max(1, ACTION_BLOCK_POINTS // orbit.z0.size)
     terms = np.empty(quadrature_n)
-    for start in range(0, quadrature_n, rows):
-        pts = reeb_flow_samples(orbit.z0, times[start:start + rows + 1], model,
+    for chords in row_blocks(quadrature_n, orbit.z0.size):
+        pts = reeb_flow_samples(orbit.z0, times[chords.start:chords.stop + 1], model,
                                 surface_tol=settings.surface)
-        terms[start:start + rows] = _chord_terms(pts)
+        terms[chords] = _chord_terms(pts)
     return float(np.sum(terms))

@@ -6,7 +6,7 @@ spectra by residual scans on a parameter grid, derivatives by central
 differences, flows by scipy's RK45 on the analytic field, return maps by
 RK45 on its variational equation, rotation indices by their closed form,
 profile radii from the model file's profile spec, lifts one (point,
-rotation) pair at a time.
+rotation) pair at a time or one ``np.linalg.norm`` per step.
 """
 
 from __future__ import annotations
@@ -325,6 +325,7 @@ def lift_by_pairs(loop: QuotientLoop, basepoint_choice: int = 0,
 
     current = twist.apply(pts[0], power=basepoint_choice)
     lifted = [current]
+    chosen = [basepoint_choice % twist.m]
     worst_step = 0.0
     for i in range(1, pts.shape[0]):
         candidates = [phase * pts[i] for phase in powers]
@@ -336,11 +337,54 @@ def lift_by_pairs(loop: QuotientLoop, basepoint_choice: int = 0,
         worst_step = max(worst_step, dists[best])
         current = candidates[best]
         lifted.append(current)
+        chosen.append(best)
 
     gaps = [float(np.linalg.norm(lifted[-1] - phase * lifted[0])) for phase in powers]
     exponent = int(np.argmin(gaps))
     if gaps[exponent] > match_tol:
         raise AmbiguousLiftError(f"lift ends {gaps[exponent]:.3e} from the nearest rotation "
                                  f"of its start, beyond lift_match {match_tol:.3e}")
-    return LiftResult(path=np.asarray(lifted), deck=DeckElement(exponent, twist.m),
+    return LiftResult(powers=tuple(chosen), deck=DeckElement(exponent, twist.m),
+                      margin=bound - worst_step)
+
+
+def lift_by_norms(loop: QuotientLoop, basepoint_choice: int = 0,
+                  match_tol: float = SolverSettings.lift_match) -> LiftResult:
+    """The greedy nearest-representative lift, one ``np.linalg.norm`` per step.
+
+    Each step measures all m rotations of the next representative against
+    the current lifted point with ``np.linalg.norm(..., axis=1)`` and takes
+    its ``np.argmin``; the whole path is formed from the chosen rotations,
+    and its end is matched against every rotation of its start.  The
+    bound, the errors and their texts are those of ``lift_loop``, whose
+    step lengths must equal these bit for bit.
+    """
+    twist = loop.twist
+    pts = loop.samples
+    bound = orbit_separation(twist, pts) / 2.0
+    rotations = twist.phase_table()
+
+    choices = [basepoint_choice % twist.m]
+    current = rotations[choices[0]] * pts[0]
+    worst_step = 0.0
+    for i in range(1, pts.shape[0]):
+        candidates = rotations * pts[i]
+        dists = np.linalg.norm(candidates - current, axis=1)
+        best = int(np.argmin(dists))
+        step = float(dists[best])
+        if step >= bound:
+            raise AmbiguousLiftError(f"step {i} has length {step:.3e}, not below "
+                                     f"the half-separation bound {bound:.3e}")
+        worst_step = max(worst_step, step)
+        choices.append(best)
+        current = candidates[best]
+
+    path = rotations[choices] * pts
+    gaps = np.linalg.norm(rotations * path[0] - path[-1], axis=1)
+    exponent = int(np.argmin(gaps))
+    gap = float(gaps[exponent])
+    if gap > match_tol:
+        raise AmbiguousLiftError(f"lift ends {gap:.3e} from the nearest rotation "
+                                 f"of its start, beyond lift_match {match_tol:.3e}")
+    return LiftResult(powers=tuple(choices), deck=DeckElement(exponent, twist.m),
                       margin=bound - worst_step)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +490,19 @@ def test_loop_file_samples_must_be_finite_json_numbers(capsys, tmp_path, sample,
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "lift", "--input", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_loop_file_sample_whose_norm_overflows_prints_one_line(capsys, tmp_path):
+    # numpy's "overflow encountered in multiply" warning once came before the
+    # error line
+    path = Path(half_turn_loop(tmp_path))
+    data = json.loads(path.read_text())
+    data["samples"][5][0] = 1e308
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "lift", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: samples must lie on the unit sphere\n")
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reebtwist import geometry
 from reebtwist.geometry import (
     OffSurfaceError,
     RadialProfile,
@@ -98,6 +101,21 @@ def test_radial_flow_samples_against_analytic_grid():
     numeric = reeb_flow_samples(z, times, radial)
     analytic = np.exp(-2j * times)[:, None] * z[None, :]
     assert np.max(np.abs(numeric - analytic)) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 300), st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+def test_blocked_flow_samples_equal_the_one_array_formula(n, count, block, seed):
+    # blocks of ``block`` points put block edges all through the samples
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, 10.0, size=n)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    times = rng.uniform(-50.0, 50.0, size=count)
+    want = np.exp(-2j * np.multiply.outer(times, a)) * z
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "BLOCK_POINTS", block)
+        got = RadialProfile(a).flow_samples(z, times)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def test_flow_equivariance_under_twist():

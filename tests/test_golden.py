@@ -23,7 +23,10 @@ second basepoint; it was captured while the lift still measured each
 (point, rotation) pair on its own.  ``homology_m1024`` (three exponent
 classes at m = 1024) was captured while ``homology`` still checked, divided
 and ranked the pearl complex as m x m matrices, before it was decided on
-group-ring elements.
+group-ring elements.  ``certify_m2040`` lifts certify's 257 loop points
+against 2040 rotations, the most that ``lifting.MAX_LIFT_PAIRS`` admits; it
+was captured while each lift step still called ``np.linalg.norm`` and kept
+the whole lifted path.
 """
 
 import json
@@ -51,6 +54,7 @@ CASES = {
     "orbit_off_axis": "orbit --m 3 --k 1,2 --n 2 --tau 1.3 --z 0.8,0.1,0.6,-0.05",
     "certify_pearl2": "certify --m 5 --k 1,2,3 --n 3 --pearl 2",
     "certify_pearl_neg": "certify --m 7 --k 1,3 --n 2 --pearl -1",
+    "certify_m2040": "certify --m 2040 --k 1,1 --n 2",
     "action_off_axis": "action --m 4 --k 1,3 --n 2 --tau -0.6 --z 0.9,0.2,0.1,0.3",
 }
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reebtwist.geometry import RotationTwist, RoundSphere
+from reebtwist import geometry
+from reebtwist.geometry import RadialProfile, RotationTwist, RoundSphere
 from reebtwist.lifting import (
     AmbiguousLiftError,
     DeckElement,
-    LiftResult,
     QuotientLoop,
     classify_orbit_loop,
     lift_loop,
@@ -17,7 +17,7 @@ from reebtwist.lifting import (
 )
 from reebtwist.orbits import TwistedOrbit, orbit_multiplier
 
-from oracles import lift_by_pairs
+from oracles import lift_by_norms, lift_by_pairs
 
 SPHERE2 = RoundSphere(2)
 
@@ -36,6 +36,11 @@ def make_loop(samples, twist):
     return QuotientLoop(samples=samples, twist=twist)
 
 
+def lifted_path(result, loop):
+    """The lifted path, each sample at the rotation power the lift chose for it."""
+    return loop.twist.phase_table()[list(result.powers)] * loop.samples
+
+
 def join(a, b, twist, power):
     """Samples of a, then those of b rotated by the power-th twist to start where a ends."""
     shifted = b * twist.phases(power)[None, :]
@@ -50,7 +55,7 @@ def test_constant_loop_has_trivial_deck():
     result = lift_loop(loop)
     assert result.deck == DeckElement(0, 3)
     assert result.contractible
-    np.testing.assert_allclose(result.path, loop.samples)
+    np.testing.assert_allclose(lifted_path(result, loop), loop.samples)
 
 
 def test_reeb_arc_detects_generator():
@@ -112,7 +117,7 @@ def test_lift_project_identity():
     loop = make_loop(arc, twist)
     result = lift_loop(loop, basepoint_choice=0)
     # projecting the lift recovers the input representatives up to rotations
-    for lifted, rep in zip(result.path, loop.samples):
+    for lifted, rep in zip(lifted_path(result, loop), loop.samples):
         dists = [np.linalg.norm(lifted - twist.apply(rep, power=j))
                  for j in range(twist.m)]
         assert min(dists) < 1e-12
@@ -204,15 +209,26 @@ def test_loop_validation():
         QuotientLoop(samples=np.array([[1.0 + 0j, 0j]]), twist=twist)
 
 
+def test_nan_sample_is_off_the_sphere():
+    # its norm fails every comparison, so the loop was once accepted and
+    # lifted to a deck element with margin nan
+    twist = RotationTwist(2, (1, 1))
+    samples = reeb_arc(twist)
+    samples[5, 0] = math.nan
+    with pytest.raises(ValueError, match="^samples must lie on the unit sphere$"):
+        make_loop(samples, twist)
+
+
 @st.composite
-def quotient_loops(draw):
+def quotient_loops(draw, max_m=12):
     """A loop from z to a rotation of z, each sample a random representative.
 
     Coordinate j turns by 2 pi (k_j p / m + l_j) plus an end offset that
     leaves the lift within or beyond lift_match; few samples leave some
-    steps above the half-separation bound.
+    steps above the half-separation bound.  The order m is at most 12, or
+    at most ``max_m`` in about half the draws.
     """
-    m = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12) | st.integers(1, max_m))
     n = draw(st.integers(1, 4))
     k = tuple(draw(st.lists(st.sampled_from([e for e in range(-m, 2 * m + 1)
                                              if math.gcd(e, m) == 1]),
@@ -270,7 +286,39 @@ def test_lift_matches_the_pairwise_oracle(loop, basepoint):
         assert got == want
         return
     assert got.deck == want.deck
-    np.testing.assert_allclose(got.path, want.path, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(lifted_path(got, loop), lifted_path(want, loop),
+                               rtol=1e-12, atol=0.0)
     # the margin is a difference of two lengths below 2, so a few ulps of
     # either bound its error when the two nearly cancel
     assert got.margin == pytest.approx(want.margin, rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_loops(max_m=2047), st.integers(), st.integers(1, 64))
+def test_lift_matches_the_norm_loop_bit_for_bit(loop, basepoint, block):
+    # the four-operation step sums np.linalg.norm's own squares, so every step
+    # length, and with it the margin, is the same float; the loop's checks and
+    # separation run in blocks of ``block`` points, the oracle's in one
+    want = lift_or_message(lift_by_norms, loop, basepoint)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "BLOCK_POINTS", block)
+        got = lift_or_message(lift_loop, loop, basepoint)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.powers, got.deck, got.margin) == (want.powers, want.deck, want.margin)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_classify_orbit_loop_is_independent_of_the_block_size(monkeypatch, n):
+    # the orbit's samples and their norms, formed in row blocks, lift as in one array
+    model = RadialProfile(1.0 + 0.1 * np.arange(n))
+    twist = RotationTwist(3, (1,) * n)
+    z0 = np.eye(n, dtype=complex)[0] / math.sqrt(model.a[0])
+    orbit = TwistedOrbit(z0=z0, tau=orbit_multiplier(3, 1, 1) / model.a[0], support=(1,),
+                         residual=0.0, component_id="x")
+    whole = classify_orbit_loop(orbit, twist, model)
+    for block in (1, 3, 7):
+        monkeypatch.setattr(geometry, "BLOCK_POINTS", block)
+        got = classify_orbit_loop(orbit, twist, model)
+        assert (got.powers, got.deck, got.margin) == (whole.powers, whole.deck, whole.margin)

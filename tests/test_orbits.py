@@ -315,7 +315,7 @@ def test_blocked_action_equals_the_one_array_quadrature(monkeypatch, block, n, s
     z = model.point_on_surface(np.exp(1j * np.arange(n)) * (1.0 + np.arange(n)))
     orbit = TwistedOrbit(z0=z, tau=1.7, support=(1,), residual=0.0, component_id="x")
     whole = loop_action(orbit_samples(orbit, model, samples))
-    monkeypatch.setattr("reebtwist.orbits.ACTION_BLOCK_POINTS", block)
+    monkeypatch.setattr("reebtwist.geometry.BLOCK_POINTS", block)
     assert action(orbit, model, samples) == whole
 
 
@@ -324,7 +324,7 @@ def test_action_holds_one_block_of_points(monkeypatch):
     # of 4096 points the quadrature holds well under that
     model = RoundSphere(200)
     orbit = make_orbit(RotationTwist(2, (1,) * 200), 200)
-    monkeypatch.setattr("reebtwist.orbits.ACTION_BLOCK_POINTS", 4096)
+    monkeypatch.setattr("reebtwist.geometry.BLOCK_POINTS", 4096)
     tracemalloc.start()
     try:
         value = action(orbit, model, 1000)

@@ -65,12 +65,13 @@ LOOP_FILE = Path(__file__).parent / "models" / "loop_m5.json"
     # the oracle's 2 products and 2 ranks per grid point (90, 9 and 36 on
     # m x m matrices)
     ("sweep --m-range 2:4 --n-list 2,3,4", {"matmul": 18, "cycles": 0, "rank": 18}),
-    # one norm per lift step (256 of certify's 257 points, 40 of the loop
-    # file's 41) and one for the end gap, none in orbit_separation's closed
-    # form, and the rest outside the lift; a norm per (point, rotation) pair
-    # gave 1040 and 210, and m - 1 in orbit_separation 269 and 46
-    ("certify --m 4 --k 1,1 --n 2", {"norms": 266}),
-    (["lift", "--input", str(LOOP_FILE), "--basepoint", "2"], {"norms": 42}),
+    # the lift's steps and end gap sum their squares without a norm call, so
+    # the norms left are the loop's unit check (one per row block, one block
+    # here), certify's normalisation of its samples, and the rest outside the
+    # lift; a norm per lift step and one for the end gap gave 266 and 42, a
+    # norm per (point, rotation) pair 1040 and 210
+    ("certify --m 4 --k 1,1 --n 2", {"norms": 9}),
+    (["lift", "--input", str(LOOP_FILE), "--basepoint", "2"], {"norms": 1}),
 ], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep",
         "certify_norms", "lift_norms"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
