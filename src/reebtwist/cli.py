@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -618,15 +619,34 @@ def _write(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    argv = _bind_negative_values(sys.argv[1:] if argv is None else list(argv))
-    args = parser.parse_args(argv)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed, with a ``--config`` file's flags after the subcommand.
+
+    argparse links every action back to its container, so the parser is
+    cyclic garbage once this returns.  No collection runs while it lives:
+    one would move it to an older generation, and a process that calls
+    ``main`` again and again would pile parsers up there until a full
+    collection walked them together with everything else the process holds.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         if args.config:
             # the subcommand comes first: no option precedes it
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
+        return args
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def main(argv=None) -> int:
+    argv = _bind_negative_values(sys.argv[1:] if argv is None else list(argv))
+    try:
+        args = _parse(argv)
         settings = dataclasses.replace(SolverSettings(), **dict(args.tol))
         handler, _, _, tabular = COMMANDS[args.command]
         data, code = handler(args, settings)

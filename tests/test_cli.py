@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import errno
+import gc
 import io
 import json
 import math
@@ -523,6 +524,23 @@ def test_loop_file_samples_need_2n_reals(capsys, tmp_path, bad, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("bad", ["string", "object", "string-row"])
+def test_loop_file_samples_must_be_a_list_of_lists(capsys, tmp_path, bad):
+    # each was once read character by character or key by key: "abc" exited
+    # with "loop sample must be a finite number, got 'a'"
+    path = Path(half_turn_loop(tmp_path))
+    data = json.loads(path.read_text())
+    if bad == "string":
+        data["samples"] = "abc"
+    elif bad == "object":
+        data["samples"] = dict(enumerate(data["samples"]))
+    else:
+        data["samples"][3] = "abcd"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lift", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: loop samples must be a list of lists of reals\n")
+
+
 @pytest.mark.parametrize("profile, message", [
     ({"type": "ellipsoid", "coefficients": [1e308, 1.0]}, "ellipsoid coefficient 1e+308"),
     ({"type": "ellipsoid", "coefficients": [1e-320, 1.0]}, "ellipsoid coefficient 1e-320"),
@@ -959,6 +977,28 @@ def test_parser_is_pinned(capsys):
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: reebtwist {command} ")
     assert sum(len(actions) + 1 for actions in PINNED_PARSER.values()) == 97
+
+
+def test_main_frees_its_parser_in_the_youngest_generation():
+    # a parser is cyclic garbage; with a collection at almost every
+    # allocation, one built while the collector ran reached the oldest
+    # generation, which only a full collection frees
+    def old_parsers():
+        return [o for o in gc.get_objects(generation=2)
+                if isinstance(o, argparse.ArgumentParser) and o.prog.startswith("reebtwist")]
+
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(1, 1, 10 ** 9)
+    try:
+        assert main(["tate", "--m", "2", "--degrees", "0:1"]) == 0
+        assert old_parsers() == [] and gc.isenabled()
+        gc.disable()
+        assert main(["tate", "--m", "2", "--degrees", "0:1"]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.enable()
 
 
 @pytest.mark.parametrize("profile, a", [

@@ -26,14 +26,20 @@ and ranked the pearl complex as m x m matrices, before it was decided on
 group-ring elements.  ``certify_m2040`` lifts certify's 257 loop points
 against 2040 rotations, the most that ``lifting.MAX_LIFT_PAIRS`` admits; it
 was captured while each lift step still called ``np.linalg.norm`` and kept
-the whole lifted path.
+the whole lifted path.  ``certify_samples_cap`` is the cap's other end,
+2^18 loop points against 2 rotations; it was captured while the lift still
+walked the loop one point at a time.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import reebtwist
 from reebtwist.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,6 +61,7 @@ CASES = {
     "certify_pearl2": "certify --m 5 --k 1,2,3 --n 3 --pearl 2",
     "certify_pearl_neg": "certify --m 7 --k 1,3 --n 2 --pearl -1",
     "certify_m2040": "certify --m 2040 --k 1,1 --n 2",
+    "certify_samples_cap": "certify --m 2 --k 1,1 --n 2 --samples 262143",
     "action_off_axis": "action --m 4 --k 1,3 --n 2 --tau -0.6 --z 0.9,0.2,0.1,0.3",
 }
 
@@ -89,6 +96,28 @@ def test_golden_lift(capsys):
     argv = ["lift", "--input", str(MODEL_FILES / "loop_m5.json"), "--basepoint", "2"]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "lift.json").read_bytes()
+
+
+# A child's peak RSS counts the memory of the process that starts it, here
+# the whole test session, so a bare interpreter starts the command and
+# writes its output, then the command's peak in kB on stderr.
+PEAK_PROBE = ("import resource, subprocess, sys; "
+              "run = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE, check=True); "
+              "sys.stdout.buffer.write(run.stdout); "
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)")
+
+
+def test_certify_at_the_pair_cap_holds_one_row_block():
+    # on x86-64 Linux the per-point lift peaked at 45.1 MB RSS here and a
+    # lift that formed all 2^18 lifted points at once at 75.4 MB
+    src = Path(reebtwist.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE,
+         sys.executable, "-m", "reebtwist.cli", *CASES["certify_samples_cap"].split()],
+        capture_output=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert probe.stdout == (GOLDEN / "certify_samples_cap.json").read_bytes()
+    peak_mb = int(probe.stderr) / 1024
+    assert peak_mb < 60, f"peaked at {peak_mb:.1f} MB RSS"
 
 
 TABULAR = {

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reebtwist import geometry
+from reebtwist import geometry, lifting
 from reebtwist.geometry import RadialProfile, RotationTwist, RoundSphere
 from reebtwist.lifting import (
     AmbiguousLiftError,
@@ -220,21 +221,23 @@ def test_nan_sample_is_off_the_sphere():
 
 
 @st.composite
-def quotient_loops(draw, max_m=12):
+def quotient_loops(draw, max_m=12, max_n=4, counts=st.one_of(st.integers(2, 12),
+                                                             st.integers(40, 200))):
     """A loop from z to a rotation of z, each sample a random representative.
 
     Coordinate j turns by 2 pi (k_j p / m + l_j) plus an end offset that
     leaves the lift within or beyond lift_match; few samples leave some
     steps above the half-separation bound.  The order m is at most 12, or
-    at most ``max_m`` in about half the draws.
+    at most ``max_m`` in about half the draws; n is at most ``max_n`` and
+    the sample count is drawn from ``counts``.
     """
     m = draw(st.integers(1, 12) | st.integers(1, max_m))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
     k = tuple(draw(st.lists(st.sampled_from([e for e in range(-m, 2 * m + 1)
                                              if math.gcd(e, m) == 1]),
                             min_size=n, max_size=n)))
     twist = RotationTwist(m, k)
-    count = draw(st.one_of(st.integers(2, 12), st.integers(40, 200)))
+    count = draw(counts)
     power = draw(st.integers(0, m - 1))
     offset = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -307,6 +310,76 @@ def test_lift_matches_the_norm_loop_bit_for_bit(loop, basepoint, block):
         assert got == want
         return
     assert (got.powers, got.deck, got.margin) == (want.powers, want.deck, want.margin)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quotient_loops(max_n=33, counts=st.integers(2, 12)), st.integers(), st.integers(1, 64))
+def test_lift_matches_the_norm_loop_at_many_coordinates(loop, basepoint, block):
+    # odd and even widths up to 33 coordinates, in blocks of one to a few
+    # rows: the relative choices read the interleaved reals of n products
+    want = lift_or_message(lift_by_norms, loop, basepoint)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "BLOCK_POINTS", block)
+        got = lift_or_message(lift_loop, loop, basepoint)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.powers, got.deck, got.margin) == (want.powers, want.deck, want.margin)
+
+
+@settings(max_examples=50, deadline=None)
+@given(quotient_loops())
+def test_every_wrong_relative_step_is_measured_again(loop):
+    # with every relative choice 0, each step the loop turns through is a
+    # wrong rotation, at least the separation less the right step from it,
+    # so it reaches the bound and is decided against all m rotations
+    want = lift_or_message(lift_by_norms, loop, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lifting, "relative_steps", lambda rotations, pts: np.zeros(len(pts) - 1,
+                                                                                 dtype=np.int64))
+        got = lift_or_message(lift_loop, loop, 0)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.powers, got.deck, got.margin) == (want.powers, want.deck, want.margin)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("jump", [2, 3, 4, 5, 6])
+def test_first_over_bound_step_at_a_block_edge(monkeypatch, block, jump):
+    # one coordinate turning 10 degrees a step and 90 at step ``jump``: in
+    # blocks of 2 or 3 points the step is the first or last of a block
+    twist = RotationTwist(2, (1,))
+    angles = np.radians(10.0 * np.arange(9) + 80.0 * (np.arange(9) >= jump))
+    loop = make_loop(np.exp(1j * angles)[:, None], twist)
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", block)
+    message = (f"step {jump} has length 1.414e+00, not below the half-separation "
+               f"bound 1.000e+00")
+    assert lift_or_message(lift_loop, loop, 0) == lift_or_message(lift_by_norms, loop, 0) == message
+
+
+def test_lift_holds_one_row_block():
+    # 257 points of 2000 coordinates are 8.2 MB complex; in blocks of 8
+    # points the lift holds at most two complex arrays of a block and the
+    # row before it (288 kB each) beside its rotation table, where forming
+    # the lifted path at once held two arrays of the points' size
+    n = 2000
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    z /= np.linalg.norm(z)
+    pts = np.exp(1j * np.pi * np.linspace(0.0, 1.0, 257))[:, None] * z
+    loop = make_loop(pts, RotationTwist(2, (1,) * n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "BLOCK_POINTS", 8 * n)
+        lift_loop(loop)
+        tracemalloc.start()
+        try:
+            result = lift_loop(loop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert result.deck == DeckElement(1, 2)
+    assert peak < 3 * 9 * n * 16
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

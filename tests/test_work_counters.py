@@ -43,6 +43,7 @@ SPIES = {
     "ints_only": ((cli,), "_ints_only"),
     # lifting reaches it through its lazy numpy, the module numpy itself
     "norms": ((numpy.linalg,), "norm"),
+    "einsum": ((numpy,), "einsum"),
 }
 
 LOOP_FILE = Path(__file__).parent / "models" / "loop_m5.json"
@@ -72,8 +73,13 @@ LOOP_FILE = Path(__file__).parent / "models" / "loop_m5.json"
     # norm per (point, rotation) pair 1040 and 210
     ("certify --m 4 --k 1,1 --n 2", {"norms": 9}),
     (["lift", "--input", str(LOOP_FILE), "--basepoint", "2"], {"norms": 1}),
+    # one product per row block (one block here) for the separation and one
+    # for all the lift's relative steps; a product per lift step would give
+    # 257 and 41, and the per-step norm loop, which took none, gave 1 and 1
+    ("certify --m 4 --k 1,1 --n 2", {"einsum": 2}),
+    (["lift", "--input", str(LOOP_FILE), "--basepoint", "2"], {"einsum": 2}),
 ], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep",
-        "certify_norms", "lift_norms"])
+        "certify_norms", "lift_norms", "certify_einsum", "lift_einsum"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
     counts = Counter()
     for name in expected:
