@@ -12,8 +12,9 @@ topological uniqueness of lifts a checkable numerical condition.
 
 Rotations commute and are unitary, so the rotation of the next point
 nearest the lifted point R^c p is R^c times the rotation nearest p itself:
-every step is decided on its own, all of them from one blocked product,
-and the lift's powers are their running sum mod m.
+every step is decided on its own, a row block of steps at a time, which
+is then measured against the bound, and the lift's powers are the running
+sum of the decisions mod m.
 
 The deck element of a closed quotient loop is the rotation power matching
 the lift's endpoint to its start; a nonzero power certifies that the loop
@@ -31,11 +32,11 @@ from .orbits import SolverSettings, orbit_samples
 
 np = lazy_module("numpy")
 
-# lift_loop scores every (point, rotation) pair in one blocked product and
-# measures only the chosen steps, row block by row block: on a 2-core x86-64
-# machine 2^19 pairs take 24-37 ms as 2^18 points at m = 2 and 3.4-6.3 ms as
-# certify's default 257 points at m = 2040, the largest m this cap admits for
-# them; orbit_separation holds up to 8 B per pair
+# lift_loop scores every (point, rotation) pair and measures only the chosen
+# steps, one row block at a time: on a 2-core x86-64 machine 2^19 pairs take
+# 25-45 ms as 2^18 points at m = 2 and 3.5-7.1 ms as certify's default 257
+# points at m = 2040, the largest m this cap admits for them;
+# orbit_separation holds up to 8 B per pair
 MAX_LIFT_PAIRS = 2 ** 19
 
 
@@ -157,26 +158,6 @@ def orbit_separation(twist: RotationTwist, points: np.ndarray) -> float:
     return float(np.sqrt(least))
 
 
-def relative_steps(rotations: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """For each i >= 1, the power j of the rotation R_j p_i nearest p_(i-1).
-
-    On the unit sphere |R_j p_i - p_(i-1)|^2 = 2 - 2 Re sum_q conj(p_(i-1),q)
-    R_jq p_iq, so the nearest rotation is the argmax of that real part: one
-    real (steps x 2n) by (2n x m) product of the interleaved pairs
-    conj(p_(i-1)) p_i with the conjugated table, in row blocks
-    (``row_blocks``) of both widths.
-    """
-    m, n = rotations.shape
-    weights = rotations.conj().view(np.float64)
-    steps = np.empty(len(pts) - 1, dtype=np.int64)
-    for rows in row_blocks(len(steps), max(m, n)):
-        pairs = pts[rows].conj()
-        pairs *= pts[rows.start + 1:rows.stop + 1]
-        # einsum's own loop, not BLAS, as in orbit_separation
-        steps[rows] = np.einsum("pq,jq->pj", pairs.view(np.float64), weights).argmax(axis=1)
-    return steps
-
-
 def step_lengths(rotations: np.ndarray, pts: np.ndarray, powers: np.ndarray,
                  rows: slice, current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lengths of the lift's steps into ``rows``, the first from ``current``, and
@@ -185,7 +166,7 @@ def step_lengths(rotations: np.ndarray, pts: np.ndarray, powers: np.ndarray,
     The lifted rows are ``rotations[powers] * pts``, formed together with the
     row before the block, which ``current`` then replaces, and a zero
     difference pads the squares: so every complex product runs on at least
-    two pairs, as in the m x n arrays of the per-step loop (see
+    two pairs, as in the m x n arrays of a per-step search (see
     ``row_blocks``).  Each length is the square root of the sum of squares
     ``np.linalg.norm`` takes, the float a norm of the same difference
     gives.  The rows are freed before the squares are formed, so at most
@@ -210,84 +191,72 @@ def lift_loop(loop: QuotientLoop, basepoint_choice: int = 0,
 
     The lift starts at the ``basepoint_choice``-th rotation of the first
     representative and greedily keeps, at every step, the rotation of the
-    next representative nearest the current lifted point.  Rotations
-    commute and are unitary, so that rotation is the current one times the
-    rotation of p_i nearest p_(i-1): all relative choices come from one
-    blocked product (``relative_steps``) and their running sum mod m gives
-    the powers.  The step lengths are then measured on the lifted rows,
-    block by block, as ``np.linalg.norm`` sums their squares.  The first
-    step whose length reaches the half-separation bound is measured again
-    against all m rotations of its point; if the nearest is below the bound
-    (a near-tie that the product rounded the other way) it is taken and the
-    later powers follow it, otherwise ``AmbiguousLiftError`` is raised.
-    The deck element is the rotation of the start nearest the last lifted
-    point; ``AmbiguousLiftError`` again when it is farther than
-    ``match_tol``.  More than ``MAX_LIFT_PAIRS`` (point, rotation) pairs
-    raise ValueError before any rotation is formed.
+    next representative nearest the current lifted point: the current
+    rotation times the R_j that brings p_i nearest p_(i-1), the argmax over
+    j of Re <p_(i-1), R_j p_i>.  One loop runs over row blocks (``row_blocks``)
+    of width max(m, n).  Each block takes its choices from one real
+    (steps x 2n) by (2n x m) product of the interleaved pairs
+    conj(p_(i-1)) p_i with the conjugated rotation table, continues the
+    running sum of powers mod m and measures its steps (``step_lengths``);
+    the first step at or over the half-separation bound raises
+    ``AmbiguousLiftError`` with its own length.  A wrong choice lies at
+    least twice the bound less the right step from p_(i-1), so only a tie
+    within rounding is decided wrongly, and that step reaches the bound: a
+    per-step search against all m rotations would certify it with a margin
+    below about 1e-12.  Certify's normalised samples at m <= 2040 never
+    come that close; a ``lift --input`` file that does, its samples off
+    the sphere within ``QuotientLoop``'s 1e-6 tolerance, exits 5.  The deck
+    element is the rotation of the start nearest the last lifted point;
+    ``AmbiguousLiftError`` again when it is farther than ``match_tol``.
+    More than ``MAX_LIFT_PAIRS`` (point, rotation) pairs raise ValueError
+    before any rotation is formed.
     """
     twist = loop.twist
+    m = twist.m
     pts = loop.samples
     count = len(pts)
-    if twist.m * count > MAX_LIFT_PAIRS:
-        raise ValueError(f"a lift compares each of {count} loop points with {twist.m} "
-                         f"rotations: {twist.m * count} pairs, above the cap of "
+    if m * count > MAX_LIFT_PAIRS:
+        raise ValueError(f"a lift compares each of {count} loop points with {m} "
+                         f"rotations: {m * count} pairs, above the cap of "
                          f"{MAX_LIFT_PAIRS}")
     bound = orbit_separation(twist, pts) / 2.0
     rotations = twist.phase_table()
-    add = np.add.reduce
+    weights = rotations.conj().view(np.float64)
 
     powers = np.empty(count, dtype=np.int64)
-    powers[0] = basepoint_choice % twist.m
-    np.cumsum(relative_steps(rotations, pts), out=powers[1:])
-    powers[1:] += powers[0]
-    powers %= twist.m
+    powers[0] = basepoint_choice % m
     start = current = rotations[powers[0]] * pts[0]
     worst_step = 0.0
-    done = 1
-    while done < count:
-        for rows in row_blocks(count - done, twist.n):
-            block = slice(done + rows.start, done + rows.stop)
-            lengths, last = step_lengths(rotations, pts, powers, block, current)
-            over = np.flatnonzero(lengths >= bound)
-            if over.size:
-                break
-            worst_step = max(worst_step, float(lengths.max()))
-            current = last
-        else:
-            break
-        # the first over-bound step, measured again against every rotation
-        # from the lifted row before it (formed with its successor, not alone)
-        i = block.start + int(over[0])
-        if i > block.start:
-            worst_step = max(worst_step, float(lengths[:i - block.start].max()))
-            current = (rotations[powers[i - 1:i + 1]] * pts[i - 1:i + 1])[0]
-        candidates = rotations * pts[i]
-        diff = candidates - current
-        sq = add((diff.conj() * diff).real, axis=1)
-        best = int(sq.argmin())
-        step = math.sqrt(sq[best])
-        if step >= bound:
-            raise AmbiguousLiftError(f"step {i} has length {step:.3e}, not below "
-                                     f"the half-separation bound {bound:.3e}")
-        # a near-tie the product decided the other way: the later powers follow
-        powers[i:] += best - powers[i]
-        powers[i:] %= twist.m
-        worst_step = max(worst_step, step)
-        current = candidates[best]
-        done = i + 1
+    for rows in row_blocks(count - 1, max(m, twist.n)):
+        block = slice(rows.start + 1, rows.stop + 1)
+        pairs = pts[rows].conj()
+        pairs *= pts[block]
+        # einsum's own loop, not BLAS, as in orbit_separation
+        np.cumsum(np.einsum("pq,jq->pj", pairs.view(np.float64), weights).argmax(axis=1),
+                  out=powers[block])
+        del pairs
+        powers[block] += powers[rows.start]
+        powers[block] %= m
+        lengths, current = step_lengths(rotations, pts, powers, block, current)
+        over = np.flatnonzero(lengths >= bound)
+        if over.size:
+            raise AmbiguousLiftError(f"step {block.start + int(over[0])} has length "
+                                     f"{lengths[over[0]]:.3e}, not below the "
+                                     f"half-separation bound {bound:.3e}")
+        worst_step = max(worst_step, float(lengths.max()))
 
     diff = rotations * start - current
-    sq = add((diff.conj() * diff).real, axis=1)
+    sq = np.add.reduce((diff.conj() * diff).real, axis=1)
     exponent = int(sq.argmin())
     gap = math.sqrt(sq[exponent])
     if gap > match_tol:
         raise AmbiguousLiftError(f"lift ends {gap:.3e} from the nearest rotation "
                                  f"of its start, beyond lift_match {match_tol:.3e}")
-    return LiftResult(powers=tuple(powers.tolist()), deck=DeckElement(exponent, twist.m),
+    return LiftResult(powers=tuple(powers.tolist()), deck=DeckElement(exponent, m),
                       margin=bound - worst_step)
 
 
-def classify_orbit_loop(orbit, twist: RotationTwist, model, samples: int = 128,
+def classify_orbit_loop(orbit, twist: RotationTwist, model, samples: int,
                         settings: SolverSettings = SolverSettings()) -> LiftResult:
     """Deck element of the projected orbit over one twisted period.
 

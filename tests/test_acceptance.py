@@ -166,12 +166,12 @@ def test_criterion_7_noncontractibility_certificates():
         twist = ones_twist(m, 2)
         model = RoundSphere(2)
         orbit = shoot_orbit(model, twist, [1, 0], orbit_multiplier(m, 1, 1))
-        result = classify_orbit_loop(orbit, twist, model)
+        result = classify_orbit_loop(orbit, twist, model, samples=128)
         assert result.deck.exponent != 0, m
         assert result.margin > 0
     twist = ones_twist(1, 2)
     orbit = shoot_orbit(RoundSphere(2), twist, [1, 0], orbit_multiplier(1, 1, 2))
-    result = classify_orbit_loop(orbit, twist, RoundSphere(2))
+    result = classify_orbit_loop(orbit, twist, RoundSphere(2), samples=128)
     assert result.deck.exponent == 0
     passed(7, "projected first-branch orbits lift to nontrivial deck elements "
               "for even m; the untwisted orbit closes up")

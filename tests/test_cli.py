@@ -262,16 +262,14 @@ def test_lift_command(capsys, tmp_path):
     assert payload["data"]["noncontractible"] is True
 
 
-def test_lift_undersampled_exit_code(capsys, tmp_path):
-    twist = RotationTwist(2, (1, 1))
-    arc = np.stack([np.exp(1j * math.pi * s) * np.array([1.0 + 0j, 0j])
-                    for s in np.linspace(0, 1, 3)])
-    loop = QuotientLoop(samples=arc, twist=twist)
-    path = tmp_path / "loop.json"
-    path.write_text(json.dumps(loop.to_json_dict()))
-    code, _, err = run(capsys, "lift", "--input", str(path))
-    assert code == 5
-    assert "lifting" in err
+def test_lift_undersampled_exit_code(capsys):
+    # three points on a half turn of the flow circle: each step is a quarter
+    # turn, sqrt(2) long, and the antipodal rotation bounds steps by 1
+    path = Path(__file__).parent / "models" / "loop_m2_undersampled.json"
+    code, out, err = run(capsys, "lift", "--input", str(path))
+    assert (code, out) == (5, "")
+    assert err == ("lifting error: step 1 has length 1.414e+00, not below the "
+                   "half-separation bound 1.000e+00\n")
 
 
 def test_malformed_loop_file_rejected(capsys, tmp_path):

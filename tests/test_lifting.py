@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reebtwist import geometry, lifting
+from reebtwist import geometry
 from reebtwist.geometry import RadialProfile, RotationTwist, RoundSphere
 from reebtwist.lifting import (
     AmbiguousLiftError,
@@ -93,7 +93,7 @@ def test_classify_certified_orbit():
     orbit = TwistedOrbit(z0=np.array([1.0 + 0j, 0j]),
                          tau=orbit_multiplier(2, 1, 1), support=(1,),
                          residual=0.0, component_id="supp(1)|l=1")
-    result = classify_orbit_loop(orbit, twist, SPHERE2)
+    result = classify_orbit_loop(orbit, twist, SPHERE2, samples=128)
     assert result.deck == DeckElement(1, 2)
     cert = result.certificate()
     assert cert["noncontractible"] and cert["margin"] > 0
@@ -104,7 +104,7 @@ def test_classify_untwisted_orbit_is_trivial():
     orbit = TwistedOrbit(z0=np.array([1.0 + 0j, 0j]),
                          tau=orbit_multiplier(1, 1, 2), support=(1,),
                          residual=0.0, component_id="supp(1)|l=2")
-    result = classify_orbit_loop(orbit, twist, SPHERE2)
+    result = classify_orbit_loop(orbit, twist, SPHERE2, samples=128)
     assert result.deck == DeckElement(0, 1)
     assert result.contractible
 
@@ -222,14 +222,17 @@ def test_nan_sample_is_off_the_sphere():
 
 @st.composite
 def quotient_loops(draw, max_m=12, max_n=4, counts=st.one_of(st.integers(2, 12),
-                                                             st.integers(40, 200))):
+                                                             st.integers(40, 200)),
+                   off_sphere=False):
     """A loop from z to a rotation of z, each sample a random representative.
 
     Coordinate j turns by 2 pi (k_j p / m + l_j) plus an end offset that
     leaves the lift within or beyond lift_match; few samples leave some
     steps above the half-separation bound.  The order m is at most 12, or
     at most ``max_m`` in about half the draws; n is at most ``max_n`` and
-    the sample count is drawn from ``counts``.
+    the sample count is drawn from ``counts``.  With ``off_sphere`` each
+    sample is scaled by 1 + u, |u| <= 1e-6, as far off the sphere as a loop
+    may lie.
     """
     m = draw(st.integers(1, 12) | st.integers(1, max_m))
     n = draw(st.integers(1, max_n))
@@ -248,6 +251,8 @@ def quotient_loops(draw, max_m=12, max_n=4, counts=st.one_of(st.integers(2, 12),
     samples = np.exp(1j * np.multiply.outer(t, turns)) * z
     representatives = rng.integers(0, m, size=count)
     samples *= np.stack([twist.phases(int(r)) for r in representatives])
+    if off_sphere:
+        samples *= 1.0 + rng.uniform(-1e-6, 1e-6, size=(count, 1))
     return QuotientLoop(samples=samples, twist=twist)
 
 
@@ -327,17 +332,17 @@ def test_lift_matches_the_norm_loop_at_many_coordinates(loop, basepoint, block):
     assert (got.powers, got.deck, got.margin) == (want.powers, want.deck, want.margin)
 
 
-@settings(max_examples=50, deadline=None)
-@given(quotient_loops())
-def test_every_wrong_relative_step_is_measured_again(loop):
-    # with every relative choice 0, each step the loop turns through is a
-    # wrong rotation, at least the separation less the right step from it,
-    # so it reaches the bound and is decided against all m rotations
-    want = lift_or_message(lift_by_norms, loop, 0)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lifting, "relative_steps", lambda rotations, pts: np.zeros(len(pts) - 1,
-                                                                                 dtype=np.int64))
-        got = lift_or_message(lift_loop, loop, 0)
+@settings(max_examples=200, deadline=None)
+@given(quotient_loops(max_m=2047, off_sphere=True), st.integers())
+def test_lift_matches_the_norm_loop_off_the_sphere(loop, basepoint):
+    # a step the product decides wrongly ties the right one within rounding,
+    # so it reaches the bound and raises where the per-step search certifies
+    # a margin within rounding of zero; every other lift is the same floats
+    want = lift_or_message(lift_by_norms, loop, basepoint)
+    got = lift_or_message(lift_loop, loop, basepoint)
+    if isinstance(got, str) and not isinstance(want, str) and want.margin < 1e-12:
+        assert "not below the half-separation bound" in got
+        return
     if isinstance(want, str):
         assert got == want
         return
@@ -355,6 +360,16 @@ def test_first_over_bound_step_at_a_block_edge(monkeypatch, block, jump):
     monkeypatch.setattr(geometry, "BLOCK_POINTS", block)
     message = (f"step {jump} has length 1.414e+00, not below the half-separation "
                f"bound 1.000e+00")
+    assert lift_or_message(lift_loop, loop, 0) == lift_or_message(lift_by_norms, loop, 0) == message
+
+
+def test_the_first_over_bound_step_names_its_own_length():
+    # a 70 degree step over the bound, then a longer 90 degree one in the
+    # same block: the error names the first step and its own length
+    twist = RotationTwist(2, (1,))
+    angles = np.radians([0.0, 10.0, 80.0, 170.0, 180.0])
+    loop = make_loop(np.exp(1j * angles)[:, None], twist)
+    message = "step 2 has length 1.147e+00, not below the half-separation bound 1.000e+00"
     assert lift_or_message(lift_loop, loop, 0) == lift_or_message(lift_by_norms, loop, 0) == message
 
 
@@ -390,8 +405,8 @@ def test_classify_orbit_loop_is_independent_of_the_block_size(monkeypatch, n):
     z0 = np.eye(n, dtype=complex)[0] / math.sqrt(model.a[0])
     orbit = TwistedOrbit(z0=z0, tau=orbit_multiplier(3, 1, 1) / model.a[0], support=(1,),
                          residual=0.0, component_id="x")
-    whole = classify_orbit_loop(orbit, twist, model)
+    whole = classify_orbit_loop(orbit, twist, model, samples=128)
     for block in (1, 3, 7):
         monkeypatch.setattr(geometry, "BLOCK_POINTS", block)
-        got = classify_orbit_loop(orbit, twist, model)
+        got = classify_orbit_loop(orbit, twist, model, samples=128)
         assert (got.powers, got.deck, got.margin) == (whole.powers, whole.deck, whole.margin)

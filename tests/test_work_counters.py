@@ -74,12 +74,15 @@ LOOP_FILE = Path(__file__).parent / "models" / "loop_m5.json"
     ("certify --m 4 --k 1,1 --n 2", {"norms": 9}),
     (["lift", "--input", str(LOOP_FILE), "--basepoint", "2"], {"norms": 1}),
     # one product per row block (one block here) for the separation and one
-    # for all the lift's relative steps; a product per lift step would give
-    # 257 and 41, and the per-step norm loop, which took none, gave 1 and 1
+    # for the lift's steps; a product per lift step would give 257 and 41,
+    # and the per-step norm loop, which took none, gave 1 and 1
     ("certify --m 4 --k 1,1 --n 2", {"einsum": 2}),
     (["lift", "--input", str(LOOP_FILE), "--basepoint", "2"], {"einsum": 2}),
+    # at m = 2040 the lift's 256 steps take two row blocks of 128, one
+    # product each, beside the separation's one
+    ("certify --m 2040 --k 1,1 --n 2", {"einsum": 3}),
 ], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep",
-        "certify_norms", "lift_norms", "certify_einsum", "lift_einsum"])
+        "certify_norms", "lift_norms", "certify_einsum", "lift_einsum", "certify_einsum_m2040"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
     counts = Counter()
     for name in expected:
