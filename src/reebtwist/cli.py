@@ -381,7 +381,7 @@ def cmd_complex(args, settings):
 
 def cmd_homology(args, settings):
     report = compare_with_oracle(*_pearl_geometry(args), args.window)
-    return report.to_json_dict(), (EXIT_OK if report.all_match else EXIT_MISMATCH)
+    return report, (EXIT_OK if report["all_match"] else EXIT_MISMATCH)
 
 
 def cmd_tate(args, settings):
@@ -423,7 +423,7 @@ def cmd_sweep(args, settings):
     if model is not None and set(args.n_list) != {model.n}:
         raise ConfigError(f"--n-list must hold only the model's n = {model.n}")
     results = [compare_with_oracle(model or RoundSphere(n), RotationTwist(m, (1,) * n),
-                                   args.window).to_json_dict()
+                                   args.window)
                for m in range(m_lo, m_hi + 1) for n in args.n_list]
     ok = all(r["all_match"] for r in results)
     return {"sweep": results, "all_match": ok}, (EXIT_OK if ok else EXIT_MISMATCH)
@@ -649,6 +649,8 @@ def main(argv=None) -> int:
         args = _parse(argv)
         settings = dataclasses.replace(SolverSettings(), **dict(args.tol))
         handler, _, _, tabular = COMMANDS[args.command]
+        if args.format == "csv" and tabular is None:
+            raise ConfigError("no tabular view for this command")
         data, code = handler(args, settings)
     except (ConfigError, ComplexValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -671,9 +673,6 @@ def main(argv=None) -> int:
         }
         text = _json_text(payload) + "\n"
     elif fmt == "csv":
-        if tabular is None:
-            print("error: no tabular view for this command", file=sys.stderr)
-            return EXIT_CONFIG
         text = _render_csv(_round_floats(data[tabular]))
     else:
         data = _round_floats(data)

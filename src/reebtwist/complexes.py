@@ -6,6 +6,11 @@ degree d to d-1, and optionally a cyclic-group action by generator
 permutations.  Homology is only trusted on interior degrees: the two
 degrees touching the truncation boundary see incomplete boundary data
 and are flagged unreliable.
+
+This is the general path, the plain per-degree reference: ``validate``,
+``quotient_by_action`` and ``homology`` work on every degree alike.  No
+command runs them, since ``pearls`` decides homology on group-ring
+elements; the tests pin that route to this one.
 """
 
 from __future__ import annotations
@@ -94,11 +99,6 @@ class GradedF2Complex:
     def degrees(self) -> range:
         return range(self.d_min, self.d_max + 1)
 
-    def distinct_boundaries(self) -> dict[int, F2Matrix]:
-        """The window's boundary matrices by ``id``, each object once."""
-        return {id(b): b for b in map(self.boundaries.__getitem__,
-                                      range(self.d_min + 1, self.d_max + 1))}
-
     # -- JSON output --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -110,7 +110,8 @@ class GradedF2Complex:
         if entries > MAX_BOUNDARY_ENTRIES:
             raise ValueError(f"the complex lists {entries} boundary entries, "
                              f"above the cap of {MAX_BOUNDARY_ENTRIES}")
-        rows = {key: b.to_rows() for key, b in self.distinct_boundaries().items()}
+        distinct = {id(b): b for b in bnds.values()}
+        rows = {key: b.to_rows() for key, b in distinct.items()}
         out = {
             "degrees": [self.d_min, self.d_max],
             "generators": {str(d): list(self.generators[d]) for d in self.degrees()},
@@ -145,22 +146,10 @@ def validate(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
     Raises ``ComplexValidationError`` at the first broken axiom, naming the
     first offending degree and composite entry, or the lowest generator of
     the first bad cycle.  Returns the action's orbits per degree, or ``{}``
-    without an action; degrees that hold one permutation object share one
-    orbit list.  Each check runs once per distinct tuple of operand objects,
-    at the lowest degree that holds it: d.d per pair of adjacent boundaries, a
-    permutation's bijection, order and freeness checks and its matrix per
-    permutation, and equivariance per (boundary, permutation below,
-    permutation above).  A degree whose operands passed lower down is not
-    checked again.  Operands are keyed by ``id``: ``c`` holds every one, so an
-    ``id`` names one object for the whole call, and no state outlives it.
+    without an action.  Every check runs at every degree, lowest first.
     """
-    checked: set[tuple[int, int]] = set()
     for d in range(c.d_min + 2, c.d_max + 1):
-        lower, upper = c.boundaries[d - 1], c.boundaries[d]
-        if (id(lower), id(upper)) in checked:
-            continue
-        checked.add((id(lower), id(upper)))
-        comp = matmul(lower, upper)
+        comp = matmul(c.boundaries[d - 1], c.boundaries[d])
         if not comp.is_zero:
             i, j = _first_nonzero(comp)
             raise ComplexValidationError(
@@ -187,24 +176,17 @@ def _permutation_matrix(perm: tuple[int, ...]) -> F2Matrix:
 
 def _validate_action(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
     act = c.action
-    perms: dict[int, tuple[int, ...]] = {}  # each distinct permutation object by id
     for d in c.degrees():
         perm = act.perms.get(d)
-        if perm is None or len(perm) != c.dim(d) or (
-                id(perm) not in perms and sorted(perm) != list(range(c.dim(d)))):
+        if perm is None or len(perm) != c.dim(d) or sorted(perm) != list(range(c.dim(d))):
             raise ComplexValidationError(
                 f"action permutation missing or invalid at degree {d}")
-        perms[id(perm)] = perm
     # order check: the permutation's order must divide the declared order, and
     # the action must be free (every orbit of full size); a cycle's lowest index
-    # is its orbit's first generator to fail, a permutation's first degree its first
-    cycles: dict[int, list[tuple[int, ...]]] = {}
+    # is its orbit's first generator to fail
+    cycles = {d: act.cycles(d) for d in c.degrees()}
     for d in c.degrees():
-        key = id(act.perms[d])
-        if key in cycles:
-            continue
-        cycles[key] = act.cycles(d)
-        for orbit in cycles[key]:
+        for orbit in cycles[d]:
             i = orbit[0]
             if act.order % len(orbit) != 0:
                 raise ComplexValidationError(
@@ -214,36 +196,25 @@ def _validate_action(c: GradedF2Complex) -> dict[int, list[tuple[int, ...]]]:
                 raise ComplexValidationError(
                     f"action not free: generator {i} in degree {d} is fixed by a "
                     f"nontrivial power (orbit size {len(orbit)})")
-    perm_mats = {key: _permutation_matrix(perm) for key, perm in perms.items()}
-    checked: set[tuple[int, int, int]] = set()
+    perm_mats = {d: _permutation_matrix(act.perms[d]) for d in c.degrees()}
     for d in range(c.d_min + 1, c.d_max + 1):
-        b, below, above = c.boundaries[d], id(act.perms[d - 1]), id(act.perms[d])
-        if (id(b), below, above) in checked:
-            continue
-        checked.add((id(b), below, above))
-        if matmul(b, perm_mats[above]) != matmul(perm_mats[below], b):
+        b = c.boundaries[d]
+        if matmul(b, perm_mats[d]) != matmul(perm_mats[d - 1], b):
             raise ComplexValidationError(
                 f"action does not commute with the boundary at degree {d}")
-    return {d: cycles[id(act.perms[d])] for d in c.degrees()}
+    return cycles
 
 
 def homology(c: GradedF2Complex) -> HomologyTable:
     """ker/im dimensions per degree; boundary-adjacent degrees flagged.
 
     Requires a valid complex (raises ``ComplexValidationError`` otherwise).
-    Each distinct boundary object is ranked once.
     """
     validate(c)
-    ranks = {key: rank(b) for key, b in c.distinct_boundaries().items()}
-    dims: dict[int, int] = {}
-    reliable: dict[int, bool] = {}
-    for d in c.degrees():
-        reliable[d] = c.d_min < d < c.d_max
-        # a boundary's kernel is its column count, dim(d), less its rank
-        cycles = c.dim(d) - (ranks[id(c.boundaries[d])] if d > c.d_min else 0)
-        bound = ranks[id(c.boundaries[d + 1])] if d < c.d_max else 0
-        dims[d] = cycles - bound
-    return HomologyTable(dims=dims, reliable=reliable)
+    ranks = {d: rank(c.boundaries[d]) for d in range(c.d_min + 1, c.d_max + 1)}
+    # dim(d) less the rank out of d counts the cycles, less the rank into d the homology
+    dims = {d: c.dim(d) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in c.degrees()}
+    return HomologyTable(dims=dims, reliable={d: c.d_min < d < c.d_max for d in c.degrees()})
 
 
 def quotient_by_action(c: GradedF2Complex) -> GradedF2Complex:
@@ -255,23 +226,15 @@ def quotient_by_action(c: GradedF2Complex) -> GradedF2Complex:
     (o', o) is bit rep(o) of the XOR of the boundary rows of orbit o'.  The
     orbits come from ``validate``, which rejects non-free or non-equivariant
     actions.  The trivial group (order 1) gives each generator its own orbit:
-    the same complex, relabelled, without the action.  Degrees that hold one
-    boundary object and one orbit list above and below share one quotient
-    matrix, built once.
+    the same complex, relabelled, without the action.
     """
     if c.action is None:
         raise ComplexValidationError("no action attached to the complex")
     orbits = validate(c)
     new_gens = {d: tuple(f"[{c.generators[d][orbit[0]]}]" for orbit in orbits[d])
                 for d in c.degrees()}
-    quotients: dict[tuple[int, int, int], F2Matrix] = {}
-    new_bnds: dict[int, F2Matrix] = {}
-    for d in range(c.d_min + 1, c.d_max + 1):
-        b, below, above = c.boundaries[d], orbits[d - 1], orbits[d]
-        key = (id(b), id(below), id(above))
-        if key not in quotients:
-            quotients[key] = _quotient_matrix(b, below, above)
-        new_bnds[d] = quotients[key]
+    new_bnds = {d: _quotient_matrix(c.boundaries[d], orbits[d - 1], orbits[d])
+                for d in range(c.d_min + 1, c.d_max + 1)}
     return GradedF2Complex(c.d_min, c.d_max, new_gens, new_bnds, None)
 
 

@@ -2,13 +2,14 @@
 Exact dense linear algebra over the two-element field.
 
 Matrices are stored bit-packed, one Python int per row, so every
-computation is exact and hashable value semantics come for free.  A pearl
-complex's boundaries are m x m stencils, and ``complexes.MAX_BOUNDARY_ENTRIES``
-holds m at most 2048, hence no sparse format and no pivoting strategy
-beyond deterministic first-nonzero.  A product costs one XOR of a
-right-hand row per set bit of each distinct left row: equal left rows share
-one result, so the all-ones stencil costs one row sum and a permutation or
-circle stencil one or two XORs per row.
+computation is exact and hashable value semantics come for free.  It is
+the arithmetic of the general path in ``complexes``: no command multiplies
+or ranks, and ``complex`` only lists a pearl complex's m x m circulants,
+m at most 2048 by ``complexes.MAX_BOUNDARY_ENTRIES``, hence no sparse format
+and no pivoting strategy beyond deterministic first-nonzero.  A product
+costs one XOR of a right-hand row per set bit of each distinct left row:
+equal left rows share one result, so the all-ones stencil costs one row sum
+and a permutation or circle stencil one or two XORs per row.
 """
 
 from __future__ import annotations

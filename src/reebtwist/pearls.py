@@ -22,18 +22,20 @@ of Z/m (Brown, Cohomology of Groups, 1982), the equivariant cellular complex
 of a lens space (Hatcher, Algebraic Topology, Ex. 2.43).
 
 ``pearl_layout`` places the rows once, as a record per degree: its label
-prefix, its circle's exponent and the stencil that leaves it.
-``compare_with_oracle`` decides the complex on that record, ring elements
-held as int bit masks mod t^m - 1: d.d is one ring product per distinct
-adjacent stencil pair, equivariance the product (t^k_d + t^k_(d-1)) f = 0 per
-distinct (stencil, exponent below, exponent above), freeness gcd(k_d, m) = 1
-per distinct exponent, and the quotient the augmentation, the coefficient
-sum mod 2, so every degree collapses to one class and every rank is that of
-a 1 x 1 matrix: N descends to m mod 2 and 1 + t to zero.
+prefix, its circle's exponent and the stencil that leaves it, and
+``homology`` and ``sweep`` decide the complex on that record alone.
+``compare_with_oracle`` holds ring elements as int bit masks mod t^m - 1:
+d.d is one ring product per distinct adjacent stencil pair, equivariance the
+product (t^k_d + t^k_(d-1)) f = 0 per distinct (stencil, exponent below,
+exponent above), freeness gcd(k_d, m) = 1 per distinct exponent, and the
+quotient the augmentation, the coefficient sum mod 2, so every degree
+collapses to one class and every rank is that of a 1 x 1 matrix: N descends
+to m mod 2 and 1 + t to zero.  ``tate_homology``, the oracle, is the
+resolution's homology in closed form.
 ``build_pearl_complex`` expands the same record into m x m circulants and
-rotation permutations, the general complex that ``complexes`` checks,
-divides and ranks: the path of ``complex`` output and the oracle of the
-ring route.
+rotation permutations: the complex that ``complex`` prints, and the plain
+per-degree reference that the tests check, divide and rank through
+``complexes`` against the ring route.
 """
 
 from __future__ import annotations
@@ -41,16 +43,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import CyclicAction, GradedF2Complex, HomologyTable, homology, validate
+from .complexes import ComplexValidationError, CyclicAction, GradedF2Complex, HomologyTable
 from .f2 import F2Matrix
 from .geometry import RadialProfile, RotationTwist
 from .orbits import (MAX_LINE_BRANCHES, TAU_TOL, SpectrumRow, analytic_spectrum,
                      line_multiplier, line_turns, twisted_index)
 
-# tate_homology builds and reduces one generator and one boundary per degree,
-# about 15 us and 1.5 KB apiece on a 2-core x86-64 machine.  A pearl complex
-# spans two degrees per (line, branch) pair of its window, so this cap admits
-# every complex that MAX_LINE_BRANCHES does; 200 000 degrees take 3 s and 230 MB.
+# tate_homology fills two dicts of one entry per degree, about 0.25 us and
+# 170 B apiece on a 2-core x86-64 machine, and tate writes about 80 bytes of
+# JSON per degree.  A pearl complex spans two degrees per (line, branch) pair
+# of its window, so this cap admits every complex that MAX_LINE_BRANCHES does;
+# at 200 000 degrees tate_homology takes 50 ms, and tate 0.9 s and 110 MB.
 MAX_DEGREES = 2 * MAX_LINE_BRANCHES
 
 
@@ -162,7 +165,7 @@ def build_pearl_complex(model: RadialProfile, twist: RotationTwist,
 
     ``pearl_layout`` expanded: each degree's labels ``{prefix}{p}`` as one
     tuple, and degrees share one circulant per stencil and one permutation
-    per exponent, built once, for ``validate`` to reuse.
+    per exponent, built once, so ``to_json_dict`` lists each stencil's rows once.
     """
     layout = pearl_layout(model, twist, window)
     m, degrees = layout.m, range(layout.d_min, layout.d_max + 1)
@@ -177,12 +180,13 @@ def build_pearl_complex(model: RadialProfile, twist: RotationTwist,
 
 
 def tate_homology(m: int, degrees: tuple[int, int]) -> HomologyTable:
-    """Cyclic-group homology oracle from the two-periodic resolution.
+    """Cyclic-group homology oracle from the two-periodic resolution, in closed form.
 
-    Tensoring the resolution with the trivial two-element module sends the
-    difference map to zero and the norm map to m mod 2, leaving dimension
-    one per degree for even m and zero for odd m.  A window of more than
-    ``MAX_DEGREES`` degrees raises ValueError before any is built.
+    Tensored with the trivial two-element module, 1 + t goes to zero and the
+    norm, out of even degrees, to m mod 2.  So even m keeps one class per
+    degree, and odd m only a truncation end's: an even lowest or an odd
+    highest degree, flagged unreliable like the other end.  A window of more
+    than ``MAX_DEGREES`` degrees raises ValueError.
     """
     if m < 1:
         raise ValueError("group order must be positive")
@@ -190,45 +194,14 @@ def tate_homology(m: int, degrees: tuple[int, int]) -> HomologyTable:
     if hi - lo + 1 > MAX_DEGREES:
         raise ValueError(f"degree window {lo}:{hi} holds {hi - lo + 1} degrees, "
                          f"above the cap of {MAX_DEGREES}")
-    gens = {d: ("t",) for d in range(lo, hi + 1)}
-    norm = F2Matrix.from_rows([[m % 2]])
-    zero = F2Matrix.zeros(1, 1)
-    bnds = {d: (zero if d % 2 else norm) for d in range(lo + 1, hi + 1)}
-    return homology(GradedF2Complex(lo, hi, gens, bnds))
-
-
-@dataclass(frozen=True)
-class DegreeComparison:
-    degree: int
-    dim_quotient: int
-    dim_tate: int
-
-    @property
-    def match(self) -> bool:
-        return self.dim_quotient == self.dim_tate
-
-
-@dataclass(frozen=True)
-class OracleComparison:
-    m: int
-    n: int
-    window: tuple[int, int]
-    degrees: tuple[DegreeComparison, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(e.match for e in self.degrees)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "window": list(self.window),
-            "degrees": [{"d": e.degree, "dim_quotient": e.dim_quotient,
-                         "dim_tate": e.dim_tate, "match": e.match}
-                        for e in self.degrees],
-            "all_match": self.all_match,
-        }
+    window = range(lo, hi + 1)
+    if m % 2:
+        dims = dict.fromkeys(window, 0)
+        dims[lo] |= 1 - lo % 2
+        dims[hi] |= hi % 2
+    else:
+        dims = dict.fromkeys(window, 1)
+    return HomologyTable(dims=dims, reliable={d: lo < d < hi for d in window})
 
 
 def _ring_checks_pass(layout: PearlLayout) -> bool:
@@ -242,25 +215,24 @@ def _ring_checks_pass(layout: PearlLayout) -> bool:
 
 
 def compare_with_oracle(model: RadialProfile, twist: RotationTwist,
-                        window: tuple[int, int]) -> OracleComparison:
-    """Quotient-complex homology against the cyclic-group oracle, degreewise.
+                        window: tuple[int, int]) -> dict:
+    """Quotient-complex homology against the cyclic-group oracle per interior
+    degree, as the JSON report that ``homology`` prints.
 
     Decided on ``pearl_layout``'s ring elements: the quotient boundary out of
     degree d is the 1 x 1 matrix of the augmentation of its stencil, so degree
-    d keeps 1 - e(f_d) - e(f_(d+1)) classes.  When a ring check fails, the
-    general path of ``build_pearl_complex`` and ``validate`` raises its
-    ``ComplexValidationError``, with the text that names the first offending
-    degree.
+    d keeps 1 - e(f_d) - e(f_(d+1)) classes.  A layout that fails a ring check
+    raises ``ComplexValidationError``; none does, as every layout starts at an
+    even degree, so each 1 + t joins the two levels of one circle.
     """
     layout = pearl_layout(model, twist, window)
     if not _ring_checks_pass(layout):
-        validate(build_pearl_complex(model, twist, window))
-        raise RuntimeError("a group-ring check failed where validate passed")
+        raise ComplexValidationError(
+            f"pearl layout at m = {layout.m} fails d.d = 0, freeness or equivariance")
     ranks = [f.bit_count() & 1 for f in layout.stencils]
-    d_min, d_max = layout.d_min, layout.d_max
-    oracle = tate_homology(twist.m, (d_min, d_max))
-    entries = tuple(
-        DegreeComparison(degree=d, dim_quotient=1 - ranks[d - d_min - 1] - ranks[d - d_min],
-                         dim_tate=oracle.dims[d])
-        for d in range(d_min + 1, d_max))
-    return OracleComparison(m=twist.m, n=model.n, window=window, degrees=entries)
+    oracle = tate_homology(twist.m, (layout.d_min, layout.d_max)).dims
+    dims = (1 - below - above for below, above in zip(ranks, ranks[1:]))
+    entries = [{"d": d, "dim_quotient": q, "dim_tate": oracle[d], "match": q == oracle[d]}
+               for d, q in enumerate(dims, layout.d_min + 1)]
+    return {"m": twist.m, "n": model.n, "window": list(window), "degrees": entries,
+            "all_match": all(e["match"] for e in entries)}

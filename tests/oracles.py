@@ -6,7 +6,10 @@ spectra by residual scans on a parameter grid, derivatives by central
 differences, flows by scipy's RK45 on the analytic field, return maps by
 RK45 on its variational equation, rotation indices by their closed form,
 profile radii from the model file's profile spec, lifts one (point,
-rotation) pair at a time or one ``np.linalg.norm`` per step.
+rotation) pair at a time or one ``np.linalg.norm`` per step.  The one
+exception is cyclic-group homology, which ranks its periodic resolution as
+1 x 1 matrices on the library's general path, ``complexes.homology``, where
+the library itself answers in closed form.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from itertools import product
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from reebtwist.complexes import GradedF2Complex, HomologyTable, homology
+from reebtwist.f2 import F2Matrix
 from reebtwist.lifting import (
     AmbiguousLiftError,
     DeckElement,
@@ -85,6 +90,19 @@ def brute_homology_dim(boundary_out: list[list[int]] | None,
 
     assert boundaries <= cycles, "boundary image not contained in cycles"
     return int(math.log2(len(cycles) // len(boundaries)))
+
+
+def tate_by_resolution(m: int, degrees: tuple[int, int]) -> HomologyTable:
+    """Homology of the two-periodic resolution of Z/m tensored with the trivial
+    two-element module, one generator per degree, checked and ranked by
+    ``complexes.homology``: the norm map descends to m mod 2 out of even
+    degrees, the difference map to zero out of odd ones."""
+    lo, hi = degrees
+    gens = {d: ("t",) for d in range(lo, hi + 1)}
+    norm = F2Matrix.from_rows([[m % 2]])
+    zero = F2Matrix.zeros(1, 1)
+    bnds = {d: (zero if d % 2 else norm) for d in range(lo + 1, hi + 1)}
+    return homology(GradedF2Complex(lo, hi, gens, bnds))
 
 
 def brute_spectrum_grid(m: int, exponents: tuple[int, ...], tau_lo: float,

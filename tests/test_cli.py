@@ -71,6 +71,28 @@ def test_spectrum_untwisted_single_branch(capsys):
     assert rows[0]["tau"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_csv_without_a_tabular_view_is_rejected_before_the_command_runs(
+        capsys, monkeypatch, tmp_path, source):
+    # tau = 40 lies outside the seed's multiplier trust interval: shot, the
+    # orbit exits 3 with a solver error
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    calls = []
+    shoot = reebtwist.cli.shoot_orbit
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(reebtwist.cli, "shoot_orbit", spy)
+    fmt = ["--format", "csv"] if source == "flag" else ["--config", str(cfg)]
+    code, out, err = run(capsys, "orbit", "--m", "2", "--n", "2", "--tau", "40",
+                         "--z", "0.3,0.1,0.2,0.9", *fmt)
+    assert (code, out, err) == (2, "", "error: no tabular view for this command\n")
+    assert calls == []
+
+
 def test_spectrum_formats(capsys):
     code, out, _ = run(capsys, "spectrum", "--m", "2", "--k", "1,1", "--n", "2",
                        "--window", "0:1", "--format", "csv")
@@ -835,7 +857,7 @@ def test_sweep_follows_the_model(capsys, tmp_path):
     assert data["all_match"] is True
     for entry in data["sweep"]:
         report = compare_with_oracle(RadialProfile(a), RotationTwist(entry["m"], (1, 1)), (0, 2))
-        assert entry["degrees"] == report.to_json_dict()["degrees"]
+        assert entry["degrees"] == report["degrees"]
     sphere = run_json(capsys, *argv)["data"]["sweep"]
     assert [len(e["degrees"]) for e in data["sweep"]] == [12, 12]
     assert [len(e["degrees"]) for e in sphere] == [10, 10]

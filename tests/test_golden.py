@@ -28,7 +28,9 @@ against 2040 rotations, the most that ``lifting.MAX_LIFT_PAIRS`` admits; it
 was captured while each lift step still called ``np.linalg.norm`` and kept
 the whole lifted path.  ``certify_samples_cap`` is the cap's other end,
 2^18 loop points against 2 rotations; it was captured while the lift still
-walked the loop one point at a time.
+walked the loop one point at a time.  ``tate_m5`` keeps a class at both
+truncation ends of an odd order; it was captured while ``tate`` still ranked
+its resolution as 1 x 1 matrices, before the closed form.
 """
 
 import json
@@ -55,6 +57,7 @@ CASES = {
     "homology_mixed": "homology --m 5 --k 1,2 --n 2 --window 0:3",
     "homology_m1024": "homology --m 1024 --k 1,3,5 --n 3 --window=-1:2",
     "tate": "tate --m 4 --degrees 0:9",
+    "tate_m5": "tate --m 5 --degrees 0:5",
     "certify": "certify --m 2 --k 1,1 --n 2",
     "sweep": "sweep --m-range 2:8 --n-list 2,3 --window 0:3",
     "orbit_off_axis": "orbit --m 3 --k 1,2 --n 2 --tau 1.3 --z 0.8,0.1,0.6,-0.05",

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reebtwist import orbits, pearls
-from reebtwist.complexes import homology, quotient_by_action, validate
+from reebtwist.cli import main
+from reebtwist.complexes import ComplexValidationError, homology, quotient_by_action, validate
 from reebtwist.f2 import matmul
 from reebtwist.geometry import RadialProfile, RotationTwist, RoundSphere
 from reebtwist.orbits import (MAX_SPECTRUM_CELLS, TAU_TOL, analytic_spectrum, line_multiplier,
@@ -21,6 +22,7 @@ from reebtwist.pearls import (
     tate_homology,
 )
 
+from oracles import tate_by_resolution
 from test_cli import twisted_pearls
 
 
@@ -180,7 +182,7 @@ def test_near_resonant_rows_stay_contiguous():
         f"k{branch}.c{circle}.h{level}.s0"
         for branch, circle in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (2, 1)]
         for level in (0, 1)]
-    assert compare_with_oracle(*args).all_match
+    assert compare_with_oracle(*args)["all_match"]
 
 
 def test_chained_multipliers_give_each_line_one_row():
@@ -196,7 +198,7 @@ def test_chained_multipliers_give_each_line_one_row():
     circles = [c.generators[d][0].rsplit(".", 2)[0] for d in c.degrees()]
     assert sorted(circles) == sorted(f"k{branch}.c{circle}" for branch in range(3)
                                      for circle in (1, 2, 3) for _ in (0, 1))
-    assert compare_with_oracle(*args).all_match
+    assert compare_with_oracle(*args)["all_match"]
 
 
 def test_grading_periodicity():
@@ -222,21 +224,32 @@ def test_tate_rejects_bad_order():
         tate_homology(0, (0, 5))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.integers(-20, 20), st.integers(1, 40))
+def test_tate_closed_form_equals_the_resolution(m, lo, width):
+    # for odd m only an even lowest or an odd highest degree keeps a class
+    got = tate_homology(m, (lo, lo + width - 1))
+    want = tate_by_resolution(m, (lo, lo + width - 1))
+    assert got.dims == want.dims
+    assert got.reliable == want.reliable
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n", [2, 3])
 def test_oracle_agreement(m, n):
     report = compare_with_oracle(*sphere(m, n))
-    assert report.all_match
+    assert report["all_match"]
     expected = 1 if m % 2 == 0 else 0
-    assert all(e.dim_quotient == expected for e in report.degrees)
+    assert all(e["dim_quotient"] == expected for e in report["degrees"])
 
 
 def test_comparison_report_json():
-    report = compare_with_oracle(*sphere(2, 2))
-    data = report.to_json_dict()
-    assert data["m"] == 2 and data["n"] == 2
-    assert all(entry["match"] for entry in data["degrees"])
-    assert len(data["degrees"]) == len(report.degrees)
+    data = compare_with_oracle(*sphere(2, 2))
+    assert data.keys() == {"m", "n", "window", "degrees", "all_match"}
+    assert data["m"] == 2 and data["n"] == 2 and data["window"] == [0, 2]
+    assert all(entry.keys() == {"d", "dim_quotient", "dim_tate", "match"} and entry["match"]
+               for entry in data["degrees"])
+    assert [entry["d"] for entry in data["degrees"]] == list(range(1, 11))
 
 
 # -- the window's rows ----------------------------------------------------------
@@ -347,8 +360,8 @@ def test_ring_route_equals_the_general_path(case):
             compare_with_oracle(*case)
         assert str(excinfo.value) == str(exc)
         return
-    got = compare_with_oracle(*case)
-    assert [(e.degree, e.dim_quotient, e.dim_tate) for e in got.degrees] == want
+    got = compare_with_oracle(*case)["degrees"]
+    assert [(e["d"], e["dim_quotient"], e["dim_tate"]) for e in got] == want
 
 
 @st.composite
@@ -368,8 +381,26 @@ def layout_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(layout_cases())
 def test_layout_starts_at_an_even_degree(case):
-    # so 1 + t joins the two levels of one circle and the ring checks pass:
-    # compare_with_oracle never falls back to validate
+    # so 1 + t joins the two levels of one circle, on which t^k acts alike
+    # (at m = 2 the norm is 1 + t too, and every unit exponent is 1 mod 2),
+    # and the ring checks pass
     layout = pearl_layout(*case)
     assert layout.d_min % 2 == 0
+    m, circle, ks = layout.m, stencils(layout.m)[1], layout.exponents
+    assert all(ks[i] % m == ks[i + 1] % m for i, f in enumerate(layout.stencils) if f == circle)
     assert pearls._ring_checks_pass(layout)
+
+
+def broken_layout(*_args):
+    """Three degrees at m = 3 joined by 1 + t twice: (1 + t)^2 = 1 + t^2, not zero."""
+    circle = stencils(3)[1]
+    return pearls.PearlLayout(3, 0, ("a.s", "b.s", "c.s"), (1, 1, 1), (circle, circle))
+
+
+def test_a_layout_that_fails_a_ring_check_is_rejected(monkeypatch, capsys):
+    monkeypatch.setattr(pearls, "pearl_layout", broken_layout)
+    with pytest.raises(ComplexValidationError, match="m = 3 fails d.d = 0"):
+        compare_with_oracle(*sphere(3, 2))
+    assert main("homology --m 3 --n 2".split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -50,22 +50,27 @@ LOOP_FILE = Path(__file__).parent / "models" / "loop_m5.json"
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # the pearl complex is decided on ring elements, so the matrix products
-    # and ranks left are the oracle's: d.d on its two 1 x 1 boundaries, and
-    # one rank of each (10, 1 and 4, and 28, 4 and 10, when the pearl complex
-    # was checked, divided and ranked as m x m matrices)
-    ("homology --m 64 --n 4 --window=0:3", {"matmul": 2, "cycles": 0, "rank": 2}),
+    # the pearl complex is decided on ring elements and the oracle is a
+    # closed form, so no matrix is multiplied or ranked (2 and 2 while the
+    # oracle ranked its resolution as 1 x 1 matrices; 10, 1 and 4, and 28, 4
+    # and 10, when the pearl complex was checked, divided and ranked as m x m
+    # matrices)
+    ("homology --m 64 --n 4 --window=0:3", {"matmul": 0, "cycles": 0, "rank": 0}),
     ("homology --m 64 --k 1,3,5,7 --n 4 --window=0:3",
-     {"matmul": 2, "cycles": 0, "rank": 2, "ring_mul": 10}),
+     {"matmul": 0, "cycles": 0, "rank": 0, "ring_mul": 10}),
     ("certify --m 2 --k 1,1 --n 2", {"flows": 4}),
     ("orbit --m 2 --k 1,1 --n 2 --tau 1.5", {"flows": 5, "newton_steps": 3}),
     # the complex's degrees share two stencils, each listed once and each
     # written once; the list checks are the writer's alone (918 when rounding
     # took every degree, 378 while the payload was rounded before writing)
     ("complex --m 36 --n 3 --window=-1:1", {"to_rows": 2, "ints_only": 252}),
-    # the oracle's 2 products and 2 ranks per grid point (90, 9 and 36 on
-    # m x m matrices)
-    ("sweep --m-range 2:4 --n-list 2,3,4", {"matmul": 18, "cycles": 0, "rank": 18}),
+    # none either (18 and 18 while the oracle took 2 products and 2 ranks per
+    # grid point; 90, 9 and 36 on m x m matrices)
+    ("sweep --m-range 2:4 --n-list 2,3,4", {"matmul": 0, "cycles": 0, "rank": 0}),
+    # the closed form (2 and 2 while the oracle ranked its resolution, one
+    # per distinct 1 x 1 boundary); with no product and no rank, neither
+    # validate, quotient_by_action nor homology of complexes ran
+    ("tate --m 5 --degrees=-3:40", {"matmul": 0, "rank": 0}),
     # the lift's steps and end gap sum their squares without a norm call, so
     # the norms left are the loop's unit check (one per row block, one block
     # here), certify's normalisation of its samples, and the rest outside the
@@ -81,7 +86,7 @@ LOOP_FILE = Path(__file__).parent / "models" / "loop_m5.json"
     # at m = 2040 the lift's 256 steps take two row blocks of 128, one
     # product each, beside the separation's one
     ("certify --m 2040 --k 1,1 --n 2", {"einsum": 3}),
-], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep",
+], ids=["homology", "homology_four_exponents", "certify", "orbit", "complex", "sweep", "tate",
         "certify_norms", "lift_norms", "certify_einsum", "lift_einsum", "certify_einsum_m2040"])
 def test_work_counters(capsys, monkeypatch, argv, expected):
     counts = Counter()
@@ -105,3 +110,4 @@ def test_one_ring_product_per_distinct_operand_tuple(capsys, monkeypatch):
     triples = {(id(b[d]), id(p[d - 1]), id(p[d])) for d in range(c.d_min + 1, c.d_max + 1)}
     assert (len(pairs), len(triples)) == (2, 8)
     assert counts["ring_mul"] == len(pairs) + len(triples)
+
